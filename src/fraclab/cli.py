@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -74,7 +75,6 @@ EXPERIMENTS = ("contraction", "clt", "mass-martingale", "regularization",
 _SECTIONS = ("model", "grid", "solver", "initial", "control", "experiment",
              "rate", "seed")
 _SOLVER_KEYS = frozenset(SolverConfig.__dataclass_fields__)
-_RATE_OPTION_KEYS = frozenset(RateOptions.__dataclass_fields__)
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +208,33 @@ class RunConfig:
                 f"{self.source}: missing required key {key!r}")
         return self.entries[key]
 
-    def expect(self, key: str, kinds, describe: str):
-        value = self.entries[key]
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ConfigurationError(self.where(key, f"expected {describe}, got {value!r}"))
+    def number(self, key: str, default=None, kind=float):
+        """The value at key as a finite kind, or default when key is absent.
+
+        kind=int admits integers only, kind=float integers and floats.  Any
+        other value, nan and infinity among them, is a ConfigurationError
+        naming the key.
+        """
+        if key not in self.entries:
+            return default
+        return kind(self._checked(key, self.entries[key], kind))
+
+    def numbers(self, key: str, default: tuple, kind=float) -> tuple:
+        """number for a comma-separated list; a single value is a list of one."""
+        value = self.entries.get(key, default)
+        items = value if isinstance(value, tuple) else (value,)
+        return tuple(kind(self._checked(key, item, kind)) for item in items)
+
+    def _checked(self, key: str, value, kind):
+        kinds = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
+        try:
+            finite = math.isfinite(value)
+        except (TypeError, OverflowError):
+            finite = False
+        if isinstance(value, bool) or not isinstance(value, kinds) or not finite:
+            describe = "integer" if kind is int else "number"
+            raise ConfigurationError(self.where(
+                key, f"expected a finite {describe}, got {value!r}"))
         return value
 
 
@@ -270,9 +293,9 @@ def load_run_config(command: str, experiment: str | None, text: str,
 
 
 def _build_grid(cfg: RunConfig) -> GridSpec:
-    n = cfg.expect("grid.n", (int, np.integer), "an integer")
+    n = cfg.number("grid.n", kind=int)
     try:
-        return GridSpec(int(n))
+        return GridSpec(n)
     except ValueError as exc:
         raise ConfigurationError(cfg.where("grid.n", str(exc))) from exc
 
@@ -288,11 +311,8 @@ def _build_solver_config(cfg: RunConfig) -> SolverConfig:
         if name == "flux_scheme":
             if not isinstance(value, str):
                 raise ConfigurationError(cfg.where(key, f"expected a name, got {value!r}"))
-        elif name == "snapshot_count":
-            value = int(cfg.expect(key, (int, np.integer), "an integer"))
         else:
-            value = float(cfg.expect(key, (int, float, np.integer, np.floating),
-                                     "a number"))
+            value = cfg.number(key, kind=int if name == "snapshot_count" else float)
         kwargs[name] = value
     try:
         return SolverConfig(**kwargs)
@@ -308,6 +328,9 @@ def _build_recipe(cfg: RunConfig) -> dict:
         parts = key.split(".")
         if len(parts) != 3 or parts[1] not in recipe:
             raise ConfigurationError(cfg.where(key, "unrecognized model key"))
+        # every family parameter but the kind is numeric
+        if parts[2] != "kind":
+            value = cfg._checked(key, value, float)
         recipe[parts[1]][parts[2]] = value
     return recipe
 
@@ -322,12 +345,12 @@ def _build_model(cfg: RunConfig):
 def _build_initial(cfg: RunConfig, grid: GridSpec):
     kind = cfg.get("initial.kind", "constant")
     if kind == "constant":
-        return constant_field(grid, float(cfg.get("initial.value", 1.0)))
+        return constant_field(grid, cfg.number("initial.value", 1.0))
     if kind == "harmonic":
-        base = float(cfg.get("initial.base", 1.0))
-        amplitude = float(cfg.get("initial.amplitude", 0.1))
-        mode = int(cfg.get("initial.mode", 1))
-        phase = float(cfg.get("initial.phase", 0.0))
+        base = cfg.number("initial.base", 1.0)
+        amplitude = cfg.number("initial.amplitude", 0.1)
+        mode = cfg.number("initial.mode", 1, int)
+        phase = cfg.number("initial.phase", 0.0)
         x = grid.nodes()
         values = base + amplitude * np.sin(2.0 * np.pi * mode * x + phase)
         return SpectralField(grid, values)
@@ -348,14 +371,14 @@ def _build_control(cfg: RunConfig, model, config: SolverConfig):
         return None
     kind = cfg.get("control.kind", "random")
     if kind == "zero":
-        truncation = int(cfg.get("control.truncation", model.noise.truncation))
+        truncation = cfg.number("control.truncation", model.noise.truncation, int)
         times = np.array([0.0, config.t_end])
         return Control(times=times, coeffs=np.zeros((1, truncation)))
     if kind == "random":
-        truncation = int(cfg.get("control.truncation", model.noise.truncation))
-        intervals = int(cfg.get("control.intervals", 8))
-        amplitude = float(cfg.get("control.amplitude", 1.0))
-        seed = int(cfg.get("control.seed", cfg.seed))
+        truncation = cfg.number("control.truncation", model.noise.truncation, int)
+        intervals = cfg.number("control.intervals", 8, int)
+        amplitude = cfg.number("control.amplitude", 1.0)
+        seed = cfg.number("control.seed", cfg.seed, int)
         return random_control(seed, truncation, config.t_end,
                               intervals=intervals, amplitude=amplitude)
     if kind == "csv":
@@ -366,9 +389,9 @@ def _build_control(cfg: RunConfig, model, config: SolverConfig):
 def _build_target(cfg: RunConfig, grid: GridSpec):
     kind = cfg.get("rate.target.kind", "harmonic")
     if kind == "harmonic":
-        mode = int(cfg.get("rate.target.mode", 1))
-        re = float(cfg.get("rate.target.re", 0.1))
-        im = float(cfg.get("rate.target.im", 0.0))
+        mode = cfg.number("rate.target.mode", 1, int)
+        re = cfg.number("rate.target.re", 0.1)
+        im = cfg.number("rate.target.im", 0.0)
         n = grid.points_per_axis
         if not 0 < mode < n // 2:
             raise ConfigurationError(cfg.where(
@@ -525,22 +548,23 @@ def _run_rate(cfg: RunConfig):
     _precheck(cfg, model, grid, config)
     target = _build_target(cfg, grid)
     method = cfg.get("rate.method", "exact")
-    eta = float(cfg.get("rate.eta", config.eta))
+    eta = cfg.number("rate.eta", config.eta)
     if method == "exact":
-        intervals = int(cfg.get("rate.intervals", 64))
+        intervals = cfg.number("rate.intervals", 64, int)
         report = mdp_rate_exact(target, model, config.t_end, eta=eta,
                                 control_intervals=intervals)
     elif method == "iterative":
         u0 = _build_initial(cfg, grid)
         opt_kwargs = {"eta": eta}
-        for name in _RATE_OPTION_KEYS:
+        for name, option in RateOptions.__dataclass_fields__.items():
             key = f"rate.{name}"
-            if key in cfg.entries:
+            if key not in cfg.entries:
+                continue
+            if isinstance(option.default, str):
                 opt_kwargs[name] = cfg.entries[key]
-        try:
-            opts = RateOptions(**opt_kwargs)
-        except TypeError as exc:
-            raise ConfigurationError(f"{cfg.source}: rate: {exc}") from exc
+            else:
+                opt_kwargs[name] = cfg.number(key, kind=type(option.default))
+        opts = RateOptions(**opt_kwargs)
         report = ldp_rate_iterative(target, u0, model, config.t_end, opts)
     else:
         raise ConfigurationError(cfg.where(
@@ -592,70 +616,58 @@ def _experiment_driver(cfg: RunConfig, name: str) -> ExperimentReport:
     recipe = _build_recipe(cfg)
     seed, workers = cfg.seed, cfg.workers
 
-    def grid_of(key, default):
-        value = cfg.get(key, default)
-        if not isinstance(value, tuple):
-            value = (value,)
-        return tuple(float(v) for v in value)
-
     if name == "contraction":
-        n_pairs = int(cfg.get("experiment.pairs", 10))
-        samples = int(cfg.get("experiment.samples", 500))
-        eps = float(cfg.get("experiment.eps", 1e-2))
+        n_pairs = cfg.number("experiment.pairs", 10, int)
+        samples = cfg.number("experiment.samples", 500, int)
+        eps = cfg.number("experiment.eps", 1e-2)
         pairs = [_smooth_pair(grid, seed, i) for i in range(n_pairs)]
         return contraction_experiment(recipe, pairs, eps, samples,
                                       config=config, seed=seed, workers=workers,
-                                      tol=float(cfg.get("experiment.tol", 1e-2)))
+                                      tol=cfg.number("experiment.tol", 1e-2))
     if name == "clt":
-        eps_grid = grid_of("experiment.eps_grid", (1e-2, 1e-3, 1e-4))
-        eta = float(cfg.get("experiment.eta", config.eta))
-        samples = int(cfg.get("experiment.samples", 200))
-        modes = cfg.get("experiment.modes", (1, 2))
-        if not isinstance(modes, tuple):
-            modes = (modes,)
+        eps_grid = cfg.numbers("experiment.eps_grid", (1e-2, 1e-3, 1e-4))
+        eta = cfg.number("experiment.eta", config.eta)
+        samples = cfg.number("experiment.samples", 200, int)
+        modes = cfg.numbers("experiment.modes", (1, 2), int)
         return clt_experiment(recipe, eps_grid, eta, samples, u0=u0,
-                              config=config, modes=tuple(int(m) for m in modes),
+                              config=config, modes=modes,
                               seed=seed, workers=workers)
     if name == "mass-martingale":
-        eps = float(cfg.get("experiment.eps", 1e-2))
-        samples = int(cfg.get("experiment.samples", 500))
+        eps = cfg.number("experiment.eps", 1e-2)
+        samples = cfg.number("experiment.samples", 500, int)
         return mass_martingale_experiment(recipe, eps, samples, u0=u0,
                                           config=config, seed=seed,
                                           workers=workers)
     if name == "regularization":
         which = cfg.get("experiment.which", "eta")
-        ladder = grid_of("experiment.ladder", (1e-2, 1e-3, 1e-4, 1e-5))
+        ladder = cfg.numbers("experiment.ladder", (1e-2, 1e-3, 1e-4, 1e-5))
         control = _build_control(cfg, model, config)
         return regularization_experiment(recipe, control, ladder, which=which,
                                          u0=u0, config=config)
     if name == "condition2":
-        eps_grid = grid_of("experiment.eps_grid", (1e-2, 1e-4, 1e-6))
-        samples = int(cfg.get("experiment.samples", 200))
-        count = int(cfg.get("experiment.controls", 4))
-        intervals = int(cfg.get("experiment.intervals", 8))
-        amplitude = float(cfg.get("experiment.amplitude", 0.5))
+        eps_grid = cfg.numbers("experiment.eps_grid", (1e-2, 1e-4, 1e-6))
+        samples = cfg.number("experiment.samples", 200, int)
+        count = cfg.number("experiment.controls", 4, int)
+        intervals = cfg.number("experiment.intervals", 8, int)
+        amplitude = cfg.number("experiment.amplitude", 0.5)
         family = [random_control((seed + 1) * 1000 + i, model.noise.truncation,
                                  config.t_end, intervals=intervals,
                                  amplitude=amplitude)
                   for i in range(count)]
-        delta = cfg.get("experiment.delta")
-        level_bound = cfg.get("experiment.level_bound")
         return condition2_coupling_experiment(
             recipe, family, eps_grid, samples, u0=u0,
-            delta=None if delta is None else float(delta),
-            level_bound=None if level_bound is None else float(level_bound),
+            delta=cfg.number("experiment.delta"),
+            level_bound=cfg.number("experiment.level_bound"),
             config=config, seed=seed, workers=workers)
     if name == "mdp":
-        a = float(cfg.get("experiment.a", 0.25))
-        eps_grid = grid_of("experiment.eps_grid", (1e-2, 1e-3, 1e-4))
-        samples = int(cfg.get("experiment.samples", 200))
-        modes = cfg.get("experiment.modes", (1,))
-        if not isinstance(modes, tuple):
-            modes = (modes,)
+        a = cfg.number("experiment.a", 0.25)
+        eps_grid = cfg.numbers("experiment.eps_grid", (1e-2, 1e-3, 1e-4))
+        samples = cfg.number("experiment.samples", 200, int)
+        modes = cfg.numbers("experiment.modes", (1,), int)
         return mdp_concentration_experiment(
             recipe, a, eps_grid, samples, u0=u0, config=config,
             linear_check=bool(cfg.get("experiment.linear_check", False)),
-            modes=tuple(int(m) for m in modes), seed=seed, workers=workers)
+            modes=modes, seed=seed, workers=workers)
     raise ConfigurationError(
         f"unknown experiment {name!r}; expected one of {', '.join(EXPERIMENTS)}")
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .fields import GridSpec, SpectralField, constant_field, path_l1_integral
 from .models import (ConfigurationError, ModelSpec, build_model, noise_tables)
-from .oracle import linearized_mode_arrays, mode_params, star_moments
-from .skeleton import Control, solve_controlled_spde, solve_skeleton
+from .oracle import ModeParams, linearized_mode_arrays, star_moments
+from .skeleton import solve_controlled_spde, solve_skeleton
 from .solver import SolverConfig, WienerPath, solve
 
 __all__ = [
@@ -216,6 +216,23 @@ def _leg_digest(path_a, path_b, config) -> str:
     return da
 
 
+def _scheme_modes(spec, grid, eta, flux_scheme):
+    """Drift rates and noise weights of the scheme's linearization about 1.
+
+    The spectral flux keeps the continuum advection rate 2 pi i a k, with
+    a = F'(1).  Rusanov's upwinded difference has the symbol
+    i a N sin(2 pi k/N) + |a| N (1 - cos(2 pi k/N)) instead; its real part is
+    the scheme's numerical viscosity, which damps the mode variances.
+    """
+    mu, weights = linearized_mode_arrays(spec, grid, eta)
+    if flux_scheme == "rusanov":
+        a = float(spec.flux.deriv(1.0))
+        n = grid.points_per_axis
+        phase = 2.0 * np.pi * grid.wavenumbers() / n
+        mu = mu.real + n * (abs(a) * (1.0 - np.cos(phase)) + 1j * a * np.sin(phase))
+    return mu, weights
+
+
 def _quantile_band(samples, q):
     """Sample quantile plus a one-sigma band from order-statistic spacing."""
     xs = np.sort(np.asarray(samples, dtype=float))
@@ -378,7 +395,7 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
     grid = u0.grid
     config = config if config is not None else _default_config()
 
-    mu, weights = linearized_mode_arrays(spec, grid, float(eta))
+    mu, weights = _scheme_modes(spec, grid, float(eta), config.flux_scheme)
     wavenumbers = grid.wavenumbers().astype(int)
     mode_index = {}
     for k in modes:
@@ -414,12 +431,12 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
         digests.append(f"eps{eps:g}:{rows[0]['digest']}")
         prev = stat
         if c == len(eps_values) - 1:
-            for k in mode_index:
+            for k, idx in mode_index.items():
                 coeffs = np.array([r["coeffs"][k] for r in rows])
                 centered = np.abs(coeffs - coeffs.mean()) ** 2
                 measured, err_var = _mean_stderr(centered)
-                oracle = star_moments(
-                    mode_params(spec, grid, k, float(eta)), config.t_end)[1]
+                oracle = star_moments(ModeParams(k, complex(mu[idx]), weights[idx]),
+                                      config.t_end)[1]
                 verdict = abs(measured - oracle) <= 3.0 * err_var
                 cells.append(_cell(
                     params=(("kind", "mode-variance"), ("eps", eps),
@@ -741,6 +758,7 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
 
     mode_index = {}
     if linear_check:
+        mu, weights = _scheme_modes(spec, grid, config.eta, config.flux_scheme)
         wavenumbers = grid.wavenumbers().astype(int)
         for k in modes:
             hits = np.nonzero(wavenumbers == int(k))[0]
@@ -793,12 +811,12 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
             samples=len(rows)))
         prev_raw = raw_mean
         if linear_check:
-            for k in mode_index:
+            for k, idx in mode_index.items():
                 coeffs = np.array([r["coeffs"][k] for r in rows])
                 centered = np.abs(coeffs - coeffs.mean()) ** 2
                 measured, err_var = _mean_stderr(centered)
-                oracle = star_moments(
-                    mode_params(spec, grid, k, config.eta), config.t_end)[1]
+                oracle = star_moments(ModeParams(k, complex(mu[idx]), weights[idx]),
+                                      config.t_end)[1]
                 scaled = oracle / (lam * lam)
                 cells.append(_cell(
                     params=(("kind", "mode-variance"), ("eps", eps),

@@ -1,21 +1,19 @@
 """Discrete real periodic fields on the unit torus.
 
-Fields live on the uniform grid x_j = j/N per axis (periodic length 1). The
-spectral side uses the normalized DFT
+Fields live on the uniform grid x_j = j/N (periodic length 1). The spectral
+side uses the normalized DFT
 
-    u_hat_k = (1/N^dim) sum_j u(x_j) exp(-2 pi i k . x_j),
+    u_hat_k = (1/N) sum_j u(x_j) exp(-2 pi i k x_j),
 
 which agrees with continuum Fourier coefficients for band-limited fields. The
 fractional Laplacian of order theta acts as the Fourier multiplier
 (4 pi^2 |k|^2)^theta, so theta = 1 coincides exactly with the spectral -Laplace
-operator. The Gagliardo seminorm is realized spectrally with the same
-multiplier.
+operator.
 """
 
 from __future__ import annotations
 
 import csv
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,19 +23,13 @@ FOUR_PI_SQ = 4.0 * np.pi**2
 __all__ = [
     "GridSpec",
     "SpectralField",
-    "NormReport",
     "constant_field",
-    "forward_transform",
     "field_from_spectrum",
     "apply_fractional_laplacian",
     "fractional_multiplier",
     "laplacian_multiplier",
-    "compute_norms",
     "path_l1_integral",
-    "field_to_csv",
     "field_from_csv",
-    "field_to_binary",
-    "field_from_binary",
 ]
 
 
@@ -47,14 +39,11 @@ def _is_power_of_two(n: int) -> bool:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform periodic grid with N nodes per axis on the unit torus."""
+    """Uniform periodic grid with N nodes on the unit torus."""
 
     points_per_axis: int = 128
-    dim: int = 1
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
         n = self.points_per_axis
         if not isinstance(n, (int, np.integer)) or n < 8 or not _is_power_of_two(n):
             raise ValueError(f"points_per_axis must be a power of two >= 8, got {n!r}")
@@ -64,15 +53,15 @@ class GridSpec:
         return 1.0 / self.points_per_axis
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.points_per_axis,) * self.dim
+    def shape(self) -> tuple[int]:
+        return (self.points_per_axis,)
 
     @property
     def size(self) -> int:
-        return self.points_per_axis**self.dim
+        return self.points_per_axis
 
     def nodes(self) -> np.ndarray:
-        """Node coordinates x_j = j/N along one axis."""
+        """Node coordinates x_j = j/N."""
         return np.arange(self.points_per_axis) / self.points_per_axis
 
     def wavenumbers(self) -> np.ndarray:
@@ -81,11 +70,8 @@ class GridSpec:
         return np.fft.fftfreq(n, d=1.0 / n)
 
     def squared_wavenumber(self) -> np.ndarray:
-        """|k|^2 on the full spectral grid (shape matches the field)."""
-        k = self.wavenumbers()
-        if self.dim == 1:
-            return k**2
-        return k[:, None] ** 2 + k[None, :] ** 2
+        """|k|^2 in the numpy FFT ordering."""
+        return self.wavenumbers() ** 2
 
 
 class SpectralField:
@@ -108,30 +94,25 @@ class SpectralField:
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            spec = np.fft.fftn(self.values) / self.grid.size
+            spec = np.fft.fft(self.values) / self.grid.size
             spec.setflags(write=False)
             self._spectrum = spec
         return self._spectrum
 
     def __repr__(self):
-        return f"SpectralField(dim={self.grid.dim}, n={self.grid.points_per_axis})"
+        return f"SpectralField(n={self.grid.points_per_axis})"
 
 
 def constant_field(grid: GridSpec, value: float) -> SpectralField:
     return SpectralField(grid, np.full(grid.shape, float(value)))
 
 
-def forward_transform(field: SpectralField) -> np.ndarray:
-    """Normalized DFT of the field, u_hat_k = (1/N^dim) sum_j u_j e^{-2 pi i k.x_j}."""
-    return field.spectrum
-
-
 def field_from_spectrum(grid: GridSpec, spectrum) -> SpectralField:
-    """Inverse of forward_transform; discards machine-level imaginary residue."""
+    """Inverse of SpectralField.spectrum; discards machine-level imaginary residue."""
     spectrum = np.asarray(spectrum, dtype=complex)
     if spectrum.shape != grid.shape:
         raise ValueError(f"spectrum shape {spectrum.shape} does not match grid {grid.shape}")
-    values = np.fft.ifftn(spectrum * grid.size)
+    values = np.fft.ifft(spectrum * grid.size)
     return SpectralField(grid, values.real)
 
 
@@ -149,32 +130,8 @@ def laplacian_multiplier(grid: GridSpec) -> np.ndarray:
 
 def apply_fractional_laplacian(field: SpectralField, theta: float) -> SpectralField:
     mult = fractional_multiplier(field.grid, theta)
-    out = np.fft.ifftn(mult * field.spectrum * field.grid.size)
+    out = np.fft.ifft(mult * field.spectrum * field.grid.size)
     return SpectralField(field.grid, out.real)
-
-
-@dataclass(frozen=True)
-class NormReport:
-    """L1, L2 and order-theta Gagliardo seminorm of one field.
-
-    e1_accumulator carries a time-integrated L1 norm when the report is built
-    along a trajectory; for a single field it is 0.
-    """
-
-    l1: float
-    l2: float
-    gagliardo_theta: float
-    e1_accumulator: float = 0.0
-
-
-def compute_norms(field: SpectralField, theta: float, e1_accumulator: float = 0.0) -> NormReport:
-    u = field.values
-    l1 = float(np.mean(np.abs(u)))
-    l2 = float(np.sqrt(np.mean(u * u)))
-    mult = fractional_multiplier(field.grid, theta)
-    gag_sq = float(np.sum(mult * np.abs(field.spectrum) ** 2))
-    return NormReport(l1=l1, l2=l2, gagliardo_theta=float(np.sqrt(max(gag_sq, 0.0))),
-                      e1_accumulator=float(e1_accumulator))
 
 
 def path_l1_integral(times, fields) -> float:
@@ -195,50 +152,15 @@ def path_l1_integral(times, fields) -> float:
     return total
 
 
-def field_to_csv(field: SpectralField, path) -> None:
-    """Rows: node index, coordinate(s), value."""
-    grid = field.grid
-    x = grid.nodes()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        if grid.dim == 1:
-            writer.writerow(["node", "x", "value"])
-            for j, v in enumerate(field.values):
-                writer.writerow([j, repr(float(x[j])), repr(float(v))])
-        else:
-            writer.writerow(["node", "x", "y", "value"])
-            n = grid.points_per_axis
-            for flat, v in enumerate(field.values.ravel()):
-                i, j = divmod(flat, n)
-                writer.writerow([flat, repr(float(x[i])), repr(float(x[j])), repr(float(v))])
-
-
 def field_from_csv(path, grid: GridSpec | None = None) -> SpectralField:
+    """Field from a CSV with one header row and the nodal values in its last
+    column; without a grid, the row count sets N."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     values = np.array([float(r[-1]) for r in rows[1:]])
     if grid is None:
         n = len(values)
-        dim = 1
         if not _is_power_of_two(n):
             raise ValueError(f"cannot infer a power-of-two grid from {n} rows")
-        grid = GridSpec(points_per_axis=n, dim=dim)
+        grid = GridSpec(points_per_axis=n)
     return SpectralField(grid, values.reshape(grid.shape))
-
-
-_BINARY_HEADER = struct.Struct("<ii")
-
-
-def field_to_binary(field: SpectralField, path) -> None:
-    """Header: dim, N as little-endian int32; payload: row-major float64."""
-    with open(path, "wb") as fh:
-        fh.write(_BINARY_HEADER.pack(field.grid.dim, field.grid.points_per_axis))
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
-
-
-def field_from_binary(path) -> SpectralField:
-    with open(path, "rb") as fh:
-        dim, n = _BINARY_HEADER.unpack(fh.read(_BINARY_HEADER.size))
-        grid = GridSpec(points_per_axis=n, dim=dim)
-        payload = np.frombuffer(fh.read(), dtype="<f8").astype(float)
-    return SpectralField(grid, payload.reshape(grid.shape))

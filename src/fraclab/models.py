@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 from scipy.stats import qmc
 
-from .fields import GridSpec, SpectralField
+from .fields import GridSpec
 
 __all__ = [
     "ConfigurationError",
@@ -23,14 +23,11 @@ __all__ = [
     "DiffusionSpec",
     "NoiseSpec",
     "ModelSpec",
-    "ShiftedModel",
     "AssumptionCheck",
     "ValidationReport",
     "validate_model",
-    "build_shifted_flux",
-    "shift_model",
-    "noise_field",
     "noise_tables",
+    "noise_pairing",
     "linearize_model",
     "linear_advection",
     "burgers_clamped",
@@ -43,7 +40,6 @@ __all__ = [
     "DIFFUSION_FAMILIES",
     "NOISE_FAMILIES",
     "build_model",
-    "default_deviation_scale",
 ]
 
 
@@ -111,25 +107,6 @@ class ModelSpec:
     flux: FluxSpec
     diffusion: DiffusionSpec
     noise: NoiseSpec
-
-
-@dataclass(frozen=True)
-class ShiftedModel:
-    """Model recentred about the constant state 1 at deviation scale sqrt(eps)*lambda."""
-
-    base: ModelSpec
-    eps: float
-    lambda_eps: float
-    shifted_flux: FluxSpec
-    shifted_diffusion: DiffusionSpec
-
-
-def default_deviation_scale(eps: float) -> float:
-    """Default moderate-deviation prefactor eps**(-1/4): diverges while
-    sqrt(eps) times it still vanishes."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return float(eps) ** -0.25
 
 
 # ---------------------------------------------------------------------------
@@ -329,64 +306,6 @@ def build_model(recipe) -> ModelSpec:
     )
 
 
-# ---------------------------------------------------------------------------
-# shifted specs
-
-
-def build_shifted_flux(base, eps: float, lambda_eps: float, center: float = 1.0):
-    """Difference-quotient recentering of a flux or diffusion about a constant.
-
-    With s = sqrt(eps)*lambda_eps the shifted map is
-    (F(s*xi + center) - F(center)) / s.  It keeps the base Lipschitz bound,
-    vanishes at 0 exactly, and converges pointwise to xi -> F'(center)*xi as
-    s -> 0.  s == 0 returns that linearization explicitly.
-    """
-    if not 0.0 <= eps < 1.0:
-        raise ConfigurationError(f"eps must lie in [0, 1), got {eps}")
-    if lambda_eps < 0.0:
-        raise ConfigurationError("lambda_eps must be nonnegative")
-    s = float(np.sqrt(eps) * lambda_eps)
-    if s > 1.0:
-        raise ConfigurationError(f"sqrt(eps)*lambda_eps = {s:g} exceeds 1")
-
-    f, fp = base.eval, base.deriv
-    if s == 0.0:
-        slope = float(fp(center))
-
-        def shifted(xi):
-            return slope * np.asarray(xi, dtype=float)
-
-        def shifted_deriv(xi):
-            return np.full_like(np.asarray(xi, dtype=float), slope)
-
-    else:
-        offset = float(f(center))
-
-        def shifted(xi):
-            return (np.asarray(f(s * np.asarray(xi, dtype=float) + center), dtype=float)
-                    - offset) / s
-
-        def shifted_deriv(xi):
-            return np.asarray(fp(s * np.asarray(xi, dtype=float) + center), dtype=float)
-
-    if isinstance(base, DiffusionSpec):
-        return DiffusionSpec(eval=shifted, deriv=shifted_deriv, theta=base.theta,
-                             lipschitz_bound=base.lipschitz_bound,
-                             name=f"shifted-{base.name}")
-    return FluxSpec(eval=shifted, deriv=shifted_deriv,
-                    lipschitz_bound=base.lipschitz_bound,
-                    second_deriv_bound=base.second_deriv_bound,
-                    name=f"shifted-{base.name}")
-
-
-def shift_model(model: ModelSpec, eps: float, lambda_eps: float) -> ShiftedModel:
-    return ShiftedModel(
-        base=model, eps=eps, lambda_eps=lambda_eps,
-        shifted_flux=build_shifted_flux(model.flux, eps, lambda_eps),
-        shifted_diffusion=build_shifted_flux(model.diffusion, eps, lambda_eps),
-    )
-
-
 def linearize_model(model: ModelSpec, state: float = 1.0) -> ModelSpec:
     """Constant-coefficient model: flux F'(s)*xi, diffusion Phi'(s)*xi, and the
     noise family frozen at u = s (purely additive)."""
@@ -419,24 +338,6 @@ def linearize_model(model: ModelSpec, state: float = 1.0) -> ModelSpec:
 # noise evaluation
 
 
-def noise_field(noise: NoiseSpec, u: SpectralField, coeffs) -> SpectralField:
-    """Pointwise pairing sum_k h_k(x, u(x)) coeffs_k on the field's grid."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (noise.truncation,):
-        raise ValueError(
-            f"expected {noise.truncation} coefficients, got shape {coeffs.shape}"
-        )
-    grid = u.grid
-    if grid.dim != 1:
-        raise ValueError("noise families are one-dimensional")
-    x = grid.nodes()
-    total = np.zeros(grid.shape)
-    for c, h in zip(coeffs, noise.coefficient_fns):
-        if c != 0.0:
-            total += c * np.asarray(h(x, u.values), dtype=float)
-    return SpectralField(grid, total)
-
-
 def noise_tables(noise: NoiseSpec, grid: GridSpec):
     """Nodal tables (A, B) with h_k(x, u) = A_k(x) + B_k(x) u, shape (K, N).
 
@@ -444,14 +345,39 @@ def noise_tables(noise: NoiseSpec, grid: GridSpec):
     """
     if not noise.affine_in_state:
         raise ValueError("noise spec is not affine in the state")
-    if grid.dim != 1:
-        raise ValueError("noise families are one-dimensional")
     x = grid.nodes()
     zero = np.zeros_like(x)
     one = np.ones_like(x)
     a = np.stack([np.asarray(h(x, zero), dtype=float) for h in noise.coefficient_fns])
     b = np.stack([np.asarray(h(x, one), dtype=float) for h in noise.coefficient_fns]) - a
     return a, b
+
+
+def noise_pairing(noise: NoiseSpec, grid: GridSpec):
+    """The pairing sum_k c_k h_k(x, u(x)) on the grid's nodes, as a function
+    pair(values, coeffs) of the nodal state and the K coefficients.
+
+    The solver pairs the Wiener increments and the skeleton pairs the control
+    through this routine.  Families affine in the state use the nodal tables
+    of noise_tables; any other family is evaluated term by term.
+    """
+    if noise.affine_in_state:
+        a, b = noise_tables(noise, grid)
+
+        def pair(values, coeffs):
+            return coeffs @ a + values * (coeffs @ b)
+
+        return pair
+    x = grid.nodes()
+
+    def pair(values, coeffs):
+        total = np.zeros_like(values)
+        for c, h in zip(coeffs, noise.coefficient_fns):
+            if c != 0.0:
+                total += c * np.asarray(h(x, values), dtype=float)
+        return total
+
+    return pair
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,8 @@ complex modes with drift rate
     mu_k = 2 pi i F'(1) k + Phi'(1) (2 pi |k|)^(2 theta) + eta 4 pi^2 k^2,
 
 driven additively by the frozen noise coefficients h_n(., 1).  Everything
-here is closed form: the constant steady state, the Ornstein-Uhlenbeck
-moments of the zero-start driven modes, and the Duhamel solution of the
-linear controlled skeleton.
+here is closed form: the Ornstein-Uhlenbeck moments of the zero-start driven
+modes and the Duhamel solution of the linear controlled skeleton.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "ModeParams",
     "linearized_mode_arrays",
     "mode_params",
-    "exact_constant_solution",
     "star_moments",
     "star_variance_profile",
     "duhamel_mdp_skeleton",
@@ -57,8 +55,6 @@ def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0):
     Column n holds the Fourier coefficients of h_n(., 1) in the same layout,
     so comparisons with the discrete solver carry no truncation mismatch.
     """
-    if grid.dim != 1:
-        raise ConfigurationError("mode oracle is one-dimensional")
     fslope = float(model.flux.deriv(1.0))
     pslope = float(model.diffusion.deriv(1.0))
     k = grid.wavenumbers()
@@ -86,17 +82,6 @@ def mode_params(model: ModelSpec, grid: GridSpec, wavenumber: int,
     idx = int(matches[0])
     return ModeParams(wavenumber=wavenumber, drift_rate=complex(mu[idx]),
                       noise_weights=weights[idx].copy())
-
-
-def exact_constant_solution(u0: SpectralField, model: ModelSpec, t: float) -> SpectralField:
-    """Constant data is a steady state: every spatial operator annihilates it."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    values = u0.values
-    spread = float(np.max(values) - np.min(values))
-    if spread > 1e-13 * max(1.0, float(np.max(np.abs(values)))):
-        raise ValueError("exact solution is only available for constant initial data")
-    return SpectralField(u0.grid, np.full(u0.grid.shape, float(values.flat[0])))
 
 
 def _ou_variance(total_sq: float, re_mu: float, t: float) -> float:

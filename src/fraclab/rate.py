@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .fields import SpectralField
-from .models import ConfigurationError, ModelSpec
+from .models import ModelSpec
 from .oracle import (
     duhamel_mdp_skeleton,
     linearized_mode_arrays,
@@ -35,7 +35,6 @@ from .solver import SolverConfig
 __all__ = [
     "RateReport",
     "RateOptions",
-    "gramian_profile",
     "mdp_rate_exact",
     "ldp_rate_iterative",
     "verify_rate_bound",
@@ -80,12 +79,6 @@ class RateOptions:
     maxiter: int = 30
     gradient_tol: float = 1e-9
     residual_target: float = 1e-2
-
-
-def gramian_profile(model: ModelSpec, grid, T: float, eta: float = 0.0) -> np.ndarray:
-    """Reachability Gramian of every mode (fft layout); coincides with the
-    variance profile of the zero-start driven modes."""
-    return star_variance_profile(model, grid, T, eta)
 
 
 def _l2(values: np.ndarray) -> float:
@@ -140,7 +133,7 @@ def mdp_rate_exact(target: SpectralField, model: ModelSpec, T: float,
         raise ValueError("T must be positive")
     grid = target.grid
     mu, weights = linearized_mode_arrays(model, grid, eta)
-    gram = gramian_profile(model, grid, T, eta)
+    gram = star_variance_profile(model, grid, T, eta)
     tau = target.spectrum
     weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
     # the floor references the strongest driven mode: weights that are pure

@@ -15,12 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GridSpec, SpectralField, constant_field
-from .models import (
-    ConfigurationError,
-    ModelSpec,
-    linearize_model,
-    noise_tables,
-)
+from .models import ConfigurationError, ModelSpec, linearize_model, noise_pairing
 from .solver import SolverConfig, Trajectory, WienerPath, solve
 
 __all__ = [
@@ -138,24 +133,10 @@ def _control_drift(model: ModelSpec, grid: GridSpec, control: Control, dt: float
             f"control has {control.truncation} modes, noise has {model.noise.truncation}"
         )
     shift = 0.5 * dt
-    if model.noise.affine_in_state:
-        a, b = noise_tables(model.noise, grid)
+    pair = noise_pairing(model.noise, grid)
 
-        def drift(values, t):
-            ell = control.at(t + shift)
-            return ell @ a + values * (ell @ b)
-
-    else:
-        x = grid.nodes()
-        fns = model.noise.coefficient_fns
-
-        def drift(values, t):
-            ell = control.at(t + shift)
-            total = np.zeros_like(values)
-            for c, h in zip(ell, fns):
-                if c != 0.0:
-                    total += c * np.asarray(h(x, values), dtype=float)
-            return total
+    def drift(values, t):
+        return pair(values, control.at(t + shift))
 
     return drift
 

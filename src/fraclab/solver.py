@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .fields import (
     fractional_multiplier,
     laplacian_multiplier,
 )
-from .models import ConfigurationError, ModelSpec, noise_tables
+from .models import ConfigurationError, ModelSpec, noise_pairing
 
 __all__ = [
     "SolverConfig",
@@ -33,10 +34,7 @@ __all__ = [
     "Trajectory",
     "DivergenceError",
     "stable_dt",
-    "flux_divergence",
-    "step",
     "solve",
-    "run_digest",
     "trajectory_to_csv",
 ]
 
@@ -54,6 +52,9 @@ class SolverConfig:
     snapshot_count: int = 64
 
     def __post_init__(self):
+        for name in ("dt", "t_end", "eta", "gamma", "eps", "lambda_eps", "cfl_safety"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite")
         if self.dt <= 0.0:
             raise ConfigurationError("dt must be positive")
         if self.t_end <= 0.0:
@@ -123,8 +124,6 @@ class WienerPath:
 class Trajectory:
     times: np.ndarray
     snapshots: tuple
-    config_hash: str
-    seed: int
 
     def __post_init__(self):
         if len(self.times) != len(self.snapshots):
@@ -190,9 +189,6 @@ class _StepContext:
     """Per-run precomputation shared by every step."""
 
     def __init__(self, grid: GridSpec, model: ModelSpec, config: SolverConfig):
-        if grid.dim != 1:
-            raise ConfigurationError("the time integrator is one-dimensional")
-        self.grid = grid
         self.model = model
         self.config = config
         self.dt = config.dt
@@ -210,20 +206,8 @@ class _StepContext:
         self.deriv_mult = 2j * np.pi * k
         self.dealias = np.abs(k) > grid.points_per_axis / 3.0
         self.noise_scale = config.noise_scale
-        self.tables = None
-        if model.noise.affine_in_state:
-            self.tables = noise_tables(model.noise, grid)
-        self.nodes = grid.nodes()
-
-    def noise_increment_field(self, values, dbeta):
-        if self.tables is not None:
-            a, b = self.tables
-            return dbeta @ a + values * (dbeta @ b)
-        total = np.zeros_like(values)
-        for c, h in zip(dbeta, self.model.noise.coefficient_fns):
-            if c != 0.0:
-                total += c * np.asarray(h(self.nodes, values), dtype=float)
-        return total
+        if config.eps > 0.0:
+            self.pair = noise_pairing(model.noise, grid)
 
     def advance(self, values, dbeta=None, drift_values=None):
         out = values.copy()
@@ -239,73 +223,10 @@ class _StepContext:
         if drift_values is not None:
             out += self.dt * drift_values
         if dbeta is not None:
-            out += self.noise_scale * self.noise_increment_field(values, dbeta)
+            out += self.noise_scale * self.pair(values, dbeta)
         if self.implicit_on:
             out = np.fft.ifft(np.fft.fft(out) / self.implicit_div).real
         return out
-
-
-def flux_divergence(u: SpectralField, flux, scheme: str = "rusanov") -> SpectralField:
-    """Discrete div F(u): conservative Rusanov differences or dealiased
-    spectral differentiation of F(u)."""
-    grid = u.grid
-    if grid.dim != 1:
-        raise ConfigurationError("flux divergence is one-dimensional")
-    if scheme == "rusanov":
-        values = _rusanov_divergence(u.values, flux, grid.cell_width)
-    elif scheme == "spectral":
-        k = grid.wavenumbers()
-        values = _spectral_divergence(u.values, flux, 2j * np.pi * k,
-                                      np.abs(k) > grid.points_per_axis / 3.0)
-    else:
-        raise ConfigurationError(f"unknown flux scheme {scheme!r}")
-    return SpectralField(grid, values)
-
-
-def step(state: SpectralField, model: ModelSpec, config: SolverConfig,
-         path: WienerPath | None = None, drift=None,
-         step_index: int = 0, t: float = 0.0) -> SpectralField:
-    """One IMEX update from the given state.
-
-    drift, when present, is a provider called as drift(values, t) returning
-    the nodal drift field at the left endpoint.
-    """
-    ctx = _StepContext(state.grid, model, config)
-    dbeta = None
-    if config.eps > 0.0:
-        if path is None:
-            raise ConfigurationError("eps > 0 requires a Wiener path")
-        dbeta = path.increments(step_index, config.dt)
-    drift_values = None
-    if drift is not None:
-        drift_values = np.asarray(drift(state.values, t), dtype=float)
-    out = ctx.advance(state.values, dbeta, drift_values)
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError(step_index, t + config.dt)
-    return SpectralField(state.grid, out)
-
-
-def run_digest(grid: GridSpec, model: ModelSpec, config: SolverConfig, seed) -> str:
-    lines = [
-        f"grid.n={grid.points_per_axis}",
-        f"grid.dim={grid.dim}",
-        f"model.flux={model.flux.name}",
-        f"model.flux.lipschitz={model.flux.lipschitz_bound!r}",
-        f"model.diffusion={model.diffusion.name}",
-        f"model.diffusion.lipschitz={model.diffusion.lipschitz_bound!r}",
-        f"model.theta={model.diffusion.theta!r}",
-        f"model.noise={model.noise.name}",
-        f"model.noise.K={model.noise.truncation}",
-        f"config.dt={config.dt!r}",
-        f"config.t_end={config.t_end!r}",
-        f"config.eta={config.eta!r}",
-        f"config.gamma={config.gamma!r}",
-        f"config.eps={config.eps!r}",
-        f"config.lambda_eps={config.lambda_eps!r}",
-        f"config.flux_scheme={config.flux_scheme}",
-        f"seed={seed}",
-    ]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
 def _plan_steps(config: SolverConfig):
@@ -323,8 +244,10 @@ def solve(u0: SpectralField, model: ModelSpec, config: SolverConfig,
           path: WienerPath | None = None, drift=None) -> Trajectory:
     """Iterate the IMEX step to t_end, recording snapshots at a fixed stride.
 
-    Deterministic given (u0, model, config, path seed and stream).  Raises
-    DivergenceError with the offending step if the state loses finiteness.
+    Deterministic given (u0, model, config, path seed and stream).  drift,
+    when present, is called as drift(values, t) and returns the nodal drift
+    at the left endpoint.  Raises DivergenceError with the offending step if
+    the state loses finiteness.
     """
     grid = u0.grid
     ctx = _StepContext(grid, model, config)
@@ -337,9 +260,6 @@ def solve(u0: SpectralField, model: ModelSpec, config: SolverConfig,
         raise ConfigurationError("eps > 0 requires a Wiener path")
 
     n_steps, record = _plan_steps(config)
-    seed = path.master_seed if path is not None else 0
-    digest = run_digest(grid, model, config, seed)
-
     values = u0.values.copy()
     times = [0.0]
     snapshots = [SpectralField(grid, values)]
@@ -355,8 +275,7 @@ def solve(u0: SpectralField, model: ModelSpec, config: SolverConfig,
         if (i + 1) in record:
             times.append((i + 1) * config.dt)
             snapshots.append(SpectralField(grid, values))
-    return Trajectory(times=np.array(times), snapshots=tuple(snapshots),
-                      config_hash=digest, seed=seed)
+    return Trajectory(times=np.array(times), snapshots=tuple(snapshots))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -1,11 +1,15 @@
 """Tests for the command line front end: config parsing, hashing, artifact
 layout, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import string
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fraclab.cli import config_hash, load_run_config, main, parse_config_text
 from fraclab.models import ConfigurationError
@@ -348,3 +352,71 @@ class TestExperimentCommand:
         cfg = write(tmp_path, BASE)
         with pytest.raises(SystemExit):
             main(["experiment", "bogus", "--config", cfg])
+
+
+# each numeric key with a command (and the settings) under which a run reads it
+NUMERIC_KEYS = tuple(
+    [(("simulate",), (), key) for key in (
+        "seed", "grid.n", "solver.dt", "solver.t_end", "solver.eta",
+        "solver.gamma", "solver.eps", "solver.lambda_eps", "solver.cfl_safety",
+        "solver.snapshot_count", "initial.value", "model.flux.clamp",
+        "model.diffusion.slope", "model.diffusion.theta",
+        "model.noise.truncation")]
+    + [(("simulate",), ("initial.kind=harmonic",), key) for key in (
+        "initial.base", "initial.amplitude", "initial.mode", "initial.phase")]
+    + [(("skeleton",), ("control.kind=random",), key) for key in (
+        "control.truncation", "control.intervals", "control.amplitude",
+        "control.seed")]
+    + [(("rate",), (), key) for key in (
+        "rate.target.mode", "rate.target.re", "rate.target.im", "rate.eta",
+        "rate.intervals")]
+    + [(("rate",), ("rate.method=iterative",), key) for key in (
+        "rate.dt", "rate.penalty", "rate.penalty_growth", "rate.rounds",
+        "rate.maxiter", "rate.gradient_tol", "rate.residual_target")]
+    + [(("experiment", "contraction"), (), key) for key in (
+        "experiment.pairs", "experiment.samples", "experiment.eps",
+        "experiment.tol")]
+    + [(("experiment", "clt"), (), key) for key in (
+        "experiment.eps_grid", "experiment.eta", "experiment.samples",
+        "experiment.modes")]
+    + [(("experiment", "mass-martingale"), (), key) for key in (
+        "experiment.eps", "experiment.samples")]
+    + [(("experiment", "regularization"), (), "experiment.ladder")]
+    + [(("experiment", "condition2"), (), key) for key in (
+        "experiment.eps_grid", "experiment.samples", "experiment.controls",
+        "experiment.intervals", "experiment.amplitude", "experiment.delta",
+        "experiment.level_bound")]
+    + [(("experiment", "mdp"), (), key) for key in (
+        "experiment.a", "experiment.eps_grid", "experiment.samples",
+        "experiment.modes")]
+)
+
+
+def _case(key):
+    return next(case for case in NUMERIC_KEYS if case[2] == key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from(NUMERIC_KEYS),
+       bad=st.one_of(st.sampled_from(["nan", "inf", "-inf", "1e9x", ""]),
+                     st.text(string.ascii_letters, min_size=1, max_size=8)))
+@example(case=_case("solver.dt"), bad="nan")
+@example(case=_case("solver.t_end"), bad="inf")
+@example(case=_case("initial.value"), bad="nan")
+@example(case=_case("solver.eta"), bad="inf")
+@example(case=_case("solver.eps"), bad="nan")
+@example(case=_case("initial.amplitude"), bad="abc")
+@example(case=_case("experiment.samples"), bad="1e9x")
+def test_bad_numeric_value_exits_2_naming_key(tmp_path_factory, case, bad):
+    command, extra, key = case
+    root = tmp_path_factory.mktemp("numeric")
+    cfg = write(root, BASE)
+    argv = [*command, "--config", cfg, "--out", str(root / "out"),
+            "--workers", "1"]
+    for item in (*extra, f"{key}={bad}"):
+        argv += ["--override", item]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 2
+    assert key in err.getvalue()

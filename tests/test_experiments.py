@@ -101,6 +101,22 @@ class TestClt:
         stats = [c.statistic for c in cells_of_kind(rep, "path-gap")]
         assert abs(stats[0] - stats[1]) <= 1e-6 * stats[0]
 
+    def test_rusanov_oracle_follows_the_scheme(self):
+        # Rusanov's linearization about 1 damps mode k by its numerical
+        # viscosity |a| N (1 - cos(2 pi k / N)) on top of the continuum rate;
+        # with it the oracle leg of a linear model differs from the scheme
+        # only by the time step
+        rep = clt_experiment(LINEAR, [1e-2, 1e-4], 1e-3, 100, grid=GRID,
+                             config=CONFIG, modes=(1, 2), seed=8)
+        for cell in cells_of_kind(rep, "mode-variance"):
+            k = dict(cell.params)["mode"]
+            re_mu = (0.4 * 2 * np.pi * k + 1e-3 * 4 * np.pi ** 2 * k * k
+                     + 0.3 * 32 * (1 - np.cos(2 * np.pi * k / 32)))
+            expected = -np.expm1(-2 * re_mu * 0.1) / (2 * re_mu) / (4 * k * k)
+            assert dict(cell.extra)["oracle"] == pytest.approx(expected, rel=1e-12)
+        gaps = [c.statistic for c in cells_of_kind(rep, "path-gap")]
+        assert max(gaps) < 5e-5
+
     def test_burgers_gap_strictly_decreases(self):
         rep = clt_experiment(BURGERS, [1e-2, 1e-3, 1e-4], 1e-3, 100,
                              grid=GRID, config=CONFIG, modes=(1,), seed=5)

@@ -1,5 +1,5 @@
 """Tests for the periodic field algebra: transforms, fractional Laplacian,
-norms, and serialization."""
+path norm, and CSV input."""
 
 import numpy as np
 import pytest
@@ -9,14 +9,9 @@ from fraclab.fields import (
     GridSpec,
     SpectralField,
     apply_fractional_laplacian,
-    compute_norms,
     constant_field,
-    field_from_binary,
     field_from_csv,
     field_from_spectrum,
-    field_to_binary,
-    field_to_csv,
-    forward_transform,
     fractional_multiplier,
     laplacian_multiplier,
     path_l1_integral,
@@ -42,10 +37,6 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(points_per_axis=n)
 
-    def test_rejects_bad_dim(self):
-        with pytest.raises(ValueError):
-            GridSpec(points_per_axis=16, dim=3)
-
     def test_wavenumbers(self):
         k = GridSpec(points_per_axis=8).wavenumbers()
         assert np.array_equal(k, [0, 1, 2, 3, -4, -3, -2, -1])
@@ -54,7 +45,7 @@ class TestGridSpec:
 class TestTransform:
     def test_constant_mode(self):
         grid = GridSpec(points_per_axis=32)
-        spec = forward_transform(constant_field(grid, 3.25))
+        spec = constant_field(grid, 3.25).spectrum
         assert abs(spec[0] - 3.25) < 1e-14
         assert np.max(np.abs(spec[1:])) < 1e-14
 
@@ -62,7 +53,7 @@ class TestTransform:
         # u = sin(2 pi x) has coefficients -i/2 at k=1 and +i/2 at k=-1
         grid = GridSpec(points_per_axis=32)
         u = SpectralField(grid, np.sin(2 * np.pi * grid.nodes()))
-        spec = forward_transform(u)
+        spec = u.spectrum
         assert abs(spec[1] - (-0.5j)) < 1e-14
         assert abs(spec[-1] - 0.5j) < 1e-14
         mask = np.ones(32, dtype=bool)
@@ -72,12 +63,12 @@ class TestTransform:
     def test_matches_direct_summation_dft(self):
         grid = GridSpec(points_per_axis=16)
         u = random_field(grid, seed=7)
-        assert np.allclose(forward_transform(u), direct_dft(u.values), atol=1e-13)
+        assert np.allclose(u.spectrum, direct_dft(u.values), atol=1e-13)
 
     def test_round_trip(self):
         grid = GridSpec(points_per_axis=16)
         u = random_field(grid, seed=3)
-        back = field_from_spectrum(grid, forward_transform(u))
+        back = field_from_spectrum(grid, u.spectrum)
         assert np.max(np.abs(back.values - u.values)) < 1e-12 * max(1.0, np.max(np.abs(u.values)))
 
     @pytest.mark.parametrize("exponent", range(3, 11))
@@ -105,12 +96,6 @@ class TestTransform:
         bad[3] = np.nan
         with pytest.raises(ValueError):
             SpectralField(grid, bad)
-
-    def test_two_dimensional_round_trip(self):
-        grid = GridSpec(points_per_axis=16, dim=2)
-        u = random_field(grid, seed=11)
-        back = field_from_spectrum(grid, u.spectrum)
-        assert np.max(np.abs(back.values - u.values)) < 1e-12
 
 
 class TestFractionalLaplacian:
@@ -177,37 +162,11 @@ class TestFractionalLaplacian:
         grid = GridSpec(points_per_axis=32)
         u = random_field(grid, seed=4)
         spec = fractional_multiplier(grid, 0.5) * u.spectrum * grid.size
-        imag = np.max(np.abs(np.fft.ifftn(spec).imag))
+        imag = np.max(np.abs(np.fft.ifft(spec).imag))
         assert imag < 1e-12
 
 
 class TestNorms:
-    def test_zero_field(self):
-        grid = GridSpec(points_per_axis=16)
-        rep = compute_norms(constant_field(grid, 0.0), theta=0.5)
-        assert rep.l1 == 0.0 and rep.l2 == 0.0 and rep.gagliardo_theta == 0.0
-
-    def test_constant_field(self):
-        grid = GridSpec(points_per_axis=16)
-        rep = compute_norms(constant_field(grid, -2.5), theta=0.4)
-        assert abs(rep.l1 - 2.5) < 1e-14
-        assert abs(rep.l2 - 2.5) < 1e-14
-        assert rep.gagliardo_theta < 1e-12
-
-    def test_single_harmonic_parseval(self):
-        # Parseval: ||sin||_L2 = 1/sqrt(2), seminorm (2 pi)^theta / sqrt(2)
-        grid = GridSpec(points_per_axis=64)
-        theta = 0.5
-        u = SpectralField(grid, np.sin(2 * np.pi * grid.nodes()))
-        rep = compute_norms(u, theta)
-        assert abs(rep.l2 - 1 / np.sqrt(2)) < 1e-12
-        assert abs(rep.gagliardo_theta - (2 * np.pi) ** theta / np.sqrt(2)) < 1e-10
-
-    def test_nonnegative(self):
-        grid = GridSpec(points_per_axis=32)
-        rep = compute_norms(random_field(grid, seed=12), theta=0.8)
-        assert rep.l1 > 0 and rep.l2 > 0 and rep.gagliardo_theta > 0
-
     def test_path_integral_rectangle_rule(self):
         grid = GridSpec(points_per_axis=8)
         fields = [constant_field(grid, c) for c in (1.0, 2.0, 4.0)]
@@ -220,16 +179,10 @@ class TestSerialization:
         grid = GridSpec(points_per_axis=16)
         u = random_field(grid, seed=21)
         p = tmp_path / "field.csv"
-        field_to_csv(u, p)
+        rows = ["node,x,value"] + [f"{j},{x!r},{float(v)!r}"
+                                   for j, (x, v) in enumerate(zip(grid.nodes(), u.values))]
+        p.write_text("\n".join(rows) + "\n")
         back = field_from_csv(p)
-        assert np.array_equal(back.values, u.values)
-
-    def test_binary_round_trip(self, tmp_path):
-        grid = GridSpec(points_per_axis=32)
-        u = random_field(grid, seed=22)
-        p = tmp_path / "field.bin"
-        field_to_binary(u, p)
-        back = field_from_binary(p)
         assert back.grid == grid
         assert np.array_equal(back.values, u.values)
 

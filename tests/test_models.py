@@ -1,11 +1,13 @@
-"""Tests for model specs: builtin families, sampled validation, shifted
-recentering, and noise evaluation."""
+"""Tests for model specs: builtin families, sampled validation,
+linearization, and the noise pairing."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fraclab.fields import GridSpec, SpectralField, constant_field
+from fraclab.fields import GridSpec, SpectralField
 from fraclab.models import (
     ConfigurationError,
     DiffusionSpec,
@@ -13,20 +15,19 @@ from fraclab.models import (
     ModelSpec,
     NoiseSpec,
     additive_noise,
-    build_shifted_flux,
     burgers_clamped,
     cubic_smoothed,
-    default_deviation_scale,
     diagonal_decay_noise,
     linear_advection,
     linear_diffusion,
     linearize_model,
-    noise_field,
+    noise_pairing,
     noise_tables,
     paired_harmonic_noise,
-    shift_model,
     validate_model,
 )
+from fraclab.skeleton import random_control, solve_skeleton
+from fraclab.solver import SolverConfig, WienerPath, solve
 
 
 def basic_model(flux=None, diffusion=None, noise=None):
@@ -83,11 +84,6 @@ class TestBuiltinFamilies:
         # equal-weight pairs sum to a state-free constant
         total = sum(np.asarray(h(x, u)) ** 2 for h in n.coefficient_fns)
         assert np.allclose(total, 1.0 + 0.25 + 1 / 9)
-
-    def test_deviation_scale(self):
-        assert abs(default_deviation_scale(1e-4) - 10.0) < 1e-12
-        with pytest.raises(ValueError):
-            default_deviation_scale(0.0)
 
 
 class TestValidateModel:
@@ -150,88 +146,43 @@ class TestValidateModel:
             validate_model(basic_model(), sample_count=50)
 
 
-class TestShiftedSpecs:
-    def test_linear_flux_shift_is_exact(self):
-        for eps in (1e-1, 1e-2, 1e-4):
-            shifted = build_shifted_flux(linear_advection(2.5), eps, 1.0)
-            xi = np.linspace(-4, 4, 9)
-            assert np.allclose(shifted.eval(xi), 2.5 * xi, atol=1e-13)
-
-    def test_quadratic_flux_shift(self):
-        # F(u) = u^2/2, s = 0.1: shifted flux is xi + s xi^2 / 2
-        s = 0.1
-        shifted = build_shifted_flux(burgers_clamped(100.0), eps=0.01, lambda_eps=1.0)
-        xi = np.linspace(-5, 5, 21)
-        assert np.allclose(shifted.eval(xi), xi + s * xi * xi / 2.0, atol=1e-12)
-        assert np.allclose(shifted.deriv(xi), 1.0 + s * xi, atol=1e-12)
-
-    def test_cubic_taylor_remainder(self):
-        # Phi(u) = u^3 about 1 with s = 1e-3 and xi = 2
-        phi = DiffusionSpec(eval=lambda u: np.asarray(u, dtype=float) ** 3,
-                            deriv=lambda u: 3.0 * np.asarray(u, dtype=float) ** 2,
-                            theta=0.5, lipschitz_bound=300.0)
-        s = 1e-3
-        shifted = build_shifted_flux(phi, eps=s * s, lambda_eps=1.0)
-        xi = 2.0
-        bound = 3 * s * xi ** 2 + s ** 2 * xi ** 3
-        assert abs(float(shifted.eval(xi)) - 3.0 * xi) <= bound + 1e-12
-
-    def test_vanishes_at_zero_exactly(self):
-        m = shift_model(basic_model(), eps=1e-2, lambda_eps=2.0)
-        assert float(m.shifted_flux.eval(0.0)) == 0.0
-        assert float(m.shifted_diffusion.eval(0.0)) == 0.0
-
-    def test_zero_guard_matches_small_s_limit(self):
-        base = burgers_clamped(16.0)
-        linearized = build_shifted_flux(base, eps=0.0, lambda_eps=1.0)
-        tiny = build_shifted_flux(base, eps=1e-12, lambda_eps=1.0)
-        xi = np.linspace(-3, 3, 13)
-        rel = np.max(np.abs(linearized.eval(xi) - tiny.eval(xi))) / np.max(np.abs(tiny.eval(xi)))
-        assert rel <= 1e-4
-        assert np.allclose(linearized.eval(xi), 1.0 * xi)
-
-    def test_type_preserved(self):
-        assert isinstance(build_shifted_flux(linear_advection(), 0.1, 1.0), FluxSpec)
-        assert isinstance(build_shifted_flux(linear_diffusion(1.0, 0.3), 0.1, 1.0),
-                          DiffusionSpec)
-        assert build_shifted_flux(linear_diffusion(1.0, 0.3), 0.1, 1.0).theta == 0.3
-
-    def test_scale_bound_enforced(self):
-        with pytest.raises(ConfigurationError):
-            build_shifted_flux(linear_advection(), eps=0.9, lambda_eps=10.0)
+def term_by_term(noise):
+    """The same family declared not affine, so the pairing loops over h_k."""
+    return dataclasses.replace(noise, affine_in_state=False)
 
 
 class TestNoiseEvaluation:
     def test_zero_coeffs(self):
         grid = GridSpec(points_per_axis=32)
-        n = diagonal_decay_noise(4)
-        out = noise_field(n, constant_field(grid, 1.0), np.zeros(4))
-        assert np.max(np.abs(out.values)) == 0.0
+        pair = noise_pairing(diagonal_decay_noise(4), grid)
+        out = pair(np.ones(32), np.zeros(4))
+        assert np.max(np.abs(out)) == 0.0
 
     def test_unit_additive_constant(self):
         grid = GridSpec(points_per_axis=16)
         unit = NoiseSpec(truncation=1,
                          coefficient_fns=(lambda x, u: np.ones_like(np.asarray(x, dtype=float)),),
                          decay_exponent=1.0, growth_const=1.0, affine_in_state=True)
-        out = noise_field(unit, constant_field(grid, 0.0), [2.5])
-        assert np.allclose(out.values, 2.5)
+        out = noise_pairing(unit, grid)(np.zeros(16), np.array([2.5]))
+        assert np.allclose(out, 2.5)
 
     def test_unit_vectors_reproduce_each_mode(self):
         grid = GridSpec(points_per_axis=64)
         n = diagonal_decay_noise(5)
-        u = constant_field(grid, 1.0)
         x = grid.nodes()
-        for k in range(5):
-            coeffs = np.zeros(5)
-            coeffs[k] = 1.0
-            out = noise_field(n, u, coeffs)
-            direct = n.coefficient_fns[k](x, np.ones_like(x))
-            assert np.allclose(out.values, direct, atol=1e-14)
+        u = 1.0 + 0.5 * np.sin(2 * np.pi * x)
+        for family in (n, term_by_term(n)):
+            pair = noise_pairing(family, grid)
+            for k in range(5):
+                coeffs = np.zeros(5)
+                coeffs[k] = 1.0
+                direct = n.coefficient_fns[k](x, u)
+                assert np.allclose(pair(u, coeffs), direct, atol=1e-14)
 
     def test_length_mismatch(self):
         grid = GridSpec(points_per_axis=16)
         with pytest.raises(ValueError):
-            noise_field(diagonal_decay_noise(4), constant_field(grid, 0.0), np.zeros(3))
+            noise_pairing(diagonal_decay_noise(4), grid)(np.zeros(16), np.zeros(3))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31), a=st.floats(-3, 3), b=st.floats(-3, 3))
@@ -242,8 +193,9 @@ class TestNoiseEvaluation:
         u = SpectralField(grid, rng.standard_normal(32))
         c1 = rng.standard_normal(6)
         c2 = rng.standard_normal(6)
-        lhs = noise_field(n, u, a * c1 + b * c2).values
-        rhs = a * noise_field(n, u, c1).values + b * noise_field(n, u, c2).values
+        pair = noise_pairing(n, grid)
+        lhs = pair(u.values, a * c1 + b * c2)
+        rhs = a * pair(u.values, c1) + b * pair(u.values, c2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
     @pytest.mark.parametrize("family", [
@@ -258,6 +210,24 @@ class TestNoiseEvaluation:
         u = rng.standard_normal(32)
         for k, h in enumerate(family.coefficient_fns):
             assert np.allclose(a[k] + b[k] * u, h(x, u), atol=1e-14)
+
+    def test_table_and_loop_branches_agree_in_solves(self):
+        # the noise term of solve and the control drift of solve_skeleton both
+        # go through noise_pairing; either branch gives the same paths
+        grid = GridSpec(points_per_axis=32)
+        tables = basic_model(noise=diagonal_decay_noise(4))
+        loop = dataclasses.replace(tables, noise=term_by_term(tables.noise))
+        u0 = SpectralField(grid, 1.0 + 0.2 * np.sin(2 * np.pi * grid.nodes()))
+        noisy = SolverConfig(dt=1e-3, t_end=0.05, eps=1e-2)
+        paths = [solve(u0, m, noisy, WienerPath(3, 0, 4)).values_matrix()
+                 for m in (tables, loop)]
+        control = random_control(5, 4, 0.05, intervals=5)
+        quiet = SolverConfig(dt=1e-3, t_end=0.05)
+        skeletons = [solve_skeleton(u0, m, control, quiet).values_matrix()
+                     for m in (tables, loop)]
+        for a, b in (paths, skeletons):
+            assert not np.array_equal(a, a[0])
+            assert np.max(np.abs(a - b)) <= 1e-14
 
 
 class TestLinearize:

@@ -1,10 +1,10 @@
-"""Tests for the exact mode oracle: constant steady state, driven-mode
-moments, and the Duhamel solution of the linear skeleton."""
+"""Tests for the exact mode oracle: drift rates, driven-mode moments, and
+the Duhamel solution of the linear skeleton."""
 
 import numpy as np
 import pytest
 
-from fraclab.fields import GridSpec, SpectralField, constant_field
+from fraclab.fields import GridSpec
 from fraclab.models import (
     ConfigurationError,
     ModelSpec,
@@ -16,7 +16,6 @@ from fraclab.models import (
 from fraclab.oracle import (
     ModeParams,
     duhamel_mdp_skeleton,
-    exact_constant_solution,
     linearized_mode_arrays,
     mode_params,
     star_moments,
@@ -74,18 +73,6 @@ class TestModeParams:
         with pytest.raises(ValueError):
             ModeParams(wavenumber=1, drift_rate=-1.0 + 0j,
                        noise_weights=np.array([1.0 + 0j]))
-
-
-class TestExactConstantSolution:
-    @pytest.mark.parametrize("c,t", [(1.0, 0.3), (0.0, 1.0), (-3.7, 10.0)])
-    def test_constants_are_steady(self, c, t):
-        out = exact_constant_solution(constant_field(GRID, c), make_model(), t)
-        assert np.all(out.values == c)
-
-    def test_non_constant_rejected(self):
-        u = SpectralField(GRID, np.sin(2 * np.pi * GRID.nodes()))
-        with pytest.raises(ValueError):
-            exact_constant_solution(u, make_model(), 1.0)
 
 
 class TestStarMoments:

@@ -15,10 +15,13 @@ from fraclab.models import (
     linearize_model,
     paired_harmonic_noise,
 )
-from fraclab.oracle import duhamel_mdp_skeleton, linearized_mode_arrays
+from fraclab.oracle import (
+    duhamel_mdp_skeleton,
+    linearized_mode_arrays,
+    star_variance_profile,
+)
 from fraclab.rate import (
     RateOptions,
-    gramian_profile,
     ldp_rate_iterative,
     mdp_rate_exact,
     report_to_json,
@@ -72,7 +75,7 @@ def test_unreachable_mode_flagged():
 
 
 def test_gramian_matches_hand_formula():
-    gram = gramian_profile(SLOW, GRID, 0.5)
+    gram = star_variance_profile(SLOW, GRID, 0.5)
     mu = 0.2 * (4.0 * np.pi ** 2 * 4.0) ** 0.25
     hand = 2.0 * (0.5 / 2.0) ** 2 * (1.0 - np.exp(-2.0 * mu * 0.5)) / (2.0 * mu)
     assert abs(gram[2] - hand) <= 1e-15

@@ -20,10 +20,8 @@ from fraclab.solver import (
     SolverConfig,
     Trajectory,
     WienerPath,
-    flux_divergence,
     solve,
     stable_dt,
-    step,
     trajectory_to_csv,
 )
 
@@ -76,16 +74,21 @@ class TestFluxDivergence:
     @pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
     def test_constant_state(self, scheme):
         grid = GridSpec(points_per_axis=64)
-        out = flux_divergence(constant_field(grid, 2.0), burgers_clamped(4.0), scheme)
-        assert np.max(np.abs(out.values)) < 1e-12
+        model = make_model(diffusion=linear_diffusion(0.0, 0.5))
+        config = SolverConfig(dt=1e-3, t_end=0.02, flux_scheme=scheme)
+        traj = solve(constant_field(grid, 2.0), model, config)
+        assert np.max(np.abs(traj.values_matrix() - 2.0)) < 1e-12
 
     @pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
     def test_zero_mean(self, scheme):
+        # a conservative flux difference moves no mass
         grid = GridSpec(points_per_axis=64)
         rng = np.random.default_rng(3)
         u = SpectralField(grid, 0.5 * rng.standard_normal(64))
-        out = flux_divergence(u, burgers_clamped(4.0), scheme)
-        assert abs(np.mean(out.values)) < 1e-12
+        model = make_model(diffusion=linear_diffusion(0.0, 0.5))
+        config = SolverConfig(dt=1e-3, t_end=0.02, flux_scheme=scheme)
+        masses = np.mean(solve(u, model, config).values_matrix(), axis=1)
+        assert np.max(np.abs(masses - np.mean(u.values))) < 1e-12
 
     def test_riemann_shock_speed(self):
         # Burgers data 1 -> 0 at x = 0.5: shock travels at (1+0)/2, so the
@@ -105,9 +108,8 @@ class TestFluxDivergence:
         assert abs(crossing - 0.6) <= 2.0 * grid.cell_width
 
     def test_unknown_scheme(self):
-        grid = GridSpec(points_per_axis=16)
         with pytest.raises(ConfigurationError):
-            flux_divergence(constant_field(grid, 1.0), burgers_clamped(), "weno")
+            SolverConfig(dt=1e-3, t_end=1.0, flux_scheme="weno")
 
 
 class TestWienerPath:
@@ -145,19 +147,17 @@ class TestStep:
     def test_constant_state_is_steady(self):
         grid = GridSpec(points_per_axis=64)
         model = make_model()
-        config = SolverConfig(dt=1e-4, t_end=1.0)
-        state = constant_field(grid, 1.0)
-        for i in range(10):
-            state = step(state, model, config, step_index=i, t=i * config.dt)
+        config = SolverConfig(dt=1e-4, t_end=1e-3)
+        state = solve(constant_field(grid, 1.0), model, config).terminal
         assert np.max(np.abs(state.values - 1.0)) < 1e-13
 
     def test_exact_heat_multiplier(self):
         grid = GridSpec(points_per_axis=32)
         model = make_model(flux=linear_advection(0.0), diffusion=linear_diffusion(0.0, 0.5))
-        config = SolverConfig(dt=1e-3, t_end=1.0, eta=0.05)
+        config = SolverConfig(dt=1e-3, t_end=1e-3, eta=0.05)
         rng = np.random.default_rng(8)
         u0 = SpectralField(grid, rng.standard_normal(32))
-        u1 = step(u0, model, config)
+        u1 = solve(u0, model, config).terminal
         expected = u0.spectrum / (1.0 + config.dt * 0.05 * laplacian_multiplier(grid))
         assert np.allclose(u1.spectrum, expected, atol=1e-14)
 
@@ -167,18 +167,18 @@ class TestStep:
         model = make_model(flux=linear_advection(0.0),
                            diffusion=linear_diffusion(0.0, 0.5),
                            noise=unit_additive_noise())
-        config = SolverConfig(dt=1e-3, t_end=1.0, eps=0.04)
+        config = SolverConfig(dt=1e-3, t_end=1e-3, eps=0.04)
         path = WienerPath(master_seed=21, stream_index=0, truncation=1)
-        u1 = step(constant_field(grid, 0.0), model, config, path=path)
+        u1 = solve(constant_field(grid, 0.0), model, config, path=path).terminal
         dbeta = np.random.default_rng((21, 0)).standard_normal(1)[0] * np.sqrt(1e-3)
         assert np.allclose(u1.values, 0.2 * dbeta, atol=1e-15)
 
     def test_noise_requires_path(self):
         grid = GridSpec(points_per_axis=16)
         model = make_model()
-        config = SolverConfig(dt=1e-4, t_end=1.0, eps=1e-2)
+        config = SolverConfig(dt=1e-4, t_end=1e-3, eps=1e-2)
         with pytest.raises(ConfigurationError):
-            step(constant_field(grid, 1.0), model, config)
+            solve(constant_field(grid, 1.0), model, config)
 
 
 class TestSolve:
@@ -250,6 +250,14 @@ class TestSolve:
                 solve(u0, model, config)
         assert err.value.step_index >= 0
 
+    @pytest.mark.parametrize("name", ["dt", "t_end", "eta", "gamma", "eps",
+                                      "lambda_eps", "cfl_safety"])
+    def test_non_finite_config_rejected(self, name):
+        for bad in (np.nan, np.inf, -np.inf):
+            fields = {"dt": 1e-3, "t_end": 1.0, name: bad}
+            with pytest.raises(ConfigurationError, match=name):
+                SolverConfig(**fields)
+
     def test_dt_must_divide_t_end(self):
         grid = GridSpec(points_per_axis=32)
         config = SolverConfig(dt=3e-4, t_end=0.1)
@@ -285,17 +293,19 @@ class TestSchemeProperties:
         # discrete energy balance: ||u(T)||^2 + 2 eta dt sum ||grad u||^2 <= ||u0||^2
         grid = GridSpec(points_per_axis=64)
         x = grid.nodes()
-        state = SpectralField(grid, 0.4 * np.sin(2 * np.pi * x))
+        u0 = SpectralField(grid, 0.4 * np.sin(2 * np.pi * x))
         model = make_model(flux=burgers_clamped(2.0), diffusion=linear_diffusion(0.0, 0.5))
-        config = SolverConfig(dt=0.002, t_end=1.0, eta=0.05)
+        # 50 steps with a snapshot after every one
+        config = SolverConfig(dt=0.002, t_end=0.1, eta=0.05, snapshot_count=51)
+        traj = solve(u0, model, config)
+        assert len(traj.times) == 51
         lap = laplacian_multiplier(grid)
-        initial = np.mean(state.values ** 2)
+        initial = np.mean(u0.values ** 2)
         ledger = 0.0
-        for i in range(50):
-            state = step(state, model, config, step_index=i, t=i * config.dt)
+        for state in traj.snapshots[1:]:
             grad_sq = float(np.sum(lap * np.abs(state.spectrum) ** 2))
             ledger += 2.0 * config.eta * config.dt * grad_sq
-        final = np.mean(state.values ** 2)
+        final = np.mean(traj.terminal.values ** 2)
         assert final + ledger <= initial + 1e-8
 
 
@@ -304,11 +314,9 @@ class TestTrajectoryArtifacts:
         grid = GridSpec(points_per_axis=8)
         snap = constant_field(grid, 1.0)
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.1, 0.2]), snapshots=(snap, snap),
-                       config_hash="x", seed=0)
+            Trajectory(times=np.array([0.1, 0.2]), snapshots=(snap, snap))
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.0]), snapshots=(snap, snap),
-                       config_hash="x", seed=0)
+            Trajectory(times=np.array([0.0, 0.0]), snapshots=(snap, snap))
 
     def test_csv_export(self, tmp_path):
         grid = GridSpec(points_per_axis=16)
