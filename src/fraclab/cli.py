@@ -162,12 +162,17 @@ def _canonical_value(value) -> str:
     return str(value)
 
 
-def config_hash(label: str, entries: dict) -> str:
-    """Short digest of the canonical config listing; key order never matters."""
+def _listing(label: str, entries: dict) -> str:
+    """Canonical config listing: the command, then the keys in sorted order."""
     lines = [f"command = {label}"]
     lines += [f"{key} = {_canonical_value(value)}"
               for key, value in sorted(entries.items())]
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
+    return "\n".join(lines)
+
+
+def config_hash(label: str, entries: dict) -> str:
+    """Short digest of the canonical config listing; key order never matters."""
+    return hashlib.sha256(_listing(label, entries).encode()).hexdigest()[:12]
 
 
 @dataclass(frozen=True)
@@ -208,16 +213,20 @@ class RunConfig:
                 f"{self.source}: missing required key {key!r}")
         return self.entries[key]
 
-    def number(self, key: str, default=None, kind=float):
+    def number(self, key: str, default=None, kind=float, minimum=None):
         """The value at key as a finite kind, or default when key is absent.
 
-        kind=int admits integers only, kind=float integers and floats.  Any
-        other value, nan and infinity among them, is a ConfigurationError
-        naming the key.
+        kind=int admits integers only, kind=float integers and floats, and
+        a given minimum is the least value admitted.  Any other value, nan
+        and infinity among them, is a ConfigurationError naming the key.
         """
         if key not in self.entries:
             return default
-        return kind(self._checked(key, self.entries[key], kind))
+        value = kind(self._checked(key, self.entries[key], kind))
+        if minimum is not None and value < minimum:
+            raise ConfigurationError(self.where(
+                key, f"must be at least {minimum}, got {value!r}"))
+        return value
 
     def numbers(self, key: str, default: tuple, kind=float) -> tuple:
         """number for a comma-separated list; a single value is a list of one."""
@@ -349,7 +358,7 @@ def _build_initial(cfg: RunConfig, grid: GridSpec):
     if kind == "harmonic":
         base = cfg.number("initial.base", 1.0)
         amplitude = cfg.number("initial.amplitude", 0.1)
-        mode = cfg.number("initial.mode", 1, int)
+        mode = cfg.number("initial.mode", 1, int, minimum=1)
         phase = cfg.number("initial.phase", 0.0)
         x = grid.nodes()
         values = base + amplitude * np.sin(2.0 * np.pi * mode * x + phase)
@@ -376,7 +385,7 @@ def _build_control(cfg: RunConfig, model, config: SolverConfig):
         return Control(times=times, coeffs=np.zeros((1, truncation)))
     if kind == "random":
         truncation = cfg.number("control.truncation", model.noise.truncation, int)
-        intervals = cfg.number("control.intervals", 8, int)
+        intervals = cfg.number("control.intervals", 8, int, minimum=1)
         amplitude = cfg.number("control.amplitude", 1.0)
         seed = cfg.number("control.seed", cfg.seed, int)
         return random_control(seed, truncation, config.t_end,
@@ -405,7 +414,12 @@ def _build_target(cfg: RunConfig, grid: GridSpec):
     raise ConfigurationError(cfg.where("rate.target.kind", f"unknown kind {kind!r}"))
 
 
-def _precheck(cfg: RunConfig, model, grid: GridSpec, config: SolverConfig) -> None:
+def _prepared(cfg: RunConfig):
+    """Model, grid and solver config of a run, checked against the model's
+    structural assumptions and the stable step."""
+    model = _build_model(cfg)
+    grid = _build_grid(cfg)
+    config = _build_solver_config(cfg)
     report = validate_model(model)
     if not report.passed:
         failed = ", ".join(c.name for c in report.checks if not c.passed)
@@ -415,6 +429,7 @@ def _precheck(cfg: RunConfig, model, grid: GridSpec, config: SolverConfig) -> No
     if config.dt > limit * (1.0 + 1e-12):
         raise ConfigurationError(cfg.where(
             "solver.dt", f"dt {config.dt:g} exceeds the stable step {limit:g}"))
+    return model, grid, config
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +466,7 @@ def _write_run(cfg: RunConfig, artifacts: dict, passed: bool, extra: dict) -> st
 
 
 def _config_artifact(cfg: RunConfig):
-    def write(path):
-        lines = [f"command = {cfg.label}"]
-        lines += [f"{key} = {_canonical_value(value)}"
-                  for key, value in sorted(cfg.entries.items())]
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    return write
+    return _text_artifact(_listing(cfg.label, cfg.entries) + "\n")
 
 
 def _text_artifact(text: str):
@@ -472,14 +481,9 @@ def _text_artifact(text: str):
 
 
 def _run_simulate(cfg: RunConfig):
-    model = _build_model(cfg)
-    grid = _build_grid(cfg)
-    config = _build_solver_config(cfg)
-    _precheck(cfg, model, grid, config)
+    model, grid, config = _prepared(cfg)
     u0 = _build_initial(cfg, grid)
-    path = None
-    if config.eps > 0.0:
-        path = WienerPath(cfg.seed, 0, model.noise.truncation)
+    path = WienerPath(cfg.seed, 0, model.noise.truncation) if config.eps > 0.0 else None
     traj = solve(u0, model, config, path)
     artifacts = {
         "trajectory.csv": lambda p: trajectory_to_csv(traj, p),
@@ -494,13 +498,10 @@ def _run_simulate(cfg: RunConfig):
 
 
 def _run_skeleton(cfg: RunConfig):
-    model = _build_model(cfg)
-    grid = _build_grid(cfg)
-    config = _build_solver_config(cfg)
+    model, grid, config = _prepared(cfg)
     if config.eps != 0.0:
         raise ConfigurationError(cfg.where(
             "solver.eps", "skeleton runs are noise free; set solver.eps = 0"))
-    _precheck(cfg, model, grid, config)
     u0 = _build_initial(cfg, grid)
     control = _build_control(cfg, model, config)
     if control is None:
@@ -519,10 +520,7 @@ def _run_skeleton(cfg: RunConfig):
 
 
 def _run_oracle(cfg: RunConfig):
-    model = _build_model(cfg)
-    grid = _build_grid(cfg)
-    config = _build_solver_config(cfg)
-    _precheck(cfg, model, grid, config)
+    model, grid, config = _prepared(cfg)
     mu, weights = linearized_mode_arrays(model, grid, config.eta)
     variance = star_variance_profile(model, grid, config.t_end, config.eta)
     weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
@@ -542,15 +540,12 @@ def _run_oracle(cfg: RunConfig):
 
 
 def _run_rate(cfg: RunConfig):
-    model = _build_model(cfg)
-    grid = _build_grid(cfg)
-    config = _build_solver_config(cfg)
-    _precheck(cfg, model, grid, config)
+    model, grid, config = _prepared(cfg)
     target = _build_target(cfg, grid)
     method = cfg.get("rate.method", "exact")
     eta = cfg.number("rate.eta", config.eta)
     if method == "exact":
-        intervals = cfg.number("rate.intervals", 64, int)
+        intervals = cfg.number("rate.intervals", 64, int, minimum=1)
         report = mdp_rate_exact(target, model, config.t_end, eta=eta,
                                 control_intervals=intervals)
     elif method == "iterative":
@@ -563,7 +558,9 @@ def _run_rate(cfg: RunConfig):
             if isinstance(option.default, str):
                 opt_kwargs[name] = cfg.entries[key]
             else:
-                opt_kwargs[name] = cfg.number(key, kind=type(option.default))
+                count = name in ("intervals", "rounds", "maxiter")
+                opt_kwargs[name] = cfg.number(key, kind=type(option.default),
+                                              minimum=1 if count else None)
         opts = RateOptions(**opt_kwargs)
         report = ldp_rate_iterative(target, u0, model, config.t_end, opts)
     else:
@@ -608,10 +605,7 @@ def _smooth_pair(grid: GridSpec, seed, index: int):
 
 
 def _experiment_driver(cfg: RunConfig, name: str) -> ExperimentReport:
-    model = _build_model(cfg)
-    grid = _build_grid(cfg)
-    config = _build_solver_config(cfg)
-    _precheck(cfg, model, grid, config)
+    model, grid, config = _prepared(cfg)
     u0 = _build_initial(cfg, grid)
     recipe = _build_recipe(cfg)
     seed, workers = cfg.seed, cfg.workers

@@ -6,11 +6,13 @@ ladders, controlled-path coupling, and moderate-deviation concentration.
 Every experiment is a pure function of its arguments and a master seed.
 Sample j owns Wiener stream j; experiments that compare cells across an eps
 grid reuse the same streams in every cell, so cross-cell differences are
-paired and the shared discretization floor cancels.  Tasks are built in a
-deterministic order before dispatch and pool.map preserves that order, so
+paired and the shared discretization floor cancels.  Each cell is built as
+one batch of rows, one sample per row, integrated once, and reduced while it
+runs; workers only split the rows into contiguous chunks.  Every row is bit
+for bit the path of its own stream, and pool.map keeps the chunk order, so
 reruns reproduce every statistic bit for bit regardless of worker count.
 Paired comparisons drive both legs of each sample with the same increments
-and log the increment digest of the first sample per cell as evidence.
+and log the digest of the increments the first sample per cell consumed.
 
 Path norms are the rectangle-rule time integral of the spatial L1 norm over
 the recorded snapshot times; tolerances elsewhere refer to that convention.
@@ -25,11 +27,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import GridSpec, SpectralField, constant_field, path_l1_integral
-from .models import (ConfigurationError, ModelSpec, build_model, noise_tables)
+from .fields import GridSpec, constant_field, path_l1_integral
+from .models import ConfigurationError, ModelSpec, build_model, noise_tables
 from .oracle import ModeParams, linearized_mode_arrays, star_moments
 from .skeleton import solve_controlled_spde, solve_skeleton
-from .solver import SolverConfig, WienerPath, solve
+from .solver import SolverConfig, WienerBatch, plan_steps, solve
 
 __all__ = [
     "CellResult",
@@ -148,21 +150,130 @@ def _model_payload(model, workers: int):
                 "parallel experiments need a plain model recipe (dict); "
                 "built model specs hold callables and stay in one process")
         return model, model
-    built = build_model(model)
-    return built, dict(model)
-
-
-def _task_model(task) -> ModelSpec:
-    model = task["model"]
-    return build_model(model) if isinstance(model, dict) else model
+    return build_model(model), dict(model)
 
 
 def _map_samples(worker, tasks, workers: int):
     if workers <= 1:
         return [worker(task) for task in tasks]
-    chunk = max(1, len(tasks) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, tasks, chunksize=chunk))
+        return list(pool.map(worker, tasks))
+
+
+def _run_cells(worker, common, cells, workers: int):
+    """Integrate every cell in contiguous row chunks, one per worker.
+
+    cells lists (fields, row count); a task is common plus its cell's fields
+    and its rows [start, stop).  Returns per cell the worker's columns
+    joined in row order, "digests" mapping hashed samples to digests."""
+    tasks = []
+    for c, (fields, count) in enumerate(cells):
+        parts = max(1, min(workers, count))
+        bounds = [count * i // parts for i in range(parts + 1)]
+        tasks.extend({**common, **fields, "cell": c, "start": lo, "stop": hi}
+                     for lo, hi in zip(bounds, bounds[1:]))
+    results = _map_samples(worker, tasks, workers)
+    joined = []
+    for c in range(len(cells)):
+        parts = [r for t, r in zip(tasks, results) if t["cell"] == c]
+        out = {key: np.concatenate([p[key] for p in parts])
+               for key in parts[0] if key != "digests"}
+        out["digests"] = {j: d for p in parts for j, d in p["digests"].items()}
+        joined.append(out)
+    return joined
+
+
+def _solve_chunk(task, u0, observe, digest_samples=(0,)):
+    """Integrate the rows of one task as one batch: row j is sample start + j
+    on Wiener stream start + j, u0 holds the rows on its second-to-last axis
+    or is one state for all.  Returns the digests of the task's samples in
+    digest_samples, by sample."""
+    model = task["model"]
+    spec = build_model(model) if isinstance(model, dict) else model
+    config, start, stop = task["config"], task["start"], task["stop"]
+    if np.ndim(u0) == 1:
+        u0 = np.broadcast_to(u0, (stop - start, len(u0)))
+    rows = [j - start for j in digest_samples if start <= j < stop]
+    path = WienerBatch(task["seed"], range(start, stop), spec.noise.truncation, rows)
+    controls = task.get("controls")
+    if controls is None:
+        solve(u0, spec, config, path, observe=observe)
+    else:
+        solve_controlled_spde(u0, spec, controls, config, path,
+                              rows=np.arange(start, stop) % len(controls),
+                              observe=observe)
+    return {start + r: path.digest(r) for r in rows} if config.eps > 0.0 else {}
+
+
+class _PathL1:
+    """path_l1_integral for every row of a batch, fed the recorded fields in
+    time order: the same left-endpoint terms, summed in the same order."""
+
+    def __init__(self):
+        self.total = 0.0
+        self._last = None
+
+    def add(self, t, field):
+        if self._last is not None:
+            t0, norm = self._last
+            self.total = self.total + (t - t0) * norm
+        self._last = (t, np.mean(np.abs(field), axis=-1))
+
+
+def _recorder(config):
+    """Map from recorded step to its snapshot index, and the record times."""
+    _, record = plan_steps(config)
+    return ({step: r for r, step in enumerate(record)},
+            np.array([step * config.dt for step in record]))
+
+
+def _deviation_chunk(task):
+    """Per row, the L1 path integral of z - oracle with z = (u - reference)
+    / scale, reference j mod len(references) for row j, and the terminal
+    Fourier coefficients of z at task["mode_columns"].  Given linear-mode
+    weights, the oracle is the exact per-mode decay driven by the increments
+    the row consumed (left-point, as in the solver); else it is zero."""
+    config, references, scale = task["config"], task["references"], task["scale"]
+    which = np.arange(task["start"], task["stop"]) % len(references)
+    n = references.shape[-1]
+    index, _ = _recorder(config)
+    last = max(index)
+    weights = task.get("weights")
+    decay = None if weights is None else np.exp(-task["mu"] * config.dt)
+    oracle = np.zeros((len(which), n), dtype=complex)
+    gap = _PathL1()
+    out = {}
+
+    def observe(step, values, dbeta):
+        nonlocal oracle
+        if weights is not None and dbeta is not None:
+            oracle = decay * oracle + np.matmul(weights, dbeta[:, :, None])[:, :, 0]
+        if step in index:
+            z = (values - references[which, index[step]]) / scale
+            gap.add(step * config.dt,
+                    z if weights is None else z - np.fft.ifft(oracle * n).real)
+            if step == last:
+                out["coeffs"] = (np.fft.fft(z) / n)[:, task["mode_columns"]]
+
+    digests = _solve_chunk(task, task["u0"], observe)
+    return {"e1": gap.total, "coeffs": out["coeffs"], "digests": digests}
+
+
+def _mode_variance_cells(coeffs, mode_index, mu, weights, t_end, eps, lam=1.0):
+    """Terminal variance of each checked mode (one column of coeffs per
+    mode) against the zero-start linear variance scaled by lam^-2."""
+    cells = []
+    for column, (k, idx) in enumerate(mode_index.items()):
+        mode = coeffs[:, column]
+        measured, err_var = _mean_stderr(np.abs(mode - mode.mean()) ** 2)
+        oracle = star_moments(ModeParams(k, complex(mu[idx]), weights[idx]),
+                              t_end)[1] / (lam * lam)
+        cells.append(_cell(
+            params=(("kind", "mode-variance"), ("eps", eps), ("mode", k)),
+            statistic=measured, stderr=err_var,
+            verdict=abs(measured - oracle) <= 3.0 * err_var,
+            samples=len(coeffs), extra=(("oracle", oracle),)))
+    return cells
 
 
 def _mean_stderr(samples):
@@ -177,43 +288,29 @@ def _check_grid(values, label, minimum=0.0, strict_positive=True):
     vals = tuple(float(v) for v in values)
     if not vals:
         raise ConfigurationError(f"{label} must not be empty")
-    for v in vals:
-        if strict_positive and v <= minimum:
-            raise ConfigurationError(f"{label} entries must exceed {minimum:g}")
-        if not strict_positive and v < minimum:
-            raise ConfigurationError(f"{label} entries must be >= {minimum:g}")
+    if strict_positive and min(vals) <= minimum:
+        raise ConfigurationError(f"{label} entries must exceed {minimum:g}")
+    if not strict_positive and min(vals) < minimum:
+        raise ConfigurationError(f"{label} entries must be >= {minimum:g}")
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raise ConfigurationError(f"{label} must be strictly decreasing")
     return vals
 
 
+def _initial(u0, grid):
+    """u0, or the state 1 on grid (128 nodes by default)."""
+    return u0 if u0 is not None else constant_field(grid or GridSpec(128), 1.0)
+
+
 def _constant_initial(u0, grid):
     """Resolve a constant initial state; reject anything else."""
-    if u0 is None:
-        grid = grid if grid is not None else GridSpec(128)
-        return constant_field(grid, 1.0), 1.0
+    u0 = _initial(u0, grid)
     values = u0.values
     base = float(np.mean(values))
     if float(np.max(np.abs(values - base))) > 1e-13 * max(1.0, abs(base)):
         raise ConfigurationError(
             "fluctuation statistics need a constant initial state")
     return u0, base
-
-
-def _coupled_paths(task):
-    """Two streams of identical increments for the two legs of one sample."""
-    k = task["truncation"]
-    return (WienerPath(task["seed"], task["stream"], k),
-            WienerPath(task["seed"], task["stream"], k))
-
-
-def _leg_digest(path_a, path_b, config) -> str:
-    n_steps = int(round(config.t_end / config.dt))
-    da = path_a.digest(n_steps, config.dt)
-    db = path_b.digest(n_steps, config.dt)
-    if da != db:
-        raise RuntimeError("coupled legs consumed different noise")
-    return da
 
 
 def _scheme_modes(spec, grid, eta, flux_scheme):
@@ -233,6 +330,14 @@ def _scheme_modes(spec, grid, eta, flux_scheme):
     return mu, weights
 
 
+def _mode_indices(grid, modes):
+    wavenumbers = list(grid.wavenumbers().astype(int))
+    for k in modes:
+        if int(k) not in wavenumbers:
+            raise ConfigurationError(f"mode {k} is not resolvable on the grid")
+    return {int(k): wavenumbers.index(int(k)) for k in modes}
+
+
 def _quantile_band(samples, q):
     """Sample quantile plus a one-sigma band from order-statistic spacing."""
     xs = np.sort(np.asarray(samples, dtype=float))
@@ -250,24 +355,20 @@ def _quantile_band(samples, q):
 # coupled-path contraction
 
 
-def _contraction_worker(task):
-    model = _task_model(task)
-    grid, config = task["grid"], task["config"]
-    u0 = SpectralField(grid, task["u0"])
-    v0 = SpectralField(grid, task["v0"])
-    digest = None
-    if config.eps > 0.0:
-        path_a, path_b = _coupled_paths(task)
-        traj_a = solve(u0, model, config, path_a)
-        traj_b = solve(v0, model, config, path_b)
-        if task["digest"]:
-            digest = _leg_digest(path_a, path_b, config)
-    else:
-        traj_a = solve(u0, model, config)
-        traj_b = solve(v0, model, config)
-    diff = np.array([float(np.mean(np.abs(a.values - b.values)))
-                     for a, b in zip(traj_a.snapshots, traj_b.snapshots)])
-    return {"times": traj_a.times, "diff": diff, "digest": digest}
+def _contraction_chunk(task):
+    # both legs of a sample share its row and so its increments
+    pairs = task["pairs"]
+    which = np.arange(task["start"], task["stop"]) % len(pairs)
+    u0 = np.stack((pairs[which, 0], pairs[which, 1]))
+    index, _ = _recorder(task["config"])
+    diffs = []
+
+    def observe(step, values, dbeta):
+        if step in index:
+            diffs.append(np.mean(np.abs(values[0] - values[1]), axis=-1))
+
+    digests = _solve_chunk(task, u0, observe, digest_samples=range(len(pairs)))
+    return {"diff": np.stack(diffs, axis=-1), "digests": digests}
 
 
 def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
@@ -279,7 +380,7 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
     Samples are spread round-robin over the pairs; with eps = 0 both legs
     are deterministic, so a single evaluation per pair is recorded.
     """
-    spec, payload = _model_payload(model, workers)
+    _, payload = _model_payload(model, workers)
     if M < 100:
         raise ConfigurationError("contraction estimates need at least 100 samples")
     if not pairs:
@@ -292,35 +393,20 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
     run_config = replace(config, eps=float(eps))
 
     n_pairs = len(pairs)
-    tasks = []
-    if run_config.eps > 0.0:
-        for i in range(M):
-            p = i % n_pairs
-            tasks.append({"model": payload, "grid": grid, "config": run_config,
-                          "u0": pairs[p][0].values, "v0": pairs[p][1].values,
-                          "seed": seed, "stream": i,
-                          "truncation": spec.noise.truncation,
-                          "digest": i < n_pairs, "pair": p})
-    else:
-        for p in range(n_pairs):
-            tasks.append({"model": payload, "grid": grid, "config": run_config,
-                          "u0": pairs[p][0].values, "v0": pairs[p][1].values,
-                          "seed": seed, "stream": p,
-                          "truncation": spec.noise.truncation,
-                          "digest": False, "pair": p})
-    results = _map_samples(_contraction_worker, tasks, workers)
+    count = M if run_config.eps > 0.0 else n_pairs
+    initial = np.array([[u0.values, v0.values] for u0, v0 in pairs])
+    (run,) = _run_cells(_contraction_chunk, {"model": payload, "config": run_config,
+                                             "pairs": initial, "seed": seed},
+                        [({}, count)], workers)
+    _, times = _recorder(run_config)
 
     cells = []
     digests = []
     for p in range(n_pairs):
-        rows = [r for t, r in zip(tasks, results) if t["pair"] == p]
-        times = rows[0]["times"]
-        stack = np.stack([r["diff"] for r in rows])
+        stack = np.ascontiguousarray(run["diff"][p::n_pairs])
         mean = stack.mean(axis=0)
-        if len(rows) > 1:
-            stderr = stack.std(axis=0, ddof=1) / np.sqrt(len(rows))
-        else:
-            stderr = np.zeros_like(mean)
+        stderr = (stack.std(axis=0, ddof=1) / np.sqrt(len(stack))
+                  if len(stack) > 1 else np.zeros_like(mean))
         init = float(np.mean(np.abs(pairs[p][0].values - pairs[p][1].values)))
         band = init * (1.0 + tol) + 3.0 * stderr
         verdict = bool(np.all(mean <= band))
@@ -328,12 +414,10 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
         cells.append(_cell(
             params=(("pair", p), ("eps", run_config.eps)),
             statistic=mean[worst], stderr=stderr[worst], verdict=verdict,
-            samples=len(rows),
+            samples=len(stack),
             extra=(("init_l1", init), ("worst_time", float(times[worst])))))
-        for r in rows:
-            if r["digest"] is not None:
-                digests.append(f"pair{p}:{r['digest']}")
-                break
+        if p in run["digests"]:
+            digests.append(f"pair{p}:{run['digests'][p]}")
     return ExperimentReport(
         name="contraction",
         grid=(("eps", (float(eps),)), ("pairs", (n_pairs,)), ("M", (M,))),
@@ -342,39 +426,6 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
 
 # ---------------------------------------------------------------------------
 # fluctuation convergence against the exact linear modes
-
-
-def _clt_worker(task):
-    model = _task_model(task)
-    grid, config = task["grid"], task["config"]
-    u0 = SpectralField(grid, task["u0"])
-    path_a, path_b = _coupled_paths(task)
-    traj = solve(u0, model, config, path_a)
-    root = float(np.sqrt(config.eps))
-    base = task["base"]
-    w_fields = [(s.values - base) / root for s in traj.snapshots]
-
-    # oracle leg: exact per-mode decay with the same increments, left-point
-    # noise matching the solver's convention
-    mu, weights = task["mu"], task["weights"]
-    n_steps = int(round(config.t_end / config.dt))
-    record = set(int(s) for s in np.rint(traj.times / config.dt))
-    decay = np.exp(-mu * config.dt)
-    w_hat = np.zeros(grid.size, dtype=complex)
-    oracle_fields = [np.zeros(grid.size)]
-    for i in range(n_steps):
-        dbeta = path_b.increments(i, config.dt)
-        w_hat = decay * w_hat + weights @ dbeta
-        if (i + 1) in record:
-            oracle_fields.append(np.fft.ifft(w_hat * grid.size).real)
-
-    gaps = [np.abs(w - o) for w, o in zip(w_fields, oracle_fields)]
-    e1 = path_l1_integral(traj.times, gaps)
-    terminal_hat = np.fft.fft(w_fields[-1]) / grid.size
-    coeffs = {int(k): complex(terminal_hat[idx])
-              for k, idx in task["mode_index"].items()}
-    digest = _leg_digest(path_a, path_b, config) if task["digest"] else None
-    return {"e1": e1, "coeffs": coeffs, "digest": digest}
 
 
 def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
@@ -396,53 +447,33 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
     config = config if config is not None else _default_config()
 
     mu, weights = _scheme_modes(spec, grid, float(eta), config.flux_scheme)
-    wavenumbers = grid.wavenumbers().astype(int)
-    mode_index = {}
-    for k in modes:
-        hits = np.nonzero(wavenumbers == int(k))[0]
-        if len(hits) == 0:
-            raise ConfigurationError(f"mode {k} is not resolvable on the grid")
-        mode_index[int(k)] = int(hits[0])
+    mode_index = _mode_indices(grid, modes)
 
     # sample j draws stream j in every cell: cross-cell comparisons are
     # paired, so the shared discretization floor cancels from differences
-    tasks = []
-    for c, eps in enumerate(eps_values):
-        run_config = replace(config, eps=eps, eta=float(eta), lambda_eps=1.0)
-        for j in range(M):
-            tasks.append({"model": payload, "grid": grid, "config": run_config,
-                          "u0": u0.values, "base": base, "mu": mu,
-                          "weights": weights, "mode_index": mode_index,
-                          "seed": seed, "stream": j,
-                          "truncation": spec.noise.truncation,
-                          "digest": j == 0, "cell": c})
-    results = _map_samples(_clt_worker, tasks, workers)
+    common = {"model": payload, "u0": u0.values, "mu": mu, "weights": weights,
+              "references": np.full((1, len(plan_steps(config)[1]), grid.size), base),
+              "mode_columns": list(mode_index.values()), "seed": seed}
+    cell_fields = [({"config": replace(config, eps=eps, eta=float(eta),
+                                       lambda_eps=1.0),
+                     "scale": float(np.sqrt(eps))}, M)
+                   for eps in eps_values]
+    runs = _run_cells(_deviation_chunk, common, cell_fields, workers)
 
     cells = []
     digests = []
     prev = None
-    for c, eps in enumerate(eps_values):
-        rows = [r for t, r in zip(tasks, results) if t["cell"] == c]
-        stat, err = _mean_stderr([r["e1"] for r in rows])
+    for c, (eps, run) in enumerate(zip(eps_values, runs)):
+        stat, err = _mean_stderr(run["e1"])
         verdict = True if prev is None else stat < prev
         cells.append(_cell(params=(("kind", "path-gap"), ("eps", eps)),
                            statistic=stat, stderr=err, verdict=verdict,
-                           samples=len(rows)))
-        digests.append(f"eps{eps:g}:{rows[0]['digest']}")
+                           samples=M))
+        digests.append(f"eps{eps:g}:{run['digests'][0]}")
         prev = stat
         if c == len(eps_values) - 1:
-            for k, idx in mode_index.items():
-                coeffs = np.array([r["coeffs"][k] for r in rows])
-                centered = np.abs(coeffs - coeffs.mean()) ** 2
-                measured, err_var = _mean_stderr(centered)
-                oracle = star_moments(ModeParams(k, complex(mu[idx]), weights[idx]),
-                                      config.t_end)[1]
-                verdict = abs(measured - oracle) <= 3.0 * err_var
-                cells.append(_cell(
-                    params=(("kind", "mode-variance"), ("eps", eps),
-                            ("mode", k)),
-                    statistic=measured, stderr=err_var, verdict=verdict,
-                    samples=len(rows), extra=(("oracle", oracle),)))
+            cells += _mode_variance_cells(run["coeffs"], mode_index,
+                                          mu, weights, config.t_end, eps)
     return ExperimentReport(
         name="clt",
         grid=(("eps", eps_values), ("eta", (float(eta),)), ("M", (M,))),
@@ -453,21 +484,16 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
 # mass conservation in mean
 
 
-def _mass_worker(task):
-    model = _task_model(task)
-    grid, config = task["grid"], task["config"]
-    u0 = SpectralField(grid, task["u0"])
-    digest = None
-    if config.eps > 0.0:
-        path = WienerPath(task["seed"], task["stream"], task["truncation"])
-        traj = solve(u0, model, config, path)
-        if task["digest"]:
-            digest = path.digest(int(round(config.t_end / config.dt)),
-                                 config.dt)
-    else:
-        traj = solve(u0, model, config)
-    drift = float(np.mean(traj.terminal.values) - np.mean(u0.values))
-    return {"drift": drift, "digest": digest}
+def _mass_chunk(task):
+    n_steps, _ = plan_steps(task["config"])
+    out = {}
+
+    def observe(step, values, dbeta):
+        if step == n_steps:
+            out["drift"] = np.mean(values, axis=-1) - np.mean(task["u0"])
+
+    digests = _solve_chunk(task, task["u0"], observe)
+    return {"drift": out["drift"], "digests": digests}
 
 
 def mass_martingale_experiment(model, eps, M, *, u0=None, grid=None,
@@ -484,24 +510,16 @@ def mass_martingale_experiment(model, eps, M, *, u0=None, grid=None,
     spec, payload = _model_payload(model, workers)
     if M < 500:
         raise ConfigurationError("mass statistics need at least 500 samples")
-    if u0 is None:
-        grid = grid if grid is not None else GridSpec(128)
-        u0 = constant_field(grid, 1.0)
+    u0 = _initial(u0, grid)
     grid = u0.grid
     config = config if config is not None else _default_config()
     run_config = replace(config, eps=float(eps))
 
-    if run_config.eps == 0.0:
-        tasks = [{"model": payload, "grid": grid, "config": run_config,
-                  "u0": u0.values, "seed": seed, "stream": 0,
-                  "truncation": spec.noise.truncation, "digest": False}]
-    else:
-        tasks = [{"model": payload, "grid": grid, "config": run_config,
-                  "u0": u0.values, "seed": seed, "stream": j,
-                  "truncation": spec.noise.truncation, "digest": j == 0}
-                 for j in range(M)]
-    results = _map_samples(_mass_worker, tasks, workers)
-    drifts = np.array([r["drift"] for r in results])
+    count = M if run_config.eps > 0.0 else 1
+    (run,) = _run_cells(_mass_chunk, {"model": payload, "config": run_config,
+                                      "u0": u0.values, "seed": seed},
+                        [({}, count)], workers)
+    drifts = run["drift"]
 
     cells = []
     if run_config.eps == 0.0:
@@ -528,8 +546,7 @@ def mass_martingale_experiment(model, eps, M, *, u0=None, grid=None,
                     statistic=sample_var, stderr=err_var,
                     verdict=abs(sample_var - closed) <= 3.0 * err_var,
                     samples=len(drifts), extra=(("closed_form", closed),)))
-    digests = tuple(f"sample0:{r['digest']}" for r in results
-                    if r["digest"] is not None)
+    digests = tuple(f"sample0:{d}" for d in run["digests"].values())
     return ExperimentReport(
         name="mass-martingale",
         grid=(("eps", (float(eps),)), ("M", (M,))),
@@ -595,27 +612,6 @@ def regularization_experiment(model, control, ladder, *, which="eta", u0=None,
 # controlled-path coupling
 
 
-def _condition2_worker(task):
-    model = _task_model(task)
-    grid, config = task["grid"], task["config"]
-    u0 = SpectralField(grid, task["u0"])
-    control = task["control"]
-    digest = None
-    if config.eps > 0.0:
-        path = WienerPath(task["seed"], task["stream"], task["truncation"])
-        traj = solve_controlled_spde(u0, model, control, config, path)
-        if task["digest"]:
-            digest = path.digest(int(round(config.t_end / config.dt)),
-                                 config.dt)
-    else:
-        traj = solve_controlled_spde(u0, model, control, config)
-    skeleton_matrix = task["skeleton"]
-    gaps = [np.abs(s.values - skeleton_matrix[i])
-            for i, s in enumerate(traj.snapshots)]
-    e1 = path_l1_integral(traj.times, gaps)
-    return {"e1": e1, "digest": digest}
-
-
 def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
                                    u0=None, grid=None, delta=None,
                                    level_bound=None, config=None, seed=0,
@@ -643,59 +639,43 @@ def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
             raise ConfigurationError(
                 f"control integral {2.0 * c.energy:g} exceeds the level "
                 f"bound {float(level_bound):g}")
-    if u0 is None:
-        grid = grid if grid is not None else GridSpec(128)
-        u0 = constant_field(grid, 1.0)
-    grid = u0.grid
+    u0 = _initial(u0, grid)
     config = config if config is not None else _default_config()
     if delta is None:
         delta = 0.05 * max(1.0, float(np.mean(np.abs(u0.values))))
     delta = float(delta)
 
-    skeletons = []
-    for control in controls:
-        traj = solve_skeleton(u0, spec, control, replace(config, eps=0.0))
-        skeletons.append(np.stack([s.values for s in traj.snapshots]))
+    skeletons = np.stack([
+        solve_skeleton(u0, spec, control, replace(config, eps=0.0)).values_matrix()
+        for control in controls])
 
     # common streams across cells: the exceedance comparison is paired in eps
-    tasks = []
-    for c, eps in enumerate(eps_values):
-        run_config = replace(config, eps=eps)
-        count = M if eps > 0.0 else len(controls)
-        for j in range(count):
-            ci = j % len(controls)
-            tasks.append({"model": payload, "grid": grid, "config": run_config,
-                          "u0": u0.values, "control": controls[ci],
-                          "skeleton": skeletons[ci], "seed": seed,
-                          "stream": j,
-                          "truncation": spec.noise.truncation,
-                          "digest": j == 0, "cell": c})
-    results = _map_samples(_condition2_worker, tasks, workers)
+    common = {"model": payload, "u0": u0.values, "controls": controls,
+              "references": skeletons, "scale": 1.0, "mode_columns": [],
+              "seed": seed}
+    cell_fields = [({"config": replace(config, eps=eps)},
+                    M if eps > 0.0 else len(controls)) for eps in eps_values]
+    runs = _run_cells(_deviation_chunk, common, cell_fields, workers)
 
     cells = []
     digests = []
     prev = None
-    for c, eps in enumerate(eps_values):
-        rows = [r for t, r in zip(tasks, results) if t["cell"] == c]
-        hits = np.array([float(r["e1"] > delta) for r in rows])
+    for c, (eps, run) in enumerate(zip(eps_values, runs)):
+        gaps = run["e1"]
+        hits = (gaps > delta).astype(float)
         fraction = float(np.mean(hits))
-        if len(rows) > 1:
-            err = float(np.std(hits, ddof=1) / np.sqrt(len(rows)))
-        else:
-            err = 0.0
+        err = float(np.std(hits, ddof=1) / np.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
         verdict = (prev is None or fraction <= prev)
         if c == len(eps_values) - 1:
             verdict = verdict and fraction <= 0.05
-        mean_gap, _ = _mean_stderr([r["e1"] for r in rows])
+        mean_gap, _ = _mean_stderr(gaps)
         cells.append(_cell(
             params=(("kind", "exceedance"), ("eps", eps)),
             statistic=fraction, stderr=err, verdict=verdict,
-            samples=len(rows),
+            samples=len(gaps),
             extra=(("delta", delta), ("mean_gap", mean_gap))))
-        for r in rows:
-            if r["digest"] is not None:
-                digests.append(f"eps{eps:g}:{r['digest']}")
-                break
+        if 0 in run["digests"]:
+            digests.append(f"eps{eps:g}:{run['digests'][0]}")
         prev = fraction
     return ExperimentReport(
         name="condition2-coupling",
@@ -706,28 +686,6 @@ def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
 
 # ---------------------------------------------------------------------------
 # moderate-deviation concentration
-
-
-def _mdp_worker(task):
-    model = _task_model(task)
-    grid, config = task["grid"], task["config"]
-    u0 = SpectralField(grid, task["u0"])
-    path = WienerPath(task["seed"], task["stream"], task["truncation"])
-    traj = solve(u0, model, config, path)
-    scale = task["scale"]
-    limit_matrix = task["limit"]
-    z_fields = [(s.values - limit_matrix[i]) / scale
-                for i, s in enumerate(traj.snapshots)]
-    e1 = path_l1_integral(traj.times, [np.abs(z) for z in z_fields])
-    coeffs = {}
-    if task["mode_index"]:
-        terminal_hat = np.fft.fft(z_fields[-1]) / grid.size
-        coeffs = {int(k): complex(terminal_hat[idx])
-                  for k, idx in task["mode_index"].items()}
-    digest = None
-    if task["digest"]:
-        digest = path.digest(int(round(config.t_end / config.dt)), config.dt)
-    return {"e1": e1, "coeffs": coeffs, "digest": digest}
 
 
 def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
@@ -753,43 +711,27 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
     grid = u0.grid
     config = config if config is not None else _default_config()
 
-    limit_traj = solve(u0, spec, replace(config, eps=0.0))
-    limit_matrix = np.stack([s.values for s in limit_traj.snapshots])
-
+    limit = solve(u0, spec, replace(config, eps=0.0)).values_matrix()
     mode_index = {}
     if linear_check:
         mu, weights = _scheme_modes(spec, grid, config.eta, config.flux_scheme)
-        wavenumbers = grid.wavenumbers().astype(int)
-        for k in modes:
-            hits = np.nonzero(wavenumbers == int(k))[0]
-            if len(hits) == 0:
-                raise ConfigurationError(
-                    f"mode {k} is not resolvable on the grid")
-            mode_index[int(k)] = int(hits[0])
+        mode_index = _mode_indices(grid, modes)
 
     # common streams across cells: quantile and raw-gap comparisons pair up
-    tasks = []
-    for c, eps in enumerate(eps_values):
-        lam = eps ** (-a)
-        run_config = replace(config, eps=eps, lambda_eps=1.0)
-        for j in range(M):
-            tasks.append({"model": payload, "grid": grid, "config": run_config,
-                          "u0": u0.values, "limit": limit_matrix,
-                          "scale": float(np.sqrt(eps) * lam),
-                          "mode_index": mode_index, "seed": seed,
-                          "stream": j,
-                          "truncation": spec.noise.truncation,
-                          "digest": j == 0, "cell": c})
-    results = _map_samples(_mdp_worker, tasks, workers)
+    common = {"model": payload, "u0": u0.values, "references": limit[None],
+              "mode_columns": list(mode_index.values()), "seed": seed}
+    cell_fields = [({"config": replace(config, eps=eps, lambda_eps=1.0),
+                     "scale": float(np.sqrt(eps) * eps ** (-a))}, M)
+                   for eps in eps_values]
+    runs = _run_cells(_deviation_chunk, common, cell_fields, workers)
 
     cells = []
     digests = []
     first_q90 = first_band = None
     prev_raw = None
-    for c, eps in enumerate(eps_values):
+    for eps, run in zip(eps_values, runs):
         lam = eps ** (-a)
-        rows = [r for t, r in zip(tasks, results) if t["cell"] == c]
-        z_samples = np.array([r["e1"] for r in rows])
+        z_samples = run["e1"]
         q50, band50 = _quantile_band(z_samples, 0.5)
         q90, band90 = _quantile_band(z_samples, 0.9)
         if first_q90 is None:
@@ -800,31 +742,19 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
         cells.append(_cell(
             params=(("kind", "spread"), ("eps", eps)),
             statistic=q90, stderr=band90, verdict=spread_ok,
-            samples=len(rows),
-            extra=(("q50", q50), ("q50_band", band50))))
+            samples=M, extra=(("q50", q50), ("q50_band", band50))))
         raw_scale = float(np.sqrt(eps) * lam)
         raw_mean, raw_err = _mean_stderr(z_samples * raw_scale)
         raw_ok = prev_raw is None or raw_mean < prev_raw
         cells.append(_cell(
             params=(("kind", "raw-gap"), ("eps", eps)),
             statistic=raw_mean, stderr=raw_err, verdict=raw_ok,
-            samples=len(rows)))
+            samples=M))
         prev_raw = raw_mean
         if linear_check:
-            for k, idx in mode_index.items():
-                coeffs = np.array([r["coeffs"][k] for r in rows])
-                centered = np.abs(coeffs - coeffs.mean()) ** 2
-                measured, err_var = _mean_stderr(centered)
-                oracle = star_moments(ModeParams(k, complex(mu[idx]), weights[idx]),
-                                      config.t_end)[1]
-                scaled = oracle / (lam * lam)
-                cells.append(_cell(
-                    params=(("kind", "mode-variance"), ("eps", eps),
-                            ("mode", k)),
-                    statistic=measured, stderr=err_var,
-                    verdict=abs(measured - scaled) <= 3.0 * err_var,
-                    samples=len(rows), extra=(("oracle", scaled),)))
-        digests.append(f"eps{eps:g}:{rows[0]['digest']}")
+            cells += _mode_variance_cells(run["coeffs"], mode_index,
+                                          mu, weights, config.t_end, eps, lam)
+        digests.append(f"eps{eps:g}:{run['digests'][0]}")
     return ExperimentReport(
         name="mdp-concentration",
         grid=(("eps", eps_values), ("a", (a,)), ("M", (M,))),

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import qmc
 
 from .fields import GridSpec
 
@@ -353,28 +352,39 @@ def noise_tables(noise: NoiseSpec, grid: GridSpec):
     return a, b
 
 
+def _row_products(coeffs, table):
+    """coeffs @ table row by row: one (M, K) @ (K, N) product would round
+    each row differently as M changes."""
+    if coeffs.ndim == 1:
+        return coeffs @ table
+    return np.matmul(coeffs[:, None, :], table)[:, 0, :]
+
+
 def noise_pairing(noise: NoiseSpec, grid: GridSpec):
     """The pairing sum_k c_k h_k(x, u(x)) on the grid's nodes, as a function
     pair(values, coeffs) of the nodal state and the K coefficients.
 
     The solver pairs the Wiener increments and the skeleton pairs the control
-    through this routine.  Families affine in the state use the nodal tables
-    of noise_tables; any other family is evaluated term by term.
+    through this routine.  coeffs is one vector (K,) for every row of values,
+    or a batch (M, K) with row m for row m of values (..., M, N).  Families
+    affine in the state use the nodal tables of noise_tables; any other
+    family is evaluated term by term.
     """
     if noise.affine_in_state:
         a, b = noise_tables(noise, grid)
 
         def pair(values, coeffs):
-            return coeffs @ a + values * (coeffs @ b)
+            return _row_products(coeffs, a) + values * _row_products(coeffs, b)
 
         return pair
     x = grid.nodes()
 
     def pair(values, coeffs):
+        # adding the +0.0 of a zero coefficient leaves every sum unchanged
         total = np.zeros_like(values)
-        for c, h in zip(coeffs, noise.coefficient_fns):
-            if c != 0.0:
-                total += c * np.asarray(h(x, values), dtype=float)
+        for k, h in enumerate(noise.coefficient_fns):
+            c = coeffs[..., k, None]
+            total += np.where(c != 0.0, c * np.asarray(h(x, values), dtype=float), 0.0)
         return total
 
     return pair
@@ -415,6 +425,20 @@ class ValidationReport:
         raise KeyError(name)
 
 
+def _halton(n: int) -> np.ndarray:
+    """First n points of the unscrambled Halton sequence in bases 2 and 3:
+    the radical inverses of 0 .. n-1, summed from the lowest digit."""
+    points = np.zeros((n, 2))
+    for col, base in enumerate((2, 3)):
+        index = np.arange(n)
+        scale = 1.0
+        while np.any(index):
+            scale /= base
+            index, digit = np.divmod(index, base)
+            points[:, col] += digit * scale
+    return points
+
+
 def _derivative_check(name, f, fp, u, step=1e-5, tol=1e-6):
     fd = (np.asarray(f(u + step), dtype=float)
           - np.asarray(f(u - step), dtype=float)) / (2.0 * step)
@@ -443,7 +467,7 @@ def validate_model(model: ModelSpec, sample_count: int = 256,
         )
 
     slack = 1e-9
-    pts = qmc.Halton(d=2, scramble=False).random(sample_count)
+    pts = _halton(sample_count)
     x = pts[:, 0]
     u = box_radius * (2.0 * pts[:, 1] - 1.0)
     a, b = u[:-1], u[1:]

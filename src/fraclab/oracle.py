@@ -75,19 +75,21 @@ def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0):
 def mode_params(model: ModelSpec, grid: GridSpec, wavenumber: int,
                 eta: float = 0.0) -> ModeParams:
     mu, weights = linearized_mode_arrays(model, grid, eta)
-    k = grid.wavenumbers().astype(int)
-    matches = np.nonzero(k == wavenumber)[0]
-    if len(matches) == 0:
+    ks = list(grid.wavenumbers().astype(int))
+    if wavenumber not in ks:
         raise ValueError(f"wavenumber {wavenumber} is not resolvable on this grid")
-    idx = int(matches[0])
+    idx = ks.index(wavenumber)
     return ModeParams(wavenumber=wavenumber, drift_rate=complex(mu[idx]),
                       noise_weights=weights[idx].copy())
 
 
-def _ou_variance(total_sq: float, re_mu: float, t: float) -> float:
-    if re_mu == 0.0:
-        return total_sq * t
-    return total_sq * float(-np.expm1(-2.0 * re_mu * t)) / (2.0 * re_mu)
+def _ou_variance(total_sq, re_mu, t: float):
+    """total_sq (1 - e^{-2 re_mu t}) / (2 re_mu), or total_sq t where re_mu
+    is zero; elementwise over arrays."""
+    undamped = np.asarray(re_mu) == 0.0
+    rate = np.where(undamped, 1.0, re_mu)
+    return np.where(undamped, total_sq * t,
+                    total_sq * -np.expm1(-2.0 * rate * t) / (2.0 * rate))
 
 
 def star_moments(mode: ModeParams, t: float):
@@ -99,21 +101,14 @@ def star_moments(mode: ModeParams, t: float):
     if t < 0:
         raise ValueError("t must be nonnegative")
     total_sq = float(np.sum(np.abs(mode.noise_weights) ** 2))
-    return 0.0 + 0.0j, _ou_variance(total_sq, mode.drift_rate.real, t)
+    return 0.0 + 0.0j, float(_ou_variance(total_sq, mode.drift_rate.real, t))
 
 
 def star_variance_profile(model: ModelSpec, grid: GridSpec, t: float,
                           eta: float = 0.0) -> np.ndarray:
     """Variance of every resolvable complex mode at time t (fft layout)."""
     mu, weights = linearized_mode_arrays(model, grid, eta)
-    total_sq = np.sum(np.abs(weights) ** 2, axis=1)
-    re = mu.real
-    out = np.empty_like(total_sq)
-    zero = re == 0.0
-    out[zero] = total_sq[zero] * t
-    nz = ~zero
-    out[nz] = total_sq[nz] * (-np.expm1(-2.0 * re[nz] * t)) / (2.0 * re[nz])
-    return out
+    return _ou_variance(np.sum(np.abs(weights) ** 2, axis=1), mu.real, t)
 
 
 def _interval_kernel(mu: np.ndarray, t: float, a: float, b: float) -> np.ndarray:

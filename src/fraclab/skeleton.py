@@ -16,7 +16,7 @@ import numpy as np
 
 from .fields import GridSpec, SpectralField, constant_field
 from .models import ConfigurationError, ModelSpec, linearize_model, noise_pairing
-from .solver import SolverConfig, Trajectory, WienerPath, solve
+from .solver import SolverConfig, Trajectory, solve
 
 __all__ = [
     "Control",
@@ -121,40 +121,43 @@ def control_from_csv(path) -> Control:
     return Control(times=np.array(starts + [ends[-1]]), coeffs=np.array(coeffs))
 
 
-def _control_drift(model: ModelSpec, grid: GridSpec, control: Control, dt: float):
+def _control_drift(model: ModelSpec, grid: GridSpec, controls,
+                   config: SolverConfig, rows=None):
     """Drift provider evaluating h(u(x)) l(t) nodewise.
 
-    Each solver step is attributed to the control interval containing its
-    midpoint, so breakpoints that are exact multiples of dt never flip an
-    interval boundary through time-accumulation roundoff.
+    controls is one Control for every row, or a sequence of Controls with
+    rows[m] the index of the control that drives batch row m; each must
+    span t_end.  Each solver step is attributed to the control interval
+    containing its midpoint, so breakpoints that are exact multiples of dt
+    never flip an interval boundary through time-accumulation roundoff.
     """
-    if control.truncation != model.noise.truncation:
-        raise ConfigurationError(
-            f"control has {control.truncation} modes, noise has {model.noise.truncation}"
-        )
-    shift = 0.5 * dt
+    if isinstance(controls, Control):
+        controls = (controls,)
+    for control in controls:
+        if control.horizon < config.t_end * (1.0 - 1e-12):
+            raise ConfigurationError(
+                f"control horizon {control.horizon:g} is shorter than t_end {config.t_end:g}"
+            )
+        if control.truncation != model.noise.truncation:
+            raise ConfigurationError(
+                f"control has {control.truncation} modes, noise has {model.noise.truncation}"
+            )
+    shift = 0.5 * config.dt
     pair = noise_pairing(model.noise, grid)
 
     def drift(values, t):
-        return pair(values, control.at(t + shift))
+        table = [control.at(t + shift) for control in controls]
+        return pair(values, table[0] if rows is None else np.stack(table)[rows])
 
     return drift
-
-
-def _require_horizon(control: Control, config: SolverConfig) -> None:
-    if control.horizon < config.t_end * (1.0 - 1e-12):
-        raise ConfigurationError(
-            f"control horizon {control.horizon:g} is shorter than t_end {config.t_end:g}"
-        )
 
 
 def solve_skeleton(u0: SpectralField, model: ModelSpec, control: Control,
                    config: SolverConfig) -> Trajectory:
     """Controlled deterministic equation: noise channel replaced by h(u) l(t) dt."""
-    _require_horizon(control, config)
     if config.eps != 0.0:
         raise ConfigurationError("the skeleton equation is noise-free; use eps = 0")
-    drift = _control_drift(model, u0.grid, control, config.dt)
+    drift = _control_drift(model, u0.grid, control, config)
     return solve(u0, model, config, drift=drift)
 
 
@@ -170,10 +173,14 @@ def solve_mdp_skeleton(control: Control, model: ModelSpec, config: SolverConfig,
     return solve_skeleton(constant_field(grid, 0.0), linear, control, config)
 
 
-def solve_controlled_spde(u0: SpectralField, model: ModelSpec, control: Control,
-                          config: SolverConfig, path: WienerPath | None = None) -> Trajectory:
+def solve_controlled_spde(u0, model: ModelSpec, control, config: SolverConfig,
+                          path=None, rows=None, observe=None):
     """Control drift plus driving noise; reduces to the skeleton when eps = 0
-    and to the plain driven equation when the control vanishes."""
-    _require_horizon(control, config)
-    drift = _control_drift(model, u0.grid, control, config.dt)
-    return solve(u0, model, config, path=path, drift=drift)
+    and to the plain driven equation when the control vanishes.
+
+    For a batch (see solve), control may be a sequence with rows[m] the
+    control of row m; observe is passed on to solve.
+    """
+    grid = u0.grid if isinstance(u0, SpectralField) else GridSpec(np.shape(u0)[-1])
+    drift = _control_drift(model, grid, control, config, rows)
+    return solve(u0, model, config, path=path, drift=drift, observe=observe)

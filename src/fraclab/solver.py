@@ -7,7 +7,9 @@ Flux, fractional term, drift, and noise are explicit (Ito, left endpoint);
 the viscous and biharmonic terms are inverted exactly in Fourier space, so
 only the flux and fractional terms constrain the step size.  All randomness
 flows from seeded Wiener streams; a run is a pure function of
-(initial data, model, config, seed, stream).
+(initial data, model, config, seed, stream).  The step acts on a batch of
+rows, one sample each, and a single path is the batch of one: every row of a
+batch is bit for bit the path its own stream gives alone.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ from .models import ConfigurationError, ModelSpec, noise_pairing
 __all__ = [
     "SolverConfig",
     "WienerPath",
+    "WienerBatch",
     "Trajectory",
     "DivergenceError",
     "stable_dt",
+    "plan_steps",
     "solve",
     "trajectory_to_csv",
 ]
@@ -80,8 +84,8 @@ class WienerPath:
 
     Stream (master_seed, stream_index) is an indexed family of independent
     standard normal blocks of size K; the increment for step i is block i
-    scaled by sqrt(dt).  Asking for an earlier step re-seeds and redraws, so
-    identical (seed, stream, step) always yields identical increments.
+    scaled by sqrt(dt), so identical (seed, stream, step) always yields
+    identical increments.
     """
 
     def __init__(self, master_seed: int, stream_index: int, truncation: int):
@@ -90,34 +94,60 @@ class WienerPath:
         self.master_seed = int(master_seed)
         self.stream_index = int(stream_index)
         self.truncation = int(truncation)
-        self._rng = self._fresh_rng()
-        self._position = 0
-
-    def _fresh_rng(self):
-        return np.random.default_rng((self.master_seed, self.stream_index))
 
     def increments(self, step_index: int, dt: float) -> np.ndarray:
         if step_index < 0:
             raise ValueError("step_index must be nonnegative")
-        if step_index < self._position:
-            self._rng = self._fresh_rng()
-            self._position = 0
-        while self._position < step_index:
-            self._rng.standard_normal(self.truncation)
-            self._position += 1
-        block = self._rng.standard_normal(self.truncation)
-        self._position += 1
-        return block * np.sqrt(dt)
+        rng = np.random.default_rng((self.master_seed, self.stream_index))
+        return rng.standard_normal((step_index + 1, self.truncation))[-1] * np.sqrt(dt)
 
     def digest(self, step_count: int, dt: float) -> str:
-        """Hash of the first step_count increment blocks; used to assert that
-        coupled legs consumed identical noise."""
-        rng = self._fresh_rng()
-        h = hashlib.blake2b(digest_size=16)
+        """Hash of the first step_count increment blocks, as a solve
+        consuming this stream would log it."""
+        batch = WienerBatch(self.master_seed, self.stream_index,
+                            self.truncation, digest_rows=(0,))
+        for _ in batch.steps(step_count, dt):
+            pass
+        return batch.digest(0)
+
+
+class WienerBatch:
+    """Wiener streams (master_seed, s), s in streams, one per batch row.
+
+    Row m's increments are bit for bit those of WienerPath(master_seed,
+    streams[m], truncation); each stream draws a block of steps at a time.
+    A single stream index gives the increments of one path, shape (K,).
+    The increments of the rows in digest_rows are hashed as they are handed
+    to the solver, so digest(row) is evidence of the noise that row consumed.
+    """
+
+    def __init__(self, master_seed: int, streams, truncation: int,
+                 digest_rows=()):
+        if truncation < 1:
+            raise ValueError("truncation must be positive")
+        self.master_seed = int(master_seed)
+        self.streams = np.array(streams, dtype=int)
+        self.truncation = int(truncation)
+        self._hashes = {int(r): hashlib.blake2b(digest_size=16) for r in digest_rows}
+
+    def steps(self, n_steps: int, dt: float):
+        """Increments of steps 0 .. n_steps - 1 in order, (M, K) or (K,)."""
+        block = 32
+        rngs = [np.random.default_rng((self.master_seed, s)) for s in self.streams.flat]
         root = np.sqrt(dt)
-        for _ in range(step_count):
-            h.update((rng.standard_normal(self.truncation) * root).tobytes())
-        return h.hexdigest()
+        buf = np.empty((len(rngs), min(block, n_steps), self.truncation))
+        for start in range(0, n_steps, block):
+            count = min(block, n_steps - start)
+            for rng, rows in zip(rngs, buf):
+                rng.standard_normal(out=rows[:count])
+            for j in range(count):
+                dbeta = buf[:, j] * root
+                for row, h in self._hashes.items():
+                    h.update(dbeta[row].tobytes())
+                yield dbeta.reshape(self.streams.shape + (self.truncation,))
+
+    def digest(self, row: int) -> str:
+        return self._hashes[row].hexdigest()
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,21 +197,25 @@ def stable_dt(model: ModelSpec, grid: GridSpec, config: SolverConfig) -> float:
     return config.cfl_safety * min(bounds)
 
 
+def _shift(a, s):
+    """np.roll(a, s) along the last axis, by slices."""
+    return np.concatenate((a[..., -s:], a[..., :-s]), axis=-1)
+
+
 def _rusanov_divergence(values, flux, dx):
-    # conservative difference of local Lax-Friedrichs interface fluxes
-    right = np.roll(values, -1)
+    # conservative difference of local Lax-Friedrichs interface fluxes; the
+    # flux is pointwise, so its values at the right neighbours are a shift
     f_here = np.asarray(flux.eval(values), dtype=float)
-    f_right = np.asarray(flux.eval(right), dtype=float)
-    speed = np.maximum(np.abs(np.asarray(flux.deriv(values), dtype=float)),
-                       np.abs(np.asarray(flux.deriv(right), dtype=float)))
-    interface = 0.5 * (f_here + f_right) - 0.5 * speed * (right - values)
-    return (interface - np.roll(interface, 1)) / dx
+    speed = np.abs(np.asarray(flux.deriv(values), dtype=float))
+    interface = 0.5 * (f_here + _shift(f_here, -1)) \
+        - 0.5 * np.maximum(speed, _shift(speed, -1)) * (_shift(values, -1) - values)
+    return (interface - _shift(interface, 1)) / dx
 
 
 def _spectral_divergence(values, flux, deriv_mult, dealias):
     spec = np.fft.fft(np.asarray(flux.eval(values), dtype=float))
     spec *= deriv_mult
-    spec[dealias] = 0.0
+    spec[..., dealias] = 0.0
     return np.fft.ifft(spec).real
 
 
@@ -204,7 +238,9 @@ class _StepContext:
                 + self.dt * config.gamma * lap * lap
         k = grid.wavenumbers()
         self.deriv_mult = 2j * np.pi * k
-        self.dealias = np.abs(k) > grid.points_per_axis / 3.0
+        # the modes |k| > N/3 form one block in fft order
+        high = np.nonzero(np.abs(k) > grid.points_per_axis / 3.0)[0]
+        self.dealias = slice(high[0], high[-1] + 1)
         self.noise_scale = config.noise_scale
         if config.eps > 0.0:
             self.pair = noise_pairing(model.noise, grid)
@@ -229,7 +265,8 @@ class _StepContext:
         return out
 
 
-def _plan_steps(config: SolverConfig):
+def plan_steps(config: SolverConfig):
+    """Step count and the sorted steps recorded at a fixed stride."""
     n_steps = int(round(config.t_end / config.dt))
     if n_steps < 1 or abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
         raise ConfigurationError(
@@ -240,16 +277,24 @@ def _plan_steps(config: SolverConfig):
     return n_steps, record
 
 
-def solve(u0: SpectralField, model: ModelSpec, config: SolverConfig,
-          path: WienerPath | None = None, drift=None) -> Trajectory:
-    """Iterate the IMEX step to t_end, recording snapshots at a fixed stride.
+def solve(u0, model: ModelSpec, config: SolverConfig, path=None, drift=None,
+          observe=None):
+    """Iterate the IMEX step to t_end.
 
-    Deterministic given (u0, model, config, path seed and stream).  drift,
-    when present, is called as drift(values, t) and returns the nodal drift
-    at the left endpoint.  Raises DivergenceError with the offending step if
-    the state loses finiteness.
+    u0 is one path, a SpectralField with a WienerPath, whose Trajectory at
+    the steps of plan_steps is returned; or a batch, an (..., M, N) array
+    with a WienerBatch driving row m by stream m (leading axes share their
+    row's increments), passed to observe(step, values, dbeta) after every
+    step: step 0 is u0 with dbeta None.  drift, when present, is called as
+    drift(values, t) and returns the nodal drift at the left endpoint.
+    Raises DivergenceError with the first step at which any row loses
+    finiteness.
     """
-    grid = u0.grid
+    single = isinstance(u0, SpectralField)
+    values = np.array(u0.values if single else u0, dtype=float, order="C")
+    grid = GridSpec(values.shape[-1])
+    if single and path is not None:
+        path = WienerBatch(path.master_seed, path.stream_index, path.truncation)
     ctx = _StepContext(grid, model, config)
     limit = stable_dt(model, grid, config)
     if config.dt > limit * (1.0 + 1e-12):
@@ -259,23 +304,28 @@ def solve(u0: SpectralField, model: ModelSpec, config: SolverConfig,
     if config.eps > 0.0 and path is None:
         raise ConfigurationError("eps > 0 requires a Wiener path")
 
-    n_steps, record = _plan_steps(config)
-    values = u0.values.copy()
-    times = [0.0]
-    snapshots = [SpectralField(grid, values)]
-    noise_on = config.eps > 0.0
+    n_steps, record = plan_steps(config)
+    dt = config.dt
+    noise = path.steps(n_steps, dt) if config.eps > 0.0 else None
+    if single:
+        recorded = set(record)
+        times, snapshots = [], []
+
+        def observe(step, state, dbeta):
+            if step in recorded:
+                times.append(step * dt)
+                snapshots.append(SpectralField(grid, state))
+
+    observe(0, values, None)
     for i in range(n_steps):
-        dbeta = path.increments(i, config.dt) if noise_on else None
-        drift_values = None
-        if drift is not None:
-            drift_values = np.asarray(drift(values, i * config.dt), dtype=float)
+        dbeta = None if noise is None else next(noise)
+        drift_values = None if drift is None else np.asarray(drift(values, i * dt), dtype=float)
         values = ctx.advance(values, dbeta, drift_values)
         if not np.all(np.isfinite(values)):
-            raise DivergenceError(i, (i + 1) * config.dt)
-        if (i + 1) in record:
-            times.append((i + 1) * config.dt)
-            snapshots.append(SpectralField(grid, values))
-    return Trajectory(times=np.array(times), snapshots=tuple(snapshots))
+            raise DivergenceError(i, (i + 1) * dt)
+        observe(i + 1, values, dbeta)
+    if single:
+        return Trajectory(times=np.array(times), snapshots=tuple(snapshots))
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

@@ -420,3 +420,27 @@ def test_bad_numeric_value_exits_2_naming_key(tmp_path_factory, case, bad):
         code = main(argv)
     assert code == 2
     assert key in err.getvalue()
+
+
+# count keys and the command (and settings) under which a run reads them
+COUNT_KEYS = (
+    [_case(key) for key in ("initial.mode", "control.intervals",
+                            "rate.intervals", "rate.rounds", "rate.maxiter")]
+    + [(("rate",), ("rate.method=iterative",), "rate.intervals")])
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("case", COUNT_KEYS,
+                         ids=lambda case: "+".join((*case[1], case[2])))
+def test_count_below_one_exits_2_naming_key(tmp_path, case, value):
+    command, extra, key = case
+    cfg = write(tmp_path, BASE)
+    argv = [*command, "--config", cfg, "--out", str(tmp_path / "out"),
+            "--workers", "1"]
+    for item in (*extra, f"{key}={value}"):
+        argv += ["--override", item]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 2
+    assert key in err.getvalue() and "at least 1" in err.getvalue()

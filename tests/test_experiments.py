@@ -8,7 +8,7 @@ import pytest
 from fraclab.fields import GridSpec, SpectralField, constant_field, path_l1_integral
 from fraclab.models import ConfigurationError, build_model
 from fraclab.skeleton import random_control
-from fraclab.solver import SolverConfig
+from fraclab.solver import SolverConfig, WienerPath
 from fraclab.experiments import (
     CellResult,
     ExperimentReport,
@@ -341,6 +341,39 @@ class TestReproducibility:
         rep4 = contraction_experiment(BURGERS, [pair], 1e-2, 100,
                                       config=CONFIG, seed=3, workers=4)
         assert report_to_json(rep1) == report_to_json(rep4)
+
+    # M is not a multiple of 3, so the chunks of three workers differ in size
+    RUNS = {
+        "contraction": lambda workers: contraction_experiment(
+            BURGERS, [smooth_pair(), smooth_pair()[::-1]], 1e-2, 101,
+            config=CONFIG, seed=3, workers=workers),
+        "clt": lambda workers: clt_experiment(
+            BURGERS, (1e-2, 1e-3), 1e-3, 101, grid=GRID, config=CONFIG,
+            seed=5, workers=workers),
+        "mass-martingale": lambda workers: mass_martingale_experiment(
+            LINEAR, 1e-2, 500, grid=GRID, config=CONFIG, seed=7,
+            workers=workers),
+        "condition2": lambda workers: condition2_coupling_experiment(
+            BURGERS, [random_control(i, 8, 0.1, intervals=4, amplitude=0.5)
+                      for i in range(2)],
+            (1e-2, 0.0), 31, grid=GRID, config=CONFIG, seed=9,
+            workers=workers),
+        "mdp": lambda workers: mdp_concentration_experiment(
+            BURGERS, 0.25, (1e-2, 1e-3), 31, grid=GRID, config=CONFIG,
+            linear_check=True, seed=13, workers=workers),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_reports_identical_for_one_two_and_three_workers(self, name):
+        reports = [report_to_json(self.RUNS[name](workers))
+                   for workers in (1, 2, 3)]
+        assert reports[0] == reports[1] == reports[2]
+
+    def test_clt_digests_are_the_consumed_increments(self):
+        rep = clt_experiment(BURGERS, (1e-2, 1e-3), 1e-3, 100, grid=GRID,
+                             config=CONFIG, seed=5, workers=2)
+        digest = WienerPath(5, 0, 8).digest(100, CONFIG.dt)
+        assert rep.digests == (f"eps0.01:{digest}", f"eps0.001:{digest}")
 
     def test_rerun_reproduces_bitwise(self):
         rep1 = mdp_concentration_experiment(BURGERS, 0.25, [1e-2], 40,

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from fraclab.fields import GridSpec, SpectralField
 from fraclab.models import (
     ConfigurationError,
+    _halton,
     DiffusionSpec,
     FluxSpec,
     ModelSpec,
@@ -144,6 +145,13 @@ class TestValidateModel:
     def test_sample_count_floor(self):
         with pytest.raises(ValueError):
             validate_model(basic_model(), sample_count=50)
+
+    @pytest.mark.parametrize("n", [1, 100, 256, 1000, 4096])
+    def test_halton_points_match_scipy(self, n):
+        from scipy.stats import qmc
+
+        expected = qmc.Halton(d=2, scramble=False).random(n)
+        assert np.array_equal(_halton(n), expected)
 
 
 def term_by_term(noise):

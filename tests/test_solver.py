@@ -1,5 +1,7 @@
 """Tests for the IMEX integrator: CFL bounds, flux schemes, noise paths,
-conservation and dissipation properties."""
+batches, conservation and dissipation properties."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -15,11 +17,14 @@ from fraclab.models import (
     linear_advection,
     linear_diffusion,
 )
+from fraclab.skeleton import random_control, solve_controlled_spde
 from fraclab.solver import (
     DivergenceError,
     SolverConfig,
     Trajectory,
+    WienerBatch,
     WienerPath,
+    plan_steps,
     solve,
     stable_dt,
     trajectory_to_csv,
@@ -141,6 +146,113 @@ class TestWienerPath:
         d3 = WienerPath(7, 3, 3).digest(10, 1e-3)
         assert d1 == d2
         assert d1 != d3
+
+
+class TestWienerBatch:
+    def test_rows_are_the_streams_alone(self):
+        batch = WienerBatch(11, (3, 0, 3), 5)
+        # 70 steps cross the boundaries of the blocks each stream draws
+        drawn = np.array(list(batch.steps(70, 1e-3)))
+        for row, stream in enumerate((3, 0, 3)):
+            path = WienerPath(11, stream, 5)
+            expected = [path.increments(i, 1e-3) for i in range(70)]
+            assert np.array_equal(drawn[:, row], expected)
+
+    def test_digest_hashes_the_consumed_rows(self):
+        batch = WienerBatch(7, (5, 2), 3, digest_rows=(1,))
+        for _ in batch.steps(10, 1e-3):
+            pass
+        assert batch.digest(1) == WienerPath(7, 2, 3).digest(10, 1e-3)
+        assert batch.digest(1) != WienerPath(7, 5, 3).digest(10, 1e-3)
+
+
+def batch_snapshots(run, config):
+    """Recorded states of a batch run, shape (..., M, snapshots, N)."""
+    _, record = plan_steps(config)
+    snaps = []
+
+    def observe(step, values, dbeta):
+        if step in record:
+            snaps.append(values.copy())
+
+    run(observe)
+    return np.stack(snaps, axis=-2)
+
+
+class TestBatch:
+    """Row m of a batch is bit for bit the path of row m solved alone."""
+
+    STREAMS = (3, 7, 0, 11, 4)
+
+    def rows(self, grid):
+        x = grid.nodes()
+        return np.array([1.0 + 0.1 * m * np.sin(2 * np.pi * (x + 0.1 * m))
+                         for m in range(len(self.STREAMS))])
+
+    @pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
+    @pytest.mark.parametrize("branch", ["table", "loop"])
+    @pytest.mark.parametrize("control", [False, True])
+    def test_rows_equal_single_paths(self, scheme, branch, control):
+        grid = GridSpec(points_per_axis=32)
+        noise = diagonal_decay_noise(4)
+        if branch == "loop":
+            noise = dataclasses.replace(noise, affine_in_state=False)
+        model = make_model(noise=noise)
+        config = SolverConfig(dt=1e-3, t_end=0.05, eps=1e-2, eta=1e-3,
+                              flux_scheme=scheme, snapshot_count=6)
+        u0 = self.rows(grid)
+        path = WienerBatch(9, self.STREAMS, 4)
+        controls = [random_control(i, 4, 0.05, intervals=3) for i in range(2)]
+        which = np.arange(len(self.STREAMS)) % 2
+        if control:
+            batch = batch_snapshots(lambda observe: solve_controlled_spde(
+                u0, model, controls, config, path, rows=which,
+                observe=observe), config)
+        else:
+            batch = batch_snapshots(
+                lambda observe: solve(u0, model, config, path, observe=observe),
+                config)
+        for m, stream in enumerate(self.STREAMS):
+            alone = SpectralField(grid, u0[m])
+            if control:
+                traj = solve_controlled_spde(alone, model, controls[which[m]],
+                                             config, WienerPath(9, stream, 4))
+            else:
+                traj = solve(alone, model, config, WienerPath(9, stream, 4))
+            assert np.array_equal(batch[m], traj.values_matrix())
+
+    def test_leading_axes_share_their_row_increments(self):
+        grid = GridSpec(points_per_axis=32)
+        model = make_model()
+        config = SolverConfig(dt=1e-3, t_end=0.02, eps=1e-2, snapshot_count=3)
+        u0 = self.rows(grid)
+        legs = np.stack((u0, u0[::-1]))
+        batch = batch_snapshots(lambda observe: solve(
+            legs, model, config, WienerBatch(2, self.STREAMS, 4),
+            observe=observe), config)
+        for leg in range(2):
+            for m, stream in enumerate(self.STREAMS):
+                traj = solve(SpectralField(grid, legs[leg, m]), model, config,
+                             WienerPath(2, stream, 4))
+                assert np.array_equal(batch[leg, m], traj.values_matrix())
+
+    def test_diverging_row_reports_its_first_bad_step(self):
+        lying = FluxSpec(eval=lambda u: 1e6 * np.asarray(u, dtype=float),
+                         deriv=lambda u: np.full_like(np.asarray(u, dtype=float), 1e6),
+                         lipschitz_bound=1e-9)
+        model = make_model(flux=lying, diffusion=linear_diffusion(0.0, 0.5))
+        grid = GridSpec(points_per_axis=32)
+        x = grid.nodes()
+        config = SolverConfig(dt=0.01, t_end=2.0)
+        bad = np.sin(2 * np.pi * x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as alone:
+                solve(SpectralField(grid, bad), model, config)
+            with pytest.raises(DivergenceError) as batched:
+                solve(np.stack((np.zeros(32), bad, np.zeros(32))), model,
+                      config, observe=lambda step, values, dbeta: None)
+        assert batched.value.step_index == alone.value.step_index
+        assert batched.value.time == alone.value.time
 
 
 class TestStep:
