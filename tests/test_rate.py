@@ -4,7 +4,9 @@ upper bound."""
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
+import fraclab.rate as rate_module
 from fraclab.fields import GridSpec, constant_field, field_from_spectrum
 from fraclab.models import (
     ModelSpec,
@@ -27,7 +29,7 @@ from fraclab.rate import (
     report_to_json,
     verify_rate_bound,
 )
-from fraclab.skeleton import Control
+from fraclab.skeleton import Control, solve_skeleton
 from fraclab.solver import SolverConfig, solve
 
 from oracles import least_norm_mode_energy
@@ -207,6 +209,47 @@ def test_iterative_matches_exact_on_linearized_model():
     assert report.converged
     assert report.residual <= 1e-6
     assert report.value == pytest.approx(exact.value, rel=1e-2)
+
+
+def test_batched_gradients_follow_the_serial_path(monkeypatch):
+    # a nonlinear model: Rusanov fluxes of clamped Burgers about a sine
+    model = ModelSpec(burgers_clamped(4.0), linear_diffusion(0.5, 0.5),
+                      paired_harmonic_noise(pairs=2))
+    T = 0.05
+    u0 = field_from_spectrum(
+        GRID, np.fft.fft(1.0 + 0.2 * np.sin(2.0 * np.pi * GRID.nodes())) / GRID.size)
+    config = SolverConfig(dt=1e-3, t_end=T)
+    target = field_from_spectrum(
+        GRID, solve(u0, model, config).terminal.spectrum
+        + pair_target(GRID, {1: 0.01 - 0.02j}).spectrum)
+    opts = RateOptions(intervals=2, dt=1e-3, rounds=2, maxiter=15)
+    batched = ldp_rate_iterative(target, u0, model, T, opts)
+
+    calls = []
+
+    def serial(fun, x0, args, method, options):
+        # the reference: scipy's default map evaluates one point at a time
+        calls.append((fun, args, options.pop("workers")))
+        return minimize(fun, x0, args=args, method=method, options=options)
+
+    monkeypatch.setattr(rate_module, "minimize", serial)
+    reference = ldp_rate_iterative(target, u0, model, T, opts)
+    assert batched.iterations == reference.iterations > 0
+    assert batched.value == reference.value
+    assert batched.residual == reference.residual
+    assert (batched.optimal_control.coeffs.tobytes()
+            == reference.optimal_control.coeffs.tobytes())
+
+    # batched objective values are those of separate skeleton solves
+    fun, (penalty,), workers = calls[0]
+    times = np.linspace(0.0, T, opts.intervals + 1)
+    rng = np.random.default_rng(4)
+    points = [0.5 * rng.standard_normal(opts.intervals * 4) for _ in range(3)]
+    for point, value in zip(points, workers(fun, iter(points))):
+        control = Control(times=times, coeffs=point.reshape(opts.intervals, 4))
+        terminal = solve_skeleton(u0, model, control, config).terminal.values
+        gap = float(np.mean((terminal - target.values) ** 2))
+        assert value == control.energy + penalty * gap
 
 
 def test_report_json_fields():

@@ -191,7 +191,9 @@ class TestBatch:
 
     @pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
     @pytest.mark.parametrize("branch", ["table", "loop"])
-    @pytest.mark.parametrize("control", [False, True])
+    # "mixed" drives the rows by controls of 4 and 6 intervals, so the
+    # interval lookup runs for two groups of breakpoints
+    @pytest.mark.parametrize("control", [False, True, "mixed"])
     def test_rows_equal_single_paths(self, scheme, branch, control):
         grid = GridSpec(points_per_axis=32)
         noise = diagonal_decay_noise(4)
@@ -203,7 +205,10 @@ class TestBatch:
         u0 = self.rows(grid)
         path = WienerBatch(9, self.STREAMS, 4)
         controls = [random_control(i, 4, 0.05, intervals=3) for i in range(2)]
-        which = np.arange(len(self.STREAMS)) % 2
+        if control == "mixed":
+            controls = [random_control(i, 4, 0.05, intervals=n)
+                        for i, n in enumerate((4, 6, 4))]
+        which = np.arange(len(self.STREAMS)) % len(controls)
         if control:
             batch = batch_snapshots(lambda observe: solve_controlled_spde(
                 u0, model, controls, config, path, rows=which,
