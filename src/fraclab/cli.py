@@ -78,6 +78,24 @@ _SECTIONS = ("model", "grid", "solver", "initial", "control", "experiment",
              "rate", "seed")
 _SOLVER_KEYS = frozenset(SolverConfig.__dataclass_fields__)
 _COUNT_PARAMS = ("truncation", "pairs")
+# every key a run reads outside model.* and solver.*, whatever its command and
+# kind; model.* and solver.* keys are checked where they are built
+_KNOWN_KEYS = frozenset((
+    "seed", "grid.n",
+    "initial.kind", "initial.value", "initial.base", "initial.amplitude",
+    "initial.mode", "initial.phase", "initial.path",
+    "control.kind", "control.truncation", "control.intervals",
+    "control.amplitude", "control.seed", "control.path",
+    "experiment.pairs", "experiment.samples", "experiment.eps",
+    "experiment.tol", "experiment.eps_grid", "experiment.eta",
+    "experiment.modes", "experiment.which", "experiment.ladder",
+    "experiment.controls", "experiment.intervals", "experiment.amplitude",
+    "experiment.delta", "experiment.level_bound", "experiment.a",
+    "experiment.linear_check",
+    "rate.method", "rate.target.kind", "rate.target.mode", "rate.target.re",
+    "rate.target.im", "rate.target.path",
+    *(f"rate.{name}" for name in RateOptions.__dataclass_fields__),
+))
 
 
 # ---------------------------------------------------------------------------
@@ -273,11 +291,13 @@ def load_run_config(command: str, experiment: str | None, text: str,
 
     for key in entries:
         section = key.split(".", 1)[0]
+        lineno = lines.get(key, 0)
+        at = f" line {lineno}" if lineno else ""
         if section not in _SECTIONS:
-            lineno = lines.get(key, 0)
-            at = f" line {lineno}" if lineno else ""
             raise ConfigurationError(
                 f"{source}{at}: unknown config section {section!r} in key {key!r}")
+        if section not in ("model", "solver") and key not in _KNOWN_KEYS:
+            raise ConfigurationError(f"{source}{at}: {key}: unknown config key")
     if "seed" in entries:
         if (isinstance(entries["seed"], bool)
                 or not isinstance(entries["seed"], (int, np.integer))):
@@ -341,9 +361,11 @@ def _build_recipe(cfg: RunConfig) -> dict:
         if len(parts) != 3 or parts[1] not in recipe:
             raise ConfigurationError(cfg.where(key, "unrecognized model key"))
         # every family parameter but the kind is numeric; mode counts are
-        # integers
-        if parts[2] != "kind":
-            value = cfg._checked(key, value, int if parts[2] in _COUNT_PARAMS else float)
+        # integers of at least one
+        if parts[2] in _COUNT_PARAMS:
+            value = cfg.number(key, kind=int, minimum=1)
+        elif parts[2] != "kind":
+            value = cfg._checked(key, value, float)
         recipe[parts[1]][parts[2]] = value
     return recipe
 

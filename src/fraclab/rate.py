@@ -19,7 +19,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .fields import SpectralField
 from .models import ModelSpec
@@ -79,6 +78,18 @@ class RateOptions:
     maxiter: int = 30
     gradient_tol: float = 1e-9
     residual_target: float = 1e-2
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on its first call.
+
+    Only the iterative rate needs an optimizer; a module-level import would
+    make every command that loads this module pay for scipy.optimize at
+    start-up.  The name stays module-level so callers can wrap or replace it.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def _l2(values: np.ndarray) -> float:

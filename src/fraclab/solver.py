@@ -14,12 +14,14 @@ batch is bit for bit the path its own stream gives alone.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
+# numpy imports numpy.random on its first use; importing it here loads it
+# before any worker pool forks, so pool workers do not each import it again
+from numpy.random import default_rng
 
 from .fields import (
     FOUR_PI_SQ,
@@ -98,7 +100,7 @@ class WienerPath:
     def increments(self, step_index: int, dt: float) -> np.ndarray:
         if step_index < 0:
             raise ValueError("step_index must be nonnegative")
-        rng = np.random.default_rng((self.master_seed, self.stream_index))
+        rng = default_rng((self.master_seed, self.stream_index))
         return rng.standard_normal((step_index + 1, self.truncation))[-1] * np.sqrt(dt)
 
     def digest(self, step_count: int, dt: float) -> str:
@@ -133,7 +135,7 @@ class WienerBatch:
     def steps(self, n_steps: int, dt: float):
         """Increments of steps 0 .. n_steps - 1 in order, (M, K) or (K,)."""
         block = 32
-        rngs = [np.random.default_rng((self.master_seed, s)) for s in self.streams.flat]
+        rngs = [default_rng((self.master_seed, s)) for s in self.streams.flat]
         root = np.sqrt(dt)
         buf = np.empty((len(rngs), min(block, n_steps), self.truncation))
         for start in range(0, n_steps, block):
@@ -329,10 +331,15 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, drift=None,
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:
-    """Rows: time, node, value."""
+    """Rows: time, node, value.
+
+    The bytes are those of csv.writer with its default dialect: no field
+    (a float repr or an integer) needs quoting, and every line ends in CRLF.
+    """
+    lines = ["time,node,value\r\n"]
+    for t, snap in zip(traj.times, traj.snapshots):
+        stamp = repr(float(t))
+        lines += [f"{stamp},{j},{v!r}\r\n"
+                  for j, v in enumerate(snap.values.tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "node", "value"])
-        for t, snap in zip(traj.times, traj.snapshots):
-            for j, v in enumerate(snap.values):
-                writer.writerow([repr(float(t)), j, repr(float(v))])
+        fh.write("".join(lines))

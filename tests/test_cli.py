@@ -6,12 +6,15 @@ import io
 import json
 import os
 import string
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fraclab.cli as cli_module
+import fraclab.rate as rate_module
 from fraclab.cli import config_hash, load_run_config, main, parse_config_text
 from fraclab.models import ConfigurationError
 
@@ -430,7 +433,8 @@ def test_bad_numeric_value_exits_2_naming_key(tmp_path_factory, case, bad):
 COUNT_KEYS = (
     [_case(key) for key in ("initial.mode", "control.intervals",
                             "rate.intervals", "rate.rounds", "rate.maxiter")]
-    + [(("rate",), ("rate.method=iterative",), "rate.intervals")])
+    + [(("rate",), ("rate.method=iterative",), "rate.intervals")]
+    + [_case(key) for key in ("model.noise.truncation", "model.noise.pairs")])
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -460,3 +464,97 @@ def test_internal_error_exits_4_with_traceback(tmp_path, monkeypatch, capsys):
     assert code == 4
     err = capsys.readouterr().err
     assert "Traceback" in err and "RuntimeError: broken command" in err
+
+
+# a misspelt key in each section the schema check covers, with the command
+# that reads the section
+UNKNOWN_KEYS = (
+    (("simulate",), "grid.nodes = 32"),
+    (("simulate",), "initial.valu = 3"),
+    (("skeleton",), "control.interval = 4"),
+    (("experiment", "clt"), "experiment.sample = 10"),
+    (("rate",), "rate.target.moed = 2"),
+    (("rate",), "rate.max_iter = 5"),
+    (("simulate",), "seed.value = 4"),
+)
+
+
+@pytest.mark.parametrize("case", UNKNOWN_KEYS, ids=lambda case: case[1].split(" ")[0])
+def test_unknown_key_exits_2_naming_key_and_line(tmp_path, case):
+    command, line = case
+    key = line.split(" ")[0]
+    cfg = write(tmp_path, BASE + line + "\n")
+    lineno = len(BASE.splitlines()) + 1
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([*command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--workers", "1"])
+    assert code == 2
+    assert f"line {lineno}: {key}: unknown config key" in err.getvalue()
+
+
+def test_keys_of_other_commands_and_kinds_still_run(tmp_path):
+    cfg = write(tmp_path, BASE + "control.kind = zero\n"
+                                 "control.intervals = 4\n"
+                                 "initial.amplitude = 0.3\n"
+                                 "experiment.samples = 10\n"
+                                 "rate.method = iterative\n"
+                                 "rate.penalty = 5\n")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+# one config that every command below reads; solver.eps turns the noise on
+STARTUP_CONFIG = base_with(drop=("model.flux.clamp",), **{
+    "model.flux.kind": "advection", "model.flux.speed": "0.3",
+    "model.noise.kind": "paired-harmonic", "solver.eps": "1e-2"}).replace(
+        "model.noise.truncation = 6", "model.noise.pairs = 3") + """\
+experiment.eps_grid = 1e-2
+experiment.samples = 100
+rate.method = exact
+rate.target.mode = 2
+rate.target.re = 0.05
+"""
+
+STARTUP_SCRIPT = """\
+import sys
+from fraclab.cli import main
+cfg, out = sys.argv[1:]
+codes = [main([*command, "--config", cfg, "--out", out, "--workers", "1"])
+         for command in (["simulate"], ["oracle"], ["experiment", "clt"], ["rate"])]
+print(codes)
+print(sorted(name for name in sys.modules
+             if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_commands_without_the_optimizer_never_import_scipy(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    cfg = write(tmp_path, STARTUP_CONFIG)
+    done = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, cfg, str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, modules = done.stdout.splitlines()[-2:]
+    assert json.loads(codes) == [0, 0, 0, 0], done.stdout
+    assert modules == "[]"
+
+
+def test_iterative_rate_calls_the_module_level_minimize(tmp_path, monkeypatch):
+    calls = []
+    minimize = rate_module.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("method"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(rate_module, "minimize", counting)
+    cfg = write(tmp_path, STARTUP_CONFIG.replace("rate.method = exact",
+                                                 "rate.method = iterative")
+                + "rate.intervals = 2\nrate.rounds = 2\nrate.maxiter = 3\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["rate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code in (0, 1)
+    assert calls == ["L-BFGS-B", "L-BFGS-B"]

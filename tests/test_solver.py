@@ -1,6 +1,7 @@
 """Tests for the IMEX integrator: CFL bounds, flux schemes, noise paths,
 batches, conservation and dissipation properties."""
 
+import csv
 import dataclasses
 
 import numpy as np
@@ -444,3 +445,24 @@ class TestTrajectoryArtifacts:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "time,node,value"
         assert len(lines) == 1 + 16 * len(traj.times)
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        grid = GridSpec(points_per_axis=8)
+        rows = np.array([
+            [-1.5, 5e-324, 1e-300, 3.0, -0.0, 0.0, -2.2250738585072014e-308, 1e300],
+            [0.1, -0.2, 1.0 / 3.0, -7.0, 2.5e-310, -1e-300, 12345678.0, -3.25],
+        ])
+        traj = Trajectory(times=np.array([0.0, 1e-300, 0.5]),
+                          snapshots=tuple(SpectralField(grid, row)
+                                          for row in (rows[0], rows[1], -rows[0])))
+        out = tmp_path / "traj.csv"
+        trajectory_to_csv(traj, out)
+
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["time", "node", "value"])
+            for t, snap in zip(traj.times, traj.snapshots):
+                for j, v in enumerate(snap.values):
+                    writer.writerow([repr(float(t)), j, repr(float(v))])
+        assert out.read_bytes() == reference.read_bytes()
