@@ -535,20 +535,19 @@ def mass_martingale_experiment(model, eps, M, *, u0=None, grid=None,
                                    ("eps", run_config.eps)),
                            statistic=abs(mean), stderr=err,
                            verdict=abs(mean) <= 3.0 * err, samples=len(drifts)))
-        if spec.noise.affine_in_state:
-            a_table, b_table = noise_tables(spec.noise, grid)
-            if float(np.max(np.abs(b_table))) == 0.0:
-                closed = run_config.eps * config.t_end * float(
-                    np.sum(np.mean(a_table, axis=1) ** 2))
-                centered = (drifts - drifts.mean()) ** 2
-                sample_var = float(np.var(drifts, ddof=1))
-                err_var = float(np.std(centered, ddof=1) / np.sqrt(len(drifts)))
-                cells.append(_cell(
-                    params=(("kind", "mass-variance"),
-                            ("eps", run_config.eps)),
-                    statistic=sample_var, stderr=err_var,
-                    verdict=abs(sample_var - closed) <= 3.0 * err_var,
-                    samples=len(drifts), extra=(("closed_form", closed),)))
+        a_table, b_table = noise_tables(spec.noise, grid.nodes())
+        if float(np.max(np.abs(b_table))) == 0.0:
+            closed = run_config.eps * config.t_end * float(
+                np.sum(np.mean(a_table, axis=1) ** 2))
+            centered = (drifts - drifts.mean()) ** 2
+            sample_var = float(np.var(drifts, ddof=1))
+            err_var = float(np.std(centered, ddof=1) / np.sqrt(len(drifts)))
+            cells.append(_cell(
+                params=(("kind", "mass-variance"),
+                        ("eps", run_config.eps)),
+                statistic=sample_var, stderr=err_var,
+                verdict=abs(sample_var - closed) <= 3.0 * err_var,
+                samples=len(drifts), extra=(("closed_form", closed),)))
     digests = tuple(f"sample0:{d}" for d in run["digests"].values())
     return ExperimentReport(
         name="mass-martingale",

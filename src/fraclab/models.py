@@ -2,9 +2,10 @@
 
 A model couples a scalar flux, a nondecreasing diffusion nonlinearity
 applied under the fractional Laplacian, and a truncated family of noise
-coefficient functions h_k(x, u).  Structural assumptions (Lipschitz
-bounds, monotonicity, quadratic noise growth) are checked by quasi-random
-sampling, not symbolically: the building blocks are opaque callables.
+coefficients h_k(x, u) = A_k(x) + B_k(x) u, affine in the state.
+Structural assumptions (Lipschitz bounds, monotonicity, quadratic noise
+growth) are checked by quasi-random sampling, not symbolically: the building
+blocks are opaque callables.
 """
 
 from __future__ import annotations
@@ -76,25 +77,22 @@ class DiffusionSpec:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Truncated family of noise coefficient functions h_k(x, u), k = 1..K.
+    """Truncated noise family h_k(x, u) = A_k(x) + B_k(x) u, k = 1..K.
 
-    Each callable must be numpy-vectorized in both arguments.  Families that
-    are affine in the state (h_k(x, u) = A_k(x) + B_k(x) u) declare
-    affine_in_state so solvers can precompute nodal tables.
+    tables(x) returns the tables (A, B) at the points x, each of shape
+    (K, len(x)); noise_tables checks the shapes.
     """
 
     truncation: int
-    coefficient_fns: tuple
+    tables: Callable
     decay_exponent: float
     growth_const: float
-    affine_in_state: bool = False
     name: str = "custom"
 
     def __post_init__(self):
-        if len(self.coefficient_fns) != self.truncation:
+        if self.truncation < 1:
             raise ConfigurationError(
-                f"{len(self.coefficient_fns)} coefficient functions for K={self.truncation}"
-            )
+                f"need at least one noise mode, got K={self.truncation}")
         if self.decay_exponent <= 0.5:
             raise ConfigurationError(
                 f"decay exponent must exceed 1/2, got {self.decay_exponent}"
@@ -180,47 +178,40 @@ def linear_diffusion(slope: float = 1.0, theta: float = 0.5) -> DiffusionSpec:
                          name="linear")
 
 
-def _mode_weights(count: int, q: float) -> np.ndarray:
-    return np.arange(1, count + 1, dtype=float) ** (-q)
+def _weights(count: int, q: float) -> list:
+    """k^-q for k = 1..count, each rounded as the scalar float(k) ** -q."""
+    return [float(k) ** (-q) for k in range(1, count + 1)]
 
 
 def diagonal_decay_noise(truncation: int = 16, q: float = 1.0,
                          a: float = 1.0, b: float = 1.0) -> NoiseSpec:
     """h_k(x, u) = k^-q (a sin(2 pi k x) + b u)."""
-    if truncation < 1:
-        raise ConfigurationError("need at least one noise mode")
-    fns = []
-    for k in range(1, truncation + 1):
-        w = float(k) ** (-q)
+    weights = _weights(truncation, q)
 
-        def h(x, u, w=w, k=k):
-            x = np.asarray(x, dtype=float)
-            return w * (a * np.sin(2.0 * np.pi * k * x) + b * np.asarray(u, dtype=float))
+    def tables(x):
+        x = np.asarray(x, dtype=float)
+        return (np.stack([w * (a * np.sin(2.0 * np.pi * k * x))
+                          for k, w in enumerate(weights, 1)]),
+                np.stack([np.full_like(x, w * b) for w in weights]))
 
-        fns.append(h)
-    growth = 2.0 * max(a * a, b * b) * float(np.sum(_mode_weights(truncation, q) ** 2))
-    return NoiseSpec(truncation=truncation, coefficient_fns=tuple(fns),
-                     decay_exponent=q, growth_const=growth,
-                     affine_in_state=True, name="diagonal-decay")
+    growth = 2.0 * max(a * a, b * b) * float(np.sum(np.square(weights)))
+    return NoiseSpec(truncation=truncation, tables=tables,
+                     decay_exponent=q, growth_const=growth, name="diagonal-decay")
 
 
 def additive_noise(truncation: int = 16, q: float = 1.0, offset: float = 0.0) -> NoiseSpec:
     """State-independent family h_k(x) = k^-q (cos(2 pi k x) + offset)."""
-    if truncation < 1:
-        raise ConfigurationError("need at least one noise mode")
-    fns = []
-    for k in range(1, truncation + 1):
-        w = float(k) ** (-q)
+    weights = _weights(truncation, q)
 
-        def h(x, u, w=w, k=k):
-            x = np.asarray(x, dtype=float)
-            return w * (np.cos(2.0 * np.pi * k * x) + offset) + 0.0 * np.asarray(u, dtype=float)
+    def tables(x):
+        x = np.asarray(x, dtype=float)
+        a = np.stack([w * (np.cos(2.0 * np.pi * k * x) + offset)
+                      for k, w in enumerate(weights, 1)])
+        return a, np.zeros_like(a)
 
-        fns.append(h)
-    growth = (1.0 + abs(offset)) ** 2 * float(np.sum(_mode_weights(truncation, q) ** 2))
-    return NoiseSpec(truncation=truncation, coefficient_fns=tuple(fns),
-                     decay_exponent=q, growth_const=growth,
-                     affine_in_state=True, name="additive")
+    growth = (1.0 + abs(offset)) ** 2 * float(np.sum(np.square(weights)))
+    return NoiseSpec(truncation=truncation, tables=tables,
+                     decay_exponent=q, growth_const=growth, name="additive")
 
 
 def paired_harmonic_noise(pairs: int = 8, q: float = 1.0) -> NoiseSpec:
@@ -229,26 +220,20 @@ def paired_harmonic_noise(pairs: int = 8, q: float = 1.0) -> NoiseSpec:
     Mode 2m-1 is m^-q cos(2 pi m x) and mode 2m is m^-q sin(2 pi m x), so each
     frequency is driven isotropically in the complex plane.
     """
-    if pairs < 1:
-        raise ConfigurationError("need at least one pair")
-    fns = []
-    for m in range(1, pairs + 1):
-        w = float(m) ** (-q)
+    weights = _weights(pairs, q)
 
-        def hc(x, u, w=w, m=m):
-            x = np.asarray(x, dtype=float)
-            return w * np.cos(2.0 * np.pi * m * x) + 0.0 * np.asarray(u, dtype=float)
+    def tables(x):
+        x = np.asarray(x, dtype=float)
+        rows = []
+        for m, w in enumerate(weights, 1):
+            rows.append(w * np.cos(2.0 * np.pi * m * x))
+            rows.append(w * np.sin(2.0 * np.pi * m * x))
+        a = np.stack(rows)
+        return a, np.zeros_like(a)
 
-        def hs(x, u, w=w, m=m):
-            x = np.asarray(x, dtype=float)
-            return w * np.sin(2.0 * np.pi * m * x) + 0.0 * np.asarray(u, dtype=float)
-
-        fns.append(hc)
-        fns.append(hs)
-    growth = float(np.sum(_mode_weights(pairs, q) ** 2))
-    return NoiseSpec(truncation=2 * pairs, coefficient_fns=tuple(fns),
-                     decay_exponent=q, growth_const=growth,
-                     affine_in_state=True, name="paired-harmonic")
+    growth = float(np.sum(np.square(weights)))
+    return NoiseSpec(truncation=2 * pairs, tables=tables,
+                     decay_exponent=q, growth_const=growth, name="paired-harmonic")
 
 
 FLUX_FAMILIES = {
@@ -313,20 +298,14 @@ def linearize_model(model: ModelSpec, state: float = 1.0) -> ModelSpec:
     if pslope < 0:
         raise ConfigurationError("diffusion derivative negative at the base state")
 
-    def freeze(h):
-        def frozen(x, u, h=h):
-            x = np.asarray(x, dtype=float)
-            return np.asarray(h(x, np.full_like(x, float(state))), dtype=float) \
-                + 0.0 * np.asarray(u, dtype=float)
+    def tables(x):
+        a, b = noise_tables(model.noise, x)
+        frozen = a + b * float(state)
+        return frozen, np.zeros_like(frozen)
 
-        return frozen
-
-    frozen_fns = tuple(freeze(h) for h in model.noise.coefficient_fns)
-    noise = NoiseSpec(truncation=model.noise.truncation,
-                      coefficient_fns=frozen_fns,
+    noise = NoiseSpec(truncation=model.noise.truncation, tables=tables,
                       decay_exponent=model.noise.decay_exponent,
                       growth_const=model.noise.growth_const * (1.0 + state * state),
-                      affine_in_state=True,
                       name=f"{model.noise.name}-frozen")
     return ModelSpec(flux=linear_advection(fslope),
                      diffusion=linear_diffusion(pslope, model.diffusion.theta),
@@ -337,18 +316,14 @@ def linearize_model(model: ModelSpec, state: float = 1.0) -> ModelSpec:
 # noise evaluation
 
 
-def noise_tables(noise: NoiseSpec, grid: GridSpec):
-    """Nodal tables (A, B) with h_k(x, u) = A_k(x) + B_k(x) u, shape (K, N).
-
-    Only valid for families declared affine in the state.
-    """
-    if not noise.affine_in_state:
-        raise ValueError("noise spec is not affine in the state")
-    x = grid.nodes()
-    zero = np.zeros_like(x)
-    one = np.ones_like(x)
-    a = np.stack([np.asarray(h(x, zero), dtype=float) for h in noise.coefficient_fns])
-    b = np.stack([np.asarray(h(x, one), dtype=float) for h in noise.coefficient_fns]) - a
+def noise_tables(noise: NoiseSpec, x):
+    """Tables (A, B) with h_k(x, u) = A_k(x) + B_k(x) u at the points x,
+    each of shape (K, len(x))."""
+    a, b = noise.tables(x)
+    shape = (noise.truncation, len(x))
+    if a.shape != shape or b.shape != shape:
+        raise ConfigurationError(
+            f"noise tables of shapes {a.shape} and {b.shape}, expected {shape}")
     return a, b
 
 
@@ -366,26 +341,12 @@ def noise_pairing(noise: NoiseSpec, grid: GridSpec):
 
     The solver pairs the Wiener increments and the skeleton pairs the control
     through this routine.  coeffs is one vector (K,) for every row of values,
-    or a batch (M, K) with row m for row m of values (..., M, N).  Families
-    affine in the state use the nodal tables of noise_tables; any other
-    family is evaluated term by term.
+    or a batch (M, K) with row m for row m of values (..., M, N).
     """
-    if noise.affine_in_state:
-        a, b = noise_tables(noise, grid)
-
-        def pair(values, coeffs):
-            return _row_products(coeffs, a) + values * _row_products(coeffs, b)
-
-        return pair
-    x = grid.nodes()
+    a, b = noise_tables(noise, grid.nodes())
 
     def pair(values, coeffs):
-        # adding the +0.0 of a zero coefficient leaves every sum unchanged
-        total = np.zeros_like(values)
-        for k, h in enumerate(noise.coefficient_fns):
-            c = coeffs[..., k, None]
-            total += np.where(c != 0.0, c * np.asarray(h(x, values), dtype=float), 0.0)
-        return total
+        return _row_products(coeffs, a) + values * _row_products(coeffs, b)
 
     return pair
 
@@ -459,8 +420,6 @@ def validate_model(model: ModelSpec, sample_count: int = 256,
     """
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
-    if model.noise.truncation == 0:
-        raise ConfigurationError("noise truncation K must be positive")
     if not 0.0 < model.diffusion.theta < 1.0:
         raise ConfigurationError(
             f"theta must lie in (0, 1) for a full model, got {model.diffusion.theta}"
@@ -498,9 +457,11 @@ def validate_model(model: ModelSpec, sample_count: int = 256,
     checks.append(AssumptionCheck("diffusion-coercive", bool(coercive <= slack), coercive))
     checks.append(_derivative_check("diffusion-derivative", phi, phip, u))
 
-    sq_sum = np.zeros_like(u)
-    for h in model.noise.coefficient_fns:
-        sq_sum += np.asarray(h(x, u), dtype=float) ** 2
+    def coefficients(points, states):
+        a_table, b_table = noise_tables(model.noise, points)
+        return a_table + b_table * states
+
+    sq_sum = np.sum(coefficients(x, u) ** 2, axis=0)
     growth_ratio = float(np.max(sq_sum / ((1.0 + u * u) * model.noise.growth_const)))
     checks.append(AssumptionCheck("noise-growth",
                                   bool(growth_ratio <= 1.0 + slack), growth_ratio))
@@ -510,10 +471,7 @@ def validate_model(model: ModelSpec, sample_count: int = 256,
     u2 = np.concatenate([u[1:], u + 1e-3])
     x1 = np.concatenate([x[:-1], x])
     u1 = np.concatenate([a, u])
-    num = np.zeros_like(u1)
-    for h in model.noise.coefficient_fns:
-        num += (np.asarray(h(x1, u1), dtype=float)
-                - np.asarray(h(x2, u2), dtype=float)) ** 2
+    num = np.sum((coefficients(x1, u1) - coefficients(x2, u2)) ** 2, axis=0)
     den = (x1 - x2) ** 2 + (u1 - u2) ** 2
     good = den > 0
     lip_ratio = float(np.max(num[good] / den[good]))

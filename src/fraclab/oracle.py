@@ -23,7 +23,7 @@ from .fields import (
     field_from_spectrum,
     fractional_multiplier,
 )
-from .models import ConfigurationError, ModelSpec
+from .models import ConfigurationError, ModelSpec, noise_tables
 from .skeleton import Control
 
 __all__ = [
@@ -52,8 +52,9 @@ class ModeParams:
 def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0):
     """Drift rates (fft layout) and noise weight matrix of shape (modes, K).
 
-    Column n holds the Fourier coefficients of h_n(., 1) in the same layout,
-    so comparisons with the discrete solver carry no truncation mismatch.
+    Column n holds the Fourier coefficients of h_n(., 1) = A_n + B_n in the
+    same layout, so comparisons with the discrete solver carry no truncation
+    mismatch.
     """
     fslope = float(model.flux.deriv(1.0))
     pslope = float(model.diffusion.deriv(1.0))
@@ -61,14 +62,9 @@ def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0):
     mu = (2j * np.pi * fslope * k
           + pslope * fractional_multiplier(grid, model.diffusion.theta)
           + eta * FOUR_PI_SQ * k * k)
-    x = grid.nodes()
-    ones = np.ones_like(x)
+    a, b = noise_tables(model.noise, grid.nodes())
     n = grid.size
-    weights = np.stack(
-        [np.fft.fft(np.asarray(h(x, ones), dtype=float)) / n
-         for h in model.noise.coefficient_fns],
-        axis=1,
-    )
+    weights = np.stack([np.fft.fft(row) / n for row in a + b], axis=1)
     return mu, weights
 
 

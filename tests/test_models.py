@@ -1,8 +1,6 @@
 """Tests for model specs: builtin families, sampled validation,
 linearization, and the noise pairing."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +25,6 @@ from fraclab.models import (
     paired_harmonic_noise,
     validate_model,
 )
-from fraclab.skeleton import random_control, solve_skeleton
-from fraclab.solver import SolverConfig, WienerPath, solve
 
 
 def basic_model(flux=None, diffusion=None, noise=None):
@@ -71,20 +67,22 @@ class TestBuiltinFamilies:
         n = diagonal_decay_noise(6)
         assert n.truncation == 6
         x = np.linspace(0, 1, 17)[:-1]
-        out = n.coefficient_fns[2](x, np.zeros_like(x))
-        assert np.allclose(out, (1 / 3) * np.sin(2 * np.pi * 3 * x))
+        a, b = noise_tables(n, x)
+        assert a.shape == b.shape == (6, 16)
+        assert np.allclose(a[2], (1 / 3) * np.sin(2 * np.pi * 3 * x))
+        assert np.allclose(b[2], 1 / 3)
 
     def test_paired_harmonic_layout(self):
         n = paired_harmonic_noise(3, q=1.0)
         assert n.truncation == 6
         x = np.linspace(0, 1, 33)[:-1]
-        u = np.zeros_like(x)
-        assert np.allclose(n.coefficient_fns[0](x, u), np.cos(2 * np.pi * x))
-        assert np.allclose(n.coefficient_fns[1](x, u), np.sin(2 * np.pi * x))
-        assert np.allclose(n.coefficient_fns[4](x, u), (1 / 3) * np.cos(6 * np.pi * x))
+        a, b = noise_tables(n, x)
+        assert np.allclose(a[0], np.cos(2 * np.pi * x))
+        assert np.allclose(a[1], np.sin(2 * np.pi * x))
+        assert np.allclose(a[4], (1 / 3) * np.cos(6 * np.pi * x))
+        assert not np.any(b)
         # equal-weight pairs sum to a state-free constant
-        total = sum(np.asarray(h(x, u)) ** 2 for h in n.coefficient_fns)
-        assert np.allclose(total, 1.0 + 0.25 + 1 / 9)
+        assert np.allclose(np.sum(a ** 2, axis=0), 1.0 + 0.25 + 1 / 9)
 
 
 class TestValidateModel:
@@ -127,9 +125,13 @@ class TestValidateModel:
         assert abs(computed_c - 2.310029314434036) < 1e-12
 
     def test_degenerate_specs_rejected(self):
+        one_row = NoiseSpec(truncation=2,
+                            tables=lambda x: (np.ones((1, len(x))),) * 2,
+                            decay_exponent=1.0, growth_const=1.0)
         with pytest.raises(ConfigurationError):
-            NoiseSpec(truncation=2, coefficient_fns=(lambda x, u: x,),
-                      decay_exponent=1.0, growth_const=1.0)
+            noise_tables(one_row, np.zeros(4))
+        with pytest.raises(ConfigurationError):
+            validate_model(basic_model(noise=one_row), sample_count=128)
         with pytest.raises(ConfigurationError):
             DiffusionSpec(eval=lambda u: u, deriv=lambda u: 1.0,
                           theta=1.5, lipschitz_bound=1.0)
@@ -137,10 +139,9 @@ class TestValidateModel:
         border = linear_diffusion(1.0, theta=1.0)
         with pytest.raises(ConfigurationError):
             validate_model(basic_model(diffusion=border), sample_count=128)
-        empty = NoiseSpec(truncation=0, coefficient_fns=(), decay_exponent=1.0,
-                          growth_const=1.0)
         with pytest.raises(ConfigurationError):
-            validate_model(basic_model(noise=empty), sample_count=128)
+            NoiseSpec(truncation=0, tables=lambda x: (np.zeros((0, len(x))),) * 2,
+                      decay_exponent=1.0, growth_const=1.0)
 
     def test_sample_count_floor(self):
         with pytest.raises(ValueError):
@@ -154,9 +155,23 @@ class TestValidateModel:
         assert np.array_equal(_halton(n), expected)
 
 
-def term_by_term(noise):
-    """The same family declared not affine, so the pairing loops over h_k."""
-    return dataclasses.replace(noise, affine_in_state=False)
+# each builtin family with the closure h_k(x, u), k = 1..K, that defines it
+FAMILIES = (
+    (diagonal_decay_noise(8, q=1.5, a=0.7, b=1.3),
+     lambda k, x, u: float(k) ** -1.5 * (0.7 * np.sin(2.0 * np.pi * k * x) + 1.3 * u)),
+    (additive_noise(8, q=1.5, offset=0.3),
+     lambda k, x, u: float(k) ** -1.5 * (np.cos(2.0 * np.pi * k * x) + 0.3)),
+    (paired_harmonic_noise(4, q=1.5),
+     lambda k, x, u: float((k + 1) // 2) ** -1.5
+     * (np.cos if k % 2 else np.sin)(2.0 * np.pi * ((k + 1) // 2) * x)),
+)
+
+
+def unit_additive_noise():
+    """h_1(x, u) = 1."""
+    return NoiseSpec(truncation=1,
+                     tables=lambda x: (np.ones((1, len(x))), np.zeros((1, len(x)))),
+                     decay_exponent=1.0, growth_const=1.0)
 
 
 class TestNoiseEvaluation:
@@ -168,24 +183,19 @@ class TestNoiseEvaluation:
 
     def test_unit_additive_constant(self):
         grid = GridSpec(points_per_axis=16)
-        unit = NoiseSpec(truncation=1,
-                         coefficient_fns=(lambda x, u: np.ones_like(np.asarray(x, dtype=float)),),
-                         decay_exponent=1.0, growth_const=1.0, affine_in_state=True)
-        out = noise_pairing(unit, grid)(np.zeros(16), np.array([2.5]))
+        out = noise_pairing(unit_additive_noise(), grid)(np.zeros(16), np.array([2.5]))
         assert np.allclose(out, 2.5)
 
     def test_unit_vectors_reproduce_each_mode(self):
         grid = GridSpec(points_per_axis=64)
-        n = diagonal_decay_noise(5)
+        family, h = FAMILIES[0]
         x = grid.nodes()
         u = 1.0 + 0.5 * np.sin(2 * np.pi * x)
-        for family in (n, term_by_term(n)):
-            pair = noise_pairing(family, grid)
-            for k in range(5):
-                coeffs = np.zeros(5)
-                coeffs[k] = 1.0
-                direct = n.coefficient_fns[k](x, u)
-                assert np.allclose(pair(u, coeffs), direct, atol=1e-14)
+        pair = noise_pairing(family, grid)
+        for k in range(1, family.truncation + 1):
+            coeffs = np.zeros(family.truncation)
+            coeffs[k - 1] = 1.0
+            assert np.allclose(pair(u, coeffs), h(k, x, u), atol=1e-14)
 
     def test_length_mismatch(self):
         grid = GridSpec(points_per_axis=16)
@@ -206,36 +216,30 @@ class TestNoiseEvaluation:
         rhs = a * pair(u.values, c1) + b * pair(u.values, c2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
 
-    @pytest.mark.parametrize("family", [
-        diagonal_decay_noise(5), additive_noise(5, offset=0.3), paired_harmonic_noise(3),
-    ])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_affine_tables(self, family):
+        family, h = family
         grid = GridSpec(points_per_axis=32)
-        a, b = noise_tables(family, grid)
+        a, b = noise_tables(family, grid.nodes())
         assert a.shape == (family.truncation, 32)
         x = grid.nodes()
         rng = np.random.default_rng(1)
         u = rng.standard_normal(32)
-        for k, h in enumerate(family.coefficient_fns):
-            assert np.allclose(a[k] + b[k] * u, h(x, u), atol=1e-14)
+        for k in range(1, family.truncation + 1):
+            assert np.allclose(a[k - 1] + b[k - 1] * u, h(k, x, u), atol=1e-14)
 
-    def test_table_and_loop_branches_agree_in_solves(self):
-        # the noise term of solve and the control drift of solve_skeleton both
-        # go through noise_pairing; either branch gives the same paths
-        grid = GridSpec(points_per_axis=32)
-        tables = basic_model(noise=diagonal_decay_noise(4))
-        loop = dataclasses.replace(tables, noise=term_by_term(tables.noise))
-        u0 = SpectralField(grid, 1.0 + 0.2 * np.sin(2 * np.pi * grid.nodes()))
-        noisy = SolverConfig(dt=1e-3, t_end=0.05, eps=1e-2)
-        paths = [solve(u0, m, noisy, WienerPath(3, 0, 4)).values_matrix()
-                 for m in (tables, loop)]
-        control = random_control(5, 4, 0.05, intervals=5)
-        quiet = SolverConfig(dt=1e-3, t_end=0.05)
-        skeletons = [solve_skeleton(u0, m, control, quiet).values_matrix()
-                     for m in (tables, loop)]
-        for a, b in (paths, skeletons):
-            assert not np.array_equal(a, a[0])
-            assert np.max(np.abs(a - b)) <= 1e-14
+    @pytest.mark.parametrize("n", [32, 1024])
+    @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f[0].name)
+    def test_tables_are_the_closures_bit_for_bit(self, family, n):
+        # A_k is h_k(x, 0) and B_k the exact factor of u, k^-q b for
+        # diagonal-decay; h_k(x, 1) - h_k(x, 0) rounds away from it
+        family, h = family
+        x = GridSpec(points_per_axis=n).nodes()
+        a, b = noise_tables(family, x)
+        for k in range(1, family.truncation + 1):
+            assert a[k - 1].tobytes() == h(k, x, 0.0).tobytes()
+            slope = float(k) ** -1.5 * 1.3 if family.name == "diagonal-decay" else 0.0
+            assert np.all(b[k - 1] == slope)
 
 
 class TestLinearize:
@@ -250,9 +254,9 @@ class TestLinearize:
         grid = GridSpec(points_per_axis=32)
         lin = linearize_model(basic_model(), state=1.0)
         x = grid.nodes()
-        base = basic_model().noise
-        for k, h in enumerate(lin.noise.coefficient_fns):
-            expected = base.coefficient_fns[k](x, np.ones_like(x))
-            # frozen coefficients ignore the state argument
-            assert np.allclose(h(x, 77.0 * np.ones_like(x)), expected, atol=1e-15)
-        assert lin.noise.affine_in_state
+        a, b = noise_tables(lin.noise, x)
+        # frozen coefficients ignore the state: h_k(x, 1) of diagonal decay
+        assert not np.any(b)
+        for k in range(1, 9):
+            expected = (1.0 / k) * (np.sin(2 * np.pi * k * x) + 1.0)
+            assert np.allclose(a[k - 1], expected, atol=1e-15)

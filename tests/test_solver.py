@@ -2,7 +2,6 @@
 batches, conservation and dissipation properties."""
 
 import csv
-import dataclasses
 
 import numpy as np
 import pytest
@@ -44,8 +43,8 @@ def unit_additive_noise():
     # single mode, h_1(x, u) = 1
     return NoiseSpec(
         truncation=1,
-        coefficient_fns=(lambda x, u: np.ones_like(np.asarray(x, dtype=float)),),
-        decay_exponent=1.0, growth_const=1.0, affine_in_state=True,
+        tables=lambda x: (np.ones((1, len(x))), np.zeros((1, len(x)))),
+        decay_exponent=1.0, growth_const=1.0,
     )
 
 
@@ -191,15 +190,13 @@ class TestBatch:
                          for m in range(len(self.STREAMS))])
 
     @pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
-    @pytest.mark.parametrize("branch", ["table", "loop"])
+    # a state-dependent family: both nodal tables of the pairing are nonzero
+    @pytest.mark.parametrize("noise", [pytest.param(diagonal_decay_noise(4), id="table")])
     # "mixed" drives the rows by controls of 4 and 6 intervals, so the
     # interval lookup runs for two groups of breakpoints
     @pytest.mark.parametrize("control", [False, True, "mixed"])
-    def test_rows_equal_single_paths(self, scheme, branch, control):
+    def test_rows_equal_single_paths(self, scheme, noise, control):
         grid = GridSpec(points_per_axis=32)
-        noise = diagonal_decay_noise(4)
-        if branch == "loop":
-            noise = dataclasses.replace(noise, affine_in_state=False)
         model = make_model(noise=noise)
         config = SolverConfig(dt=1e-3, t_end=0.05, eps=1e-2, eta=1e-3,
                               flux_scheme=scheme, snapshot_count=6)
