@@ -77,14 +77,6 @@ class Control:
     def at(self, t: float) -> np.ndarray:
         return self.coeffs[self.interval(t)]
 
-    def scaled(self, factor: float) -> "Control":
-        return Control(times=self.times.copy(), coeffs=factor * self.coeffs)
-
-    def superpose(self, other: "Control") -> "Control":
-        if not np.array_equal(self.times, other.times):
-            raise ConfigurationError("superposition needs matching breakpoints")
-        return Control(times=self.times.copy(), coeffs=self.coeffs + other.coeffs)
-
 
 def random_control(seed: int, truncation: int, t_end: float,
                    intervals: int = 8, amplitude: float = 1.0) -> Control:

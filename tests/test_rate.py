@@ -155,7 +155,8 @@ def test_verify_rate_bound_accepts_and_rejects():
     energy = verify_rate_bound(report.optimal_control, target, FLAT, T)
     assert energy == pytest.approx(report.value, rel=1e-10)
 
-    doubled = report.optimal_control.scaled(2.0)
+    optimal = report.optimal_control
+    doubled = Control(times=optimal.times, coeffs=2.0 * optimal.coeffs)
     assert doubled.energy == pytest.approx(4.0 * report.value, rel=1e-10)
     with pytest.raises(ValueError, match="residual"):
         verify_rate_bound(doubled, target, FLAT, T)

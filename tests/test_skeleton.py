@@ -65,9 +65,9 @@ class TestControl:
 
     def test_scaling_and_superposition(self):
         c = random_control(3, 4, 1.0)
-        d = c.scaled(2.0)
+        d = Control(times=c.times, coeffs=2.0 * c.coeffs)
         assert abs(d.energy - 4.0 * c.energy) < 1e-12 * max(1.0, c.energy)
-        s = c.superpose(c.scaled(-1.0))
+        s = Control(times=c.times, coeffs=c.coeffs + -1.0 * c.coeffs)
         assert s.energy == 0.0
 
     def test_csv_round_trip(self, tmp_path):
@@ -170,7 +170,8 @@ class TestSolveMdpSkeleton:
         b = random_control(2, 4, 0.2, intervals=4)
         za = solve_mdp_skeleton(a, model, config, grid)
         zb = solve_mdp_skeleton(b, model, config, grid)
-        zab = solve_mdp_skeleton(a.superpose(b), model, config, grid)
+        zab = solve_mdp_skeleton(Control(times=a.times, coeffs=a.coeffs + b.coeffs),
+                                 model, config, grid)
         lhs = zab.terminal.values
         rhs = za.terminal.values + zb.terminal.values
         scale = max(1.0, np.max(np.abs(rhs)))
@@ -182,7 +183,8 @@ class TestSolveMdpSkeleton:
         config = SolverConfig(dt=5e-4, t_end=0.2)
         c = random_control(7, 4, 0.2)
         z1 = solve_mdp_skeleton(c, model, config, grid)
-        z3 = solve_mdp_skeleton(c.scaled(3.0), model, config, grid)
+        z3 = solve_mdp_skeleton(Control(times=c.times, coeffs=3.0 * c.coeffs),
+                                model, config, grid)
         scale = max(1.0, np.max(np.abs(z3.terminal.values)))
         assert np.max(np.abs(z3.terminal.values - 3.0 * z1.terminal.values)) < 1e-10 * scale
 
