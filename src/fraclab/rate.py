@@ -232,11 +232,12 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
             return objectives(points, penalty)
 
         result = minimize(objective, x, args=(penalty,), method="L-BFGS-B",
+                          jac="3-point",
                           options={"maxiter": opts.maxiter, "gtol": opts.gradient_tol,
                                    "workers": workers})
         x = result.x
         iterations += int(result.nit)
-        success = bool(result.success) or success
+        success = bool(result.success) and success
         penalty *= opts.penalty_growth
 
     (control, _), (terminal, base) = simulate([x, np.zeros_like(x)])

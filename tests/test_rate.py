@@ -212,6 +212,33 @@ def test_iterative_matches_exact_on_linearized_model():
     assert report.value == pytest.approx(exact.value, rel=1e-2)
 
 
+def test_a_failed_round_clears_converged(monkeypatch):
+    T = 0.25
+    base = ModelSpec(burgers_clamped(4.0), linear_diffusion(0.5, 0.5),
+                     paired_harmonic_noise(pairs=2))
+    model = linearize_model(base, 1.0)
+    target = field_from_spectrum(
+        GRID, pair_target(GRID, {1: 0.08 - 0.05j}).spectrum
+        + np.fft.fft(np.ones(GRID.size)) / GRID.size)
+    opts = RateOptions(intervals=10, dt=1e-3, rounds=3, maxiter=100,
+                       flux_scheme="spectral")
+    start = constant_field(GRID, 1.0)
+    assert ldp_rate_iterative(target, start, model, T, opts).converged
+
+    results = []
+
+    def second_round_fails(*args, **kwargs):
+        results.append(minimize(*args, **kwargs))
+        if len(results) == 2:
+            results[-1].success = False
+        return results[-1]
+
+    monkeypatch.setattr(rate_module, "minimize", second_round_fails)
+    report = ldp_rate_iterative(target, start, model, T, opts)
+    assert len(results) == 3 and results[2].success
+    assert report.converged is False
+
+
 def test_batched_gradients_follow_the_serial_path(monkeypatch):
     # a nonlinear model: Rusanov fluxes of clamped Burgers about a sine
     model = ModelSpec(burgers_clamped(4.0), linear_diffusion(0.5, 0.5),
@@ -228,10 +255,10 @@ def test_batched_gradients_follow_the_serial_path(monkeypatch):
 
     calls = []
 
-    def serial(fun, x0, args, method, options):
+    def serial(fun, x0, args, method, jac, options):
         # the reference: scipy's default map evaluates one point at a time
         calls.append((fun, args, options.pop("workers")))
-        return minimize(fun, x0, args=args, method=method, options=options)
+        return minimize(fun, x0, args=args, method=method, jac=jac, options=options)
 
     monkeypatch.setattr(rate_module, "minimize", serial)
     reference = ldp_rate_iterative(target, u0, model, T, opts)
