@@ -638,8 +638,8 @@ def _experiment_driver(cfg: RunConfig, name: str) -> ExperimentReport:
     seed, workers = cfg.seed, cfg.workers
 
     if name == "contraction":
-        n_pairs = cfg.number("experiment.pairs", 10, int)
-        samples = cfg.number("experiment.samples", 500, int)
+        n_pairs = cfg.number("experiment.pairs", 10, int, minimum=1)
+        samples = cfg.number("experiment.samples", 500, int, minimum=100)
         eps = cfg.number("experiment.eps", 1e-2)
         pairs = [_smooth_pair(grid, seed, i) for i in range(n_pairs)]
         return contraction_experiment(recipe, pairs, eps, samples,
@@ -648,14 +648,14 @@ def _experiment_driver(cfg: RunConfig, name: str) -> ExperimentReport:
     if name == "clt":
         eps_grid = cfg.numbers("experiment.eps_grid", (1e-2, 1e-3, 1e-4))
         eta = cfg.number("experiment.eta", config.eta)
-        samples = cfg.number("experiment.samples", 200, int)
+        samples = cfg.number("experiment.samples", 200, int, minimum=100)
         modes = cfg.numbers("experiment.modes", (1, 2), int)
         return clt_experiment(recipe, eps_grid, eta, samples, u0=u0,
                               config=config, modes=modes,
                               seed=seed, workers=workers)
     if name == "mass-martingale":
         eps = cfg.number("experiment.eps", 1e-2)
-        samples = cfg.number("experiment.samples", 500, int)
+        samples = cfg.number("experiment.samples", 500, int, minimum=500)
         return mass_martingale_experiment(recipe, eps, samples, u0=u0,
                                           config=config, seed=seed,
                                           workers=workers)
@@ -667,8 +667,8 @@ def _experiment_driver(cfg: RunConfig, name: str) -> ExperimentReport:
                                          u0=u0, config=config)
     if name == "condition2":
         eps_grid = cfg.numbers("experiment.eps_grid", (1e-2, 1e-4, 1e-6))
-        samples = cfg.number("experiment.samples", 200, int)
-        count = cfg.number("experiment.controls", 4, int)
+        samples = cfg.number("experiment.samples", 200, int, minimum=1)
+        count = cfg.number("experiment.controls", 4, int, minimum=1)
         intervals = cfg.number("experiment.intervals", 8, int)
         amplitude = cfg.number("experiment.amplitude", 0.5)
         family = [random_control((seed + 1) * 1000 + i, model.noise.truncation,
@@ -683,7 +683,7 @@ def _experiment_driver(cfg: RunConfig, name: str) -> ExperimentReport:
     if name == "mdp":
         a = cfg.number("experiment.a", 0.25)
         eps_grid = cfg.numbers("experiment.eps_grid", (1e-2, 1e-3, 1e-4))
-        samples = cfg.number("experiment.samples", 200, int)
+        samples = cfg.number("experiment.samples", 200, int, minimum=1)
         modes = cfg.numbers("experiment.modes", (1,), int)
         return mdp_concentration_experiment(
             recipe, a, eps_grid, samples, u0=u0, config=config,

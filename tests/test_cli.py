@@ -414,6 +414,12 @@ def _case(key):
 @example(case=_case("experiment.samples"), bad="1e9x")
 @example(case=_case("model.noise.truncation"), bad="2.5")
 @example(case=_case("model.noise.pairs"), bad="2.5")
+# sample counts below each experiment's floor
+@example(case=_case("experiment.samples"), bad="99")
+@example(case=(("experiment", "clt"), (), "experiment.samples"), bad="8")
+@example(case=(("experiment", "mass-martingale"), (), "experiment.samples"), bad="499")
+@example(case=(("experiment", "condition2"), (), "experiment.samples"), bad="0")
+@example(case=(("experiment", "mdp"), (), "experiment.samples"), bad="0")
 def test_bad_numeric_value_exits_2_naming_key(tmp_path_factory, case, bad):
     command, extra, key = case
     root = tmp_path_factory.mktemp("numeric")
@@ -434,7 +440,8 @@ COUNT_KEYS = (
     [_case(key) for key in ("initial.mode", "control.intervals",
                             "rate.intervals", "rate.rounds", "rate.maxiter")]
     + [(("rate",), ("rate.method=iterative",), "rate.intervals")]
-    + [_case(key) for key in ("model.noise.truncation", "model.noise.pairs")])
+    + [_case(key) for key in ("model.noise.truncation", "model.noise.pairs")]
+    + [_case(key) for key in ("experiment.pairs", "experiment.controls")])
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
