@@ -79,8 +79,8 @@ class DiffusionSpec:
 class NoiseSpec:
     """Truncated noise family h_k(x, u) = A_k(x) + B_k(x) u, k = 1..K.
 
-    tables(x) returns the tables (A, B) at the points x, each of shape
-    (K, len(x)); noise_tables checks the shapes.
+    tables(x) returns the tables (A, B) at the points x, a float array,
+    each of shape (K, len(x)); noise_tables checks the shapes.
     """
 
     truncation: int
@@ -189,7 +189,6 @@ def diagonal_decay_noise(truncation: int = 16, q: float = 1.0,
     weights = _weights(truncation, q)
 
     def tables(x):
-        x = np.asarray(x, dtype=float)
         return (np.stack([w * (a * np.sin(2.0 * np.pi * k * x))
                           for k, w in enumerate(weights, 1)]),
                 np.stack([np.full_like(x, w * b) for w in weights]))
@@ -204,7 +203,6 @@ def additive_noise(truncation: int = 16, q: float = 1.0, offset: float = 0.0) ->
     weights = _weights(truncation, q)
 
     def tables(x):
-        x = np.asarray(x, dtype=float)
         a = np.stack([w * (np.cos(2.0 * np.pi * k * x) + offset)
                       for k, w in enumerate(weights, 1)])
         return a, np.zeros_like(a)
@@ -223,7 +221,6 @@ def paired_harmonic_noise(pairs: int = 8, q: float = 1.0) -> NoiseSpec:
     weights = _weights(pairs, q)
 
     def tables(x):
-        x = np.asarray(x, dtype=float)
         rows = []
         for m, w in enumerate(weights, 1):
             rows.append(w * np.cos(2.0 * np.pi * m * x))
@@ -319,6 +316,7 @@ def linearize_model(model: ModelSpec, state: float = 1.0) -> ModelSpec:
 def noise_tables(noise: NoiseSpec, x):
     """Tables (A, B) with h_k(x, u) = A_k(x) + B_k(x) u at the points x,
     each of shape (K, len(x))."""
+    x = np.asarray(x, dtype=float)
     a, b = noise.tables(x)
     shape = (noise.truncation, len(x))
     if a.shape != shape or b.shape != shape:
