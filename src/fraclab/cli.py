@@ -7,7 +7,8 @@ name; the hash is independent of key order, names the output directory, and
 is recorded in every artifact, so runs with different configs never
 overwrite each other.  Reruns with the same config and seed reproduce every
 artifact byte for byte; the only volatile datum is the ``created`` timestamp,
-isolated to a single manifest field.
+isolated to a single manifest field.  Every key present is checked once, at
+load, against one schema of kinds and admitted values (``_SCHEMA``).
 
 Exit codes: 0 all verdicts passed, 1 a verdict failed, 2 the config is
 invalid (messages carry the source line where possible), 3 the solution lost
@@ -47,7 +48,14 @@ from .fields import (
     field_from_csv,
     field_from_spectrum,
 )
-from .models import ConfigurationError, build_model, validate_model
+from .models import (
+    DIFFUSION_FAMILIES,
+    FLUX_FAMILIES,
+    NOISE_FAMILIES,
+    ConfigurationError,
+    build_model,
+    validate_model,
+)
 from .oracle import linearized_mode_arrays, star_variance_profile
 from .rate import RateOptions, ldp_rate_iterative, mdp_rate_exact
 from .rate import report_to_json as rate_report_to_json
@@ -74,28 +82,91 @@ COMMANDS = ("simulate", "skeleton", "oracle", "rate", "experiment")
 EXPERIMENTS = ("contraction", "clt", "mass-martingale", "regularization",
                "condition2", "mdp")
 
-_SECTIONS = ("model", "grid", "solver", "initial", "control", "experiment",
-             "rate", "seed")
-_SOLVER_KEYS = frozenset(SolverConfig.__dataclass_fields__)
-_COUNT_PARAMS = ("truncation", "pairs")
-# every key a run reads outside model.* and solver.*, whatever its command and
-# kind; model.* and solver.* keys are checked where they are built
-_KNOWN_KEYS = frozenset((
-    "seed", "grid.n",
-    "initial.kind", "initial.value", "initial.base", "initial.amplitude",
-    "initial.mode", "initial.phase", "initial.path",
-    "control.kind", "control.truncation", "control.intervals",
-    "control.amplitude", "control.seed", "control.path",
-    "experiment.pairs", "experiment.samples", "experiment.eps",
-    "experiment.tol", "experiment.eps_grid", "experiment.eta",
-    "experiment.modes", "experiment.which", "experiment.ladder",
-    "experiment.controls", "experiment.intervals", "experiment.amplitude",
-    "experiment.delta", "experiment.level_bound", "experiment.a",
-    "experiment.linear_check",
-    "rate.method", "rate.target.kind", "rate.target.mode", "rate.target.re",
-    "rate.target.im", "rate.target.path",
-    *(f"rate.{name}" for name in RateOptions.__dataclass_fields__),
-))
+
+@dataclass(frozen=True)
+class _Key:
+    """What a config key admits: values of one kind (float, int, str or
+    bool; a comma-separated list of them when many), optionally only the
+    given names, or only values passing bound = (test, description)."""
+
+    kind: type
+    names: tuple = ()
+    bound: tuple | None = None
+    many: bool = False
+
+
+_AT_LEAST_ZERO = (lambda v: v >= 0, "non-negative")
+_NUMBER, _NAME = _Key(float), _Key(str)
+_POSITIVE = _Key(float, bound=(lambda v: v > 0, "positive"))
+_NONNEG = _Key(float, bound=_AT_LEAST_ZERO)
+_COUNT = _Key(int, bound=(lambda v: v >= 1, "at least 1"))
+_SEED = _Key(int, bound=_AT_LEAST_ZERO)
+_KINDS = {"float": float, "int": int, "str": str}
+_MODEL_BLOCKS = ("flux", "diffusion", "noise")
+
+
+# every key a run reads, whatever its command: solver.<field> and
+# rate.<field> of their field's kind, with the rows below taking precedence;
+# a model.<block>.<param> key not listed is a number
+_SCHEMA = {
+    **{f"{section}.{name}": _Key(_KINDS[option.type])
+       for section, cls in (("solver", SolverConfig), ("rate", RateOptions))
+       for name, option in cls.__dataclass_fields__.items()},
+    "seed": _SEED, "grid.n": _Key(int),
+    "model.flux.kind": _Key(str, tuple(FLUX_FAMILIES)), "model.flux.clamp": _POSITIVE,
+    "model.diffusion.kind": _Key(str, tuple(DIFFUSION_FAMILIES)),
+    "model.diffusion.slope": _NONNEG,
+    "model.diffusion.theta": _Key(float, bound=(lambda v: 0 < v < 1, "in (0, 1)")),
+    "model.noise.kind": _Key(str, tuple(NOISE_FAMILIES)),
+    "model.noise.truncation": _COUNT, "model.noise.pairs": _COUNT,
+    "model.noise.q": _Key(float, bound=(lambda v: v > 0.5, "above 1/2")),
+    "initial.kind": _Key(str, ("constant", "harmonic", "csv")),
+    "initial.value": _NUMBER, "initial.base": _NUMBER, "initial.amplitude": _NUMBER,
+    "initial.mode": _COUNT, "initial.phase": _NUMBER, "initial.path": _NAME,
+    "control.kind": _Key(str, ("zero", "random", "csv")),
+    "control.truncation": _COUNT, "control.intervals": _COUNT,
+    "control.amplitude": _NUMBER, "control.seed": _SEED, "control.path": _NAME,
+    "experiment.pairs": _COUNT, "experiment.samples": _COUNT,
+    "experiment.eps": _NONNEG, "experiment.tol": _NONNEG, "experiment.eta": _NONNEG,
+    "experiment.eps_grid": _Key(float, bound=_AT_LEAST_ZERO, many=True),
+    "experiment.modes": _Key(int, many=True),
+    "experiment.which": _Key(str, ("eta", "gamma")),
+    "experiment.ladder": _Key(float, bound=_AT_LEAST_ZERO, many=True),
+    "experiment.controls": _COUNT, "experiment.intervals": _COUNT,
+    "experiment.amplitude": _NUMBER, "experiment.delta": _POSITIVE,
+    "experiment.level_bound": _NONNEG,
+    "experiment.a": _Key(float, bound=(lambda v: 0 < v < 0.5, "in (0, 1/2)")),
+    "experiment.linear_check": _Key(bool),
+    "rate.method": _Key(str, ("exact", "iterative")),
+    "rate.target.kind": _Key(str, ("harmonic", "csv")),
+    "rate.target.mode": _COUNT, "rate.target.re": _NUMBER, "rate.target.im": _NUMBER,
+    "rate.target.path": _NAME,
+    "rate.intervals": _COUNT, "rate.rounds": _COUNT, "rate.maxiter": _COUNT,
+    "rate.dt": _POSITIVE, "rate.flux_scheme": _Key(str, ("rusanov", "spectral")),
+    "rate.eta": _NONNEG, "rate.penalty": _POSITIVE, "rate.penalty_growth": _POSITIVE,
+    "rate.gradient_tol": _NONNEG, "rate.residual_target": _NONNEG,
+}
+_KIND_TEXT = {float: "a finite number", int: "an integer", str: "a name",
+              bool: "true or false"}
+
+
+def _key_schema(key: str) -> _Key | None:
+    parts = key.split(".")
+    if len(parts) == 3 and parts[0] == "model" and parts[1] in _MODEL_BLOCKS:
+        return _SCHEMA.get(key, _NUMBER)
+    return _SCHEMA.get(key)
+
+
+def _is_kind(value, kind: type) -> bool:
+    """Whether a parsed value is of a kind; a bool is never a number."""
+    if isinstance(value, bool) or kind in (str, bool):
+        return type(value) is kind
+    if kind is int:
+        return isinstance(value, int)
+    try:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -198,13 +269,17 @@ def config_hash(label: str, entries: dict) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully resolved run: command, flat config, seed, output location."""
+    """A fully resolved run: command, flat config, output location.
+
+    entries holds the parsed values, which the hash and config.txt list;
+    values holds them converted to their key's kind, which the run reads.
+    """
 
     command: str
     experiment: str | None
     entries: dict
     lines: dict = field(repr=False)
-    seed: int = 0
+    values: dict = field(default_factory=dict, repr=False)
     out: str = "runs"
     workers: int = 1
     source: str = "<config>"
@@ -219,6 +294,10 @@ class RunConfig:
     def hash(self) -> str:
         return config_hash(self.label, self.entries)
 
+    @property
+    def seed(self) -> int:
+        return self.values.get("seed", 0)
+
     def where(self, key: str, message: str) -> str:
         lineno = self.lines.get(key, 0)
         if lineno:
@@ -226,46 +305,37 @@ class RunConfig:
         return f"{self.source}: {key}: {message}"
 
     def get(self, key: str, default=None):
-        return self.entries.get(key, default)
+        return self.values.get(key, default)
 
     def require(self, key: str):
-        if key not in self.entries:
+        if key not in self.values:
             raise ConfigurationError(
                 f"{self.source}: missing required key {key!r}")
-        return self.entries[key]
+        return self.values[key]
 
-    def number(self, key: str, default=None, kind=float, minimum=None):
-        """The value at key as a finite kind, or default when key is absent.
 
-        kind=int admits integers only, kind=float integers and floats, and
-        a given minimum is the least value admitted.  Any other value, nan
-        and infinity among them, is a ConfigurationError naming the key.
-        """
-        if key not in self.entries:
-            return default
-        value = kind(self._checked(key, self.entries[key], kind))
-        if minimum is not None and value < minimum:
-            raise ConfigurationError(self.where(
-                key, f"must be at least {minimum}, got {value!r}"))
-        return value
-
-    def numbers(self, key: str, default: tuple, kind=float) -> tuple:
-        """number for a comma-separated list; a single value is a list of one."""
-        value = self.entries.get(key, default)
-        items = value if isinstance(value, tuple) else (value,)
-        return tuple(kind(self._checked(key, item, kind)) for item in items)
-
-    def _checked(self, key: str, value, kind):
-        kinds = (int, np.integer) if kind is int else (int, float, np.integer, np.floating)
-        try:
-            finite = math.isfinite(value)
-        except (TypeError, OverflowError):
-            finite = False
-        if isinstance(value, bool) or not isinstance(value, kinds) or not finite:
-            describe = "integer" if kind is int else "number"
-            raise ConfigurationError(self.where(
-                key, f"expected a finite {describe}, got {value!r}"))
-        return value
+def _converted(cfg: RunConfig, key: str, value):
+    """value converted to key's kind; a ConfigurationError naming the key if
+    the key is unknown or value is not of its kind or not admitted."""
+    schema = _key_schema(key)
+    if schema is None:
+        raise ConfigurationError(cfg.where(key, "unknown config key"))
+    many = isinstance(value, tuple)
+    items = value if many else (value,)
+    if (many and not schema.many) or not items or not all(
+            _is_kind(item, schema.kind) for item in items):
+        expected = _KIND_TEXT[schema.kind] + (
+            " or a comma-separated list of them" if schema.many else "")
+        raise ConfigurationError(cfg.where(key, f"expected {expected}, got {value!r}"))
+    for item in items:
+        if schema.names and item not in schema.names:
+            raise ConfigurationError(cfg.where(
+                key, f"must be one of {', '.join(schema.names)}, got {item!r}"))
+        if schema.bound and not schema.bound[0](item):
+            raise ConfigurationError(cfg.where(
+                key, f"must be {schema.bound[1]}, got {item!r}"))
+    items = tuple(schema.kind(item) for item in items)
+    return items if schema.many else items[0]
 
 
 _REQUIRED_KEYS = ("model.flux.kind", "model.diffusion.kind",
@@ -276,7 +346,7 @@ _REQUIRED_KEYS = ("model.flux.kind", "model.diffusion.kind",
 def load_run_config(command: str, experiment: str | None, text: str,
                     source: str = "<config>", seed=None, out=None,
                     workers=None, overrides=()) -> RunConfig:
-    """Parse, apply overrides, and validate the key schema for a command."""
+    """Parse, apply overrides, and check every key against the schema."""
     entries_lines = parse_config_text(text, source)
     for item in overrides:
         if "=" not in item:
@@ -286,36 +356,17 @@ def load_run_config(command: str, experiment: str | None, text: str,
         entries_lines[key.strip()] = (_parse_scalar(rest), 0)
     if seed is not None:
         entries_lines["seed"] = (int(seed), 0)
-    entries = {key: value for key, (value, _) in entries_lines.items()}
-    lines = {key: lineno for key, (_, lineno) in entries_lines.items()}
-
-    for key in entries:
-        section = key.split(".", 1)[0]
-        lineno = lines.get(key, 0)
-        at = f" line {lineno}" if lineno else ""
-        if section not in _SECTIONS:
-            raise ConfigurationError(
-                f"{source}{at}: unknown config section {section!r} in key {key!r}")
-        if section not in ("model", "solver") and key not in _KNOWN_KEYS:
-            raise ConfigurationError(f"{source}{at}: {key}: unknown config key")
-    if "seed" in entries:
-        if (isinstance(entries["seed"], bool)
-                or not isinstance(entries["seed"], (int, np.integer))):
-            raise ConfigurationError(f"{source}: seed must be an integer")
-        if entries["seed"] < 0:
-            raise ConfigurationError(f"{source}: seed must be non-negative")
-
-    for key in _REQUIRED_KEYS:
-        if key not in entries:
-            raise ConfigurationError(
-                f"{source}: missing required key {key!r}")
-
-    run_seed = int(entries.get("seed", 0))
     if workers is None:
         workers = os.cpu_count() or 1
-    cfg = RunConfig(command=command, experiment=experiment, entries=entries,
-                    lines=lines, seed=run_seed, out=out or "runs",
-                    workers=int(workers), source=source)
+    cfg = RunConfig(
+        command=command, experiment=experiment,
+        entries={key: value for key, (value, _) in entries_lines.items()},
+        lines={key: lineno for key, (_, lineno) in entries_lines.items()},
+        out=out or "runs", workers=int(workers), source=source)
+    for key, value in cfg.entries.items():
+        cfg.values[key] = _converted(cfg, key, value)
+    for key in _REQUIRED_KEYS:
+        cfg.require(key)
     _build_solver_config(cfg)  # surface solver key errors before any work
     return cfg
 
@@ -325,55 +376,35 @@ def load_run_config(command: str, experiment: str | None, text: str,
 
 
 def _build_grid(cfg: RunConfig) -> GridSpec:
-    n = cfg.number("grid.n", kind=int)
     try:
-        return GridSpec(n)
+        return GridSpec(cfg.get("grid.n"))
     except ValueError as exc:
         raise ConfigurationError(cfg.where("grid.n", str(exc))) from exc
 
 
 def _build_solver_config(cfg: RunConfig) -> SolverConfig:
-    kwargs = {}
-    for key, value in cfg.entries.items():
-        if not key.startswith("solver."):
-            continue
-        name = key[len("solver."):]
-        if name not in _SOLVER_KEYS:
-            raise ConfigurationError(cfg.where(key, "unknown solver option"))
-        if name == "flux_scheme":
-            if not isinstance(value, str):
-                raise ConfigurationError(cfg.where(key, f"expected a name, got {value!r}"))
-        else:
-            value = cfg.number(key, kind=int if name == "snapshot_count" else float)
-        kwargs[name] = value
     try:
-        return SolverConfig(**kwargs)
+        return SolverConfig(**{key[len("solver."):]: value
+                               for key, value in cfg.values.items()
+                               if key.startswith("solver.")})
     except ConfigurationError as exc:
-        raise ConfigurationError(f"{cfg.source}: solver: {exc}") from exc
+        # SolverConfig's messages lead with the field name
+        name, _, message = str(exc).partition(": ")
+        raise ConfigurationError(cfg.where(f"solver.{name}", message)) from exc
 
 
 def _build_recipe(cfg: RunConfig) -> dict:
-    recipe: dict = {"flux": {}, "diffusion": {}, "noise": {}}
-    for key, value in cfg.entries.items():
-        if not key.startswith("model."):
-            continue
-        parts = key.split(".")
-        if len(parts) != 3 or parts[1] not in recipe:
-            raise ConfigurationError(cfg.where(key, "unrecognized model key"))
-        # every family parameter but the kind is numeric; mode counts are
-        # integers of at least one
-        if parts[2] in _COUNT_PARAMS:
-            value = cfg.number(key, kind=int, minimum=1)
-        elif parts[2] != "kind":
-            value = cfg._checked(key, value, float)
-        recipe[parts[1]][parts[2]] = value
+    recipe: dict = {block: {} for block in _MODEL_BLOCKS}
+    for key, value in cfg.values.items():
+        if key.startswith("model."):
+            _, block, param = key.split(".")
+            recipe[block][param] = value
     return recipe
 
 
 def _build_model(cfg: RunConfig):
-    recipe = _build_recipe(cfg)
     try:
-        return build_model(recipe)
+        return build_model(_build_recipe(cfg))
     except ConfigurationError as exc:
         raise ConfigurationError(f"{cfg.source}: model: {exc}") from exc
 
@@ -381,64 +412,57 @@ def _build_model(cfg: RunConfig):
 def _build_initial(cfg: RunConfig, grid: GridSpec):
     kind = cfg.get("initial.kind", "constant")
     if kind == "constant":
-        return constant_field(grid, cfg.number("initial.value", 1.0))
+        return constant_field(grid, cfg.get("initial.value", 1.0))
     if kind == "harmonic":
-        base = cfg.number("initial.base", 1.0)
-        amplitude = cfg.number("initial.amplitude", 0.1)
-        mode = cfg.number("initial.mode", 1, int, minimum=1)
-        phase = cfg.number("initial.phase", 0.0)
+        base = cfg.get("initial.base", 1.0)
+        amplitude = cfg.get("initial.amplitude", 0.1)
+        mode = cfg.get("initial.mode", 1)
+        phase = cfg.get("initial.phase", 0.0)
         x = grid.nodes()
         values = base + amplitude * np.sin(2.0 * np.pi * mode * x + phase)
         return SpectralField(grid, values)
-    if kind == "csv":
-        path = cfg.require("initial.path")
-        u0 = field_from_csv(path)
-        if u0.grid != grid:
-            raise ConfigurationError(cfg.where(
-                "initial.path",
-                f"field has {u0.grid.points_per_axis} nodes, grid.n is "
-                f"{grid.points_per_axis}"))
-        return u0
-    raise ConfigurationError(cfg.where("initial.kind", f"unknown kind {kind!r}"))
+    u0 = field_from_csv(cfg.require("initial.path"))
+    if u0.grid != grid:
+        raise ConfigurationError(cfg.where(
+            "initial.path",
+            f"field has {u0.grid.points_per_axis} nodes, grid.n is "
+            f"{grid.points_per_axis}"))
+    return u0
 
 
 def _build_control(cfg: RunConfig, model, config: SolverConfig):
-    if not any(key.startswith("control.") for key in cfg.entries):
+    if not any(key.startswith("control.") for key in cfg.values):
         return None
     kind = cfg.get("control.kind", "random")
-    if kind == "zero":
-        truncation = cfg.number("control.truncation", model.noise.truncation, int)
-        times = np.array([0.0, config.t_end])
-        return Control(times=times, coeffs=np.zeros((1, truncation)))
-    if kind == "random":
-        truncation = cfg.number("control.truncation", model.noise.truncation, int)
-        intervals = cfg.number("control.intervals", 8, int, minimum=1)
-        amplitude = cfg.number("control.amplitude", 1.0)
-        seed = cfg.number("control.seed", cfg.seed, int)
-        return random_control(seed, truncation, config.t_end,
-                              intervals=intervals, amplitude=amplitude)
     if kind == "csv":
         return control_from_csv(cfg.require("control.path"))
-    raise ConfigurationError(cfg.where("control.kind", f"unknown kind {kind!r}"))
+    truncation = cfg.get("control.truncation", model.noise.truncation)
+    if truncation != model.noise.truncation:
+        raise ConfigurationError(cfg.where(
+            "control.truncation", f"must equal the noise truncation "
+            f"{model.noise.truncation}, got {truncation}"))
+    if kind == "zero":
+        times = np.array([0.0, config.t_end])
+        return Control(times=times, coeffs=np.zeros((1, truncation)))
+    return random_control(cfg.get("control.seed", cfg.seed), truncation,
+                          config.t_end, intervals=cfg.get("control.intervals", 8),
+                          amplitude=cfg.get("control.amplitude", 1.0))
 
 
 def _build_target(cfg: RunConfig, grid: GridSpec):
-    kind = cfg.get("rate.target.kind", "harmonic")
-    if kind == "harmonic":
-        mode = cfg.number("rate.target.mode", 1, int)
-        re = cfg.number("rate.target.re", 0.1)
-        im = cfg.number("rate.target.im", 0.0)
-        n = grid.points_per_axis
-        if not 0 < mode < n // 2:
-            raise ConfigurationError(cfg.where(
-                "rate.target.mode", f"mode must lie in 1..{n // 2 - 1}"))
-        spectrum = np.zeros(n, dtype=complex)
-        spectrum[mode] = re + 1j * im
-        spectrum[-mode] = re - 1j * im
-        return field_from_spectrum(grid, spectrum)
-    if kind == "csv":
+    if cfg.get("rate.target.kind", "harmonic") == "csv":
         return field_from_csv(cfg.require("rate.target.path"), grid)
-    raise ConfigurationError(cfg.where("rate.target.kind", f"unknown kind {kind!r}"))
+    mode = cfg.get("rate.target.mode", 1)
+    re = cfg.get("rate.target.re", 0.1)
+    im = cfg.get("rate.target.im", 0.0)
+    n = grid.points_per_axis
+    if mode >= n // 2:
+        raise ConfigurationError(cfg.where(
+            "rate.target.mode", f"mode must lie in 1..{n // 2 - 1}"))
+    spectrum = np.zeros(n, dtype=complex)
+    spectrum[mode] = re + 1j * im
+    spectrum[-mode] = re - 1j * im
+    return field_from_spectrum(grid, spectrum)
 
 
 def _prepared(cfg: RunConfig):
@@ -466,11 +490,14 @@ def _prepared(cfg: RunConfig):
 def _write_run(cfg: RunConfig, artifacts: dict, passed: bool, extra: dict) -> str:
     """Write artifacts plus manifest.json under out/<label>-<hash>/.
 
-    artifacts maps file name -> callable(path); ``created`` is the single
-    volatile manifest field.
+    artifacts maps file name -> callable(path), and the canonical config
+    listing is added as config.txt; ``created`` is the single volatile
+    manifest field.
     """
     run_dir = os.path.join(cfg.out, f"{cfg.label}-{cfg.hash}")
     os.makedirs(run_dir, exist_ok=True)
+    artifacts = dict(artifacts)
+    artifacts["config.txt"] = _text_artifact(_listing(cfg.label, cfg.entries) + "\n")
     names = []
     for name in sorted(artifacts):
         artifacts[name](os.path.join(run_dir, name))
@@ -492,10 +519,6 @@ def _write_run(cfg: RunConfig, artifacts: dict, passed: bool, extra: dict) -> st
     return run_dir
 
 
-def _config_artifact(cfg: RunConfig):
-    return _text_artifact(_listing(cfg.label, cfg.entries) + "\n")
-
-
 def _text_artifact(text: str):
     def write(path):
         with open(path, "w") as fh:
@@ -512,10 +535,7 @@ def _run_simulate(cfg: RunConfig):
     u0 = _build_initial(cfg, grid)
     path = WienerPath(cfg.seed, 0, model.noise.truncation) if config.eps > 0.0 else None
     traj = solve(u0, model, config, path)
-    artifacts = {
-        "trajectory.csv": lambda p: trajectory_to_csv(traj, p),
-        "config.txt": _config_artifact(cfg),
-    }
+    artifacts = {"trajectory.csv": lambda p: trajectory_to_csv(traj, p)}
     terminal = traj.terminal.values
     lines = [f"PASS simulate: {len(traj.times)} snapshots to t={config.t_end:g}, "
              f"terminal mean {float(np.mean(terminal)):.6g}"]
@@ -535,10 +555,7 @@ def _run_skeleton(cfg: RunConfig):
         traj = solve(u0, model, config)
     else:
         traj = solve_skeleton(u0, model, control, config)
-    artifacts = {
-        "trajectory.csv": lambda p: trajectory_to_csv(traj, p),
-        "config.txt": _config_artifact(cfg),
-    }
+    artifacts = {"trajectory.csv": lambda p: trajectory_to_csv(traj, p)}
     if control is not None:
         artifacts["control.csv"] = lambda p: control_to_csv(control, p)
     lines = [f"PASS skeleton: {len(traj.times)} snapshots to t={config.t_end:g}, "
@@ -560,7 +577,7 @@ def _run_oracle(cfg: RunConfig):
                 fh.write(f"{int(ks[i])},{float(mu[i].real)!r},{float(mu[i].imag)!r},"
                          f"{float(weight_sq[i])!r},{float(variance[i])!r}\n")
 
-    artifacts = {"modes.csv": write_modes, "config.txt": _config_artifact(cfg)}
+    artifacts = {"modes.csv": write_modes}
     lines = [f"PASS oracle: {len(ks)} modes at t={config.t_end:g}, "
              f"max variance {float(np.max(variance)):.6g}"]
     return True, lines, artifacts, {"max_star_variance": float(np.max(variance))}
@@ -570,36 +587,21 @@ def _run_rate(cfg: RunConfig):
     model, grid, config = _prepared(cfg)
     target = _build_target(cfg, grid)
     method = cfg.get("rate.method", "exact")
-    eta = cfg.number("rate.eta", config.eta)
+    eta = cfg.get("rate.eta", config.eta)
     if method == "exact":
-        intervals = cfg.number("rate.intervals", 64, int, minimum=1)
         report = mdp_rate_exact(target, model, config.t_end, eta=eta,
-                                control_intervals=intervals)
-    elif method == "iterative":
-        u0 = _build_initial(cfg, grid)
-        opt_kwargs = {"eta": eta}
-        for name, option in RateOptions.__dataclass_fields__.items():
-            key = f"rate.{name}"
-            if key not in cfg.entries:
-                continue
-            if isinstance(option.default, str):
-                opt_kwargs[name] = cfg.entries[key]
-            else:
-                count = name in ("intervals", "rounds", "maxiter")
-                opt_kwargs[name] = cfg.number(key, kind=type(option.default),
-                                              minimum=1 if count else None)
-        opts = RateOptions(**opt_kwargs)
-        report = ldp_rate_iterative(target, u0, model, config.t_end, opts)
+                                control_intervals=cfg.get("rate.intervals", 64))
     else:
-        raise ConfigurationError(cfg.where(
-            "rate.method", f"unknown method {method!r}"))
+        options = {name: cfg.get(f"rate.{name}", option.default)
+                   for name, option in RateOptions.__dataclass_fields__.items()}
+        options["eta"] = eta
+        report = ldp_rate_iterative(target, _build_initial(cfg, grid), model,
+                                    config.t_end, RateOptions(**options))
 
     control_name = "control.csv" if report.optimal_control is not None else None
     artifacts = {
         "report.json": _text_artifact(
-            rate_report_to_json(report, control_name) + "\n"),
-        "config.txt": _config_artifact(cfg),
-    }
+            rate_report_to_json(report, control_name) + "\n")}
     if report.optimal_control is not None:
         artifacts["control.csv"] = (
             lambda p: control_to_csv(report.optimal_control, p))
@@ -637,58 +639,51 @@ def _experiment_driver(cfg: RunConfig, name: str) -> ExperimentReport:
     recipe = _build_recipe(cfg)
     seed, workers = cfg.seed, cfg.workers
 
+    samples = cfg.get("experiment.samples",
+                      500 if name in ("contraction", "mass-martingale") else 200)
+    floor = {"contraction": 100, "clt": 100, "mass-martingale": 500}.get(name, 1)
+    if samples < floor:
+        raise ConfigurationError(cfg.where("experiment.samples",
+                                           f"must be at least {floor}, got {samples}"))
     if name == "contraction":
-        n_pairs = cfg.number("experiment.pairs", 10, int, minimum=1)
-        samples = cfg.number("experiment.samples", 500, int, minimum=100)
-        eps = cfg.number("experiment.eps", 1e-2)
-        pairs = [_smooth_pair(grid, seed, i) for i in range(n_pairs)]
-        return contraction_experiment(recipe, pairs, eps, samples,
-                                      config=config, seed=seed, workers=workers,
-                                      tol=cfg.number("experiment.tol", 1e-2))
+        pairs = [_smooth_pair(grid, seed, i)
+                 for i in range(cfg.get("experiment.pairs", 10))]
+        return contraction_experiment(
+            recipe, pairs, cfg.get("experiment.eps", 1e-2), samples,
+            config=config, seed=seed, workers=workers,
+            tol=cfg.get("experiment.tol", 1e-2))
     if name == "clt":
-        eps_grid = cfg.numbers("experiment.eps_grid", (1e-2, 1e-3, 1e-4))
-        eta = cfg.number("experiment.eta", config.eta)
-        samples = cfg.number("experiment.samples", 200, int, minimum=100)
-        modes = cfg.numbers("experiment.modes", (1, 2), int)
-        return clt_experiment(recipe, eps_grid, eta, samples, u0=u0,
-                              config=config, modes=modes,
-                              seed=seed, workers=workers)
+        return clt_experiment(
+            recipe, cfg.get("experiment.eps_grid", (1e-2, 1e-3, 1e-4)),
+            cfg.get("experiment.eta", config.eta), samples, u0=u0, config=config,
+            modes=cfg.get("experiment.modes", (1, 2)), seed=seed, workers=workers)
     if name == "mass-martingale":
-        eps = cfg.number("experiment.eps", 1e-2)
-        samples = cfg.number("experiment.samples", 500, int, minimum=500)
-        return mass_martingale_experiment(recipe, eps, samples, u0=u0,
-                                          config=config, seed=seed,
-                                          workers=workers)
+        return mass_martingale_experiment(
+            recipe, cfg.get("experiment.eps", 1e-2), samples, u0=u0,
+            config=config, seed=seed, workers=workers)
     if name == "regularization":
-        which = cfg.get("experiment.which", "eta")
-        ladder = cfg.numbers("experiment.ladder", (1e-2, 1e-3, 1e-4, 1e-5))
-        control = _build_control(cfg, model, config)
-        return regularization_experiment(recipe, control, ladder, which=which,
-                                         u0=u0, config=config)
+        return regularization_experiment(
+            recipe, _build_control(cfg, model, config),
+            cfg.get("experiment.ladder", (1e-2, 1e-3, 1e-4, 1e-5)),
+            which=cfg.get("experiment.which", "eta"), u0=u0, config=config)
     if name == "condition2":
-        eps_grid = cfg.numbers("experiment.eps_grid", (1e-2, 1e-4, 1e-6))
-        samples = cfg.number("experiment.samples", 200, int, minimum=1)
-        count = cfg.number("experiment.controls", 4, int, minimum=1)
-        intervals = cfg.number("experiment.intervals", 8, int)
-        amplitude = cfg.number("experiment.amplitude", 0.5)
         family = [random_control((seed + 1) * 1000 + i, model.noise.truncation,
-                                 config.t_end, intervals=intervals,
-                                 amplitude=amplitude)
-                  for i in range(count)]
+                                 config.t_end,
+                                 intervals=cfg.get("experiment.intervals", 8),
+                                 amplitude=cfg.get("experiment.amplitude", 0.5))
+                  for i in range(cfg.get("experiment.controls", 4))]
         return condition2_coupling_experiment(
-            recipe, family, eps_grid, samples, u0=u0,
-            delta=cfg.number("experiment.delta"),
-            level_bound=cfg.number("experiment.level_bound"),
+            recipe, family, cfg.get("experiment.eps_grid", (1e-2, 1e-4, 1e-6)),
+            samples, u0=u0, delta=cfg.get("experiment.delta"),
+            level_bound=cfg.get("experiment.level_bound"),
             config=config, seed=seed, workers=workers)
     if name == "mdp":
-        a = cfg.number("experiment.a", 0.25)
-        eps_grid = cfg.numbers("experiment.eps_grid", (1e-2, 1e-3, 1e-4))
-        samples = cfg.number("experiment.samples", 200, int, minimum=1)
-        modes = cfg.numbers("experiment.modes", (1,), int)
         return mdp_concentration_experiment(
-            recipe, a, eps_grid, samples, u0=u0, config=config,
-            linear_check=bool(cfg.get("experiment.linear_check", False)),
-            modes=modes, seed=seed, workers=workers)
+            recipe, cfg.get("experiment.a", 0.25),
+            cfg.get("experiment.eps_grid", (1e-2, 1e-3, 1e-4)), samples,
+            u0=u0, config=config,
+            linear_check=cfg.get("experiment.linear_check", False),
+            modes=cfg.get("experiment.modes", (1,)), seed=seed, workers=workers)
     raise ConfigurationError(
         f"unknown experiment {name!r}; expected one of {', '.join(EXPERIMENTS)}")
 
@@ -705,7 +700,6 @@ def _run_experiment(cfg: RunConfig):
     artifacts = {
         "report.json": _text_artifact(report_to_json(report) + "\n"),
         "cells.csv": lambda p: report_to_csv(report, p),
-        "config.txt": _config_artifact(cfg),
     }
     extra = {"experiment_name": report.name, "cells": len(report.cells)}
     return report.passed, lines, artifacts, extra
@@ -731,7 +725,7 @@ def run(cfg: RunConfig) -> tuple[bool, list, str]:
 # entry point
 
 
-def _parse_args(argv):
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fraclab",
         description="Simulate stochastic conservation laws on the torus and "
@@ -750,11 +744,16 @@ def _parse_args(argv):
                        help="process pool size (default: logical cores)")
         p.add_argument("--override", action="append", default=[],
                        metavar="KEY=VALUE", help="set a config key")
-    return parser.parse_args(argv)
+    return parser
+
+
+# built once: a parser per call of main is cyclic garbage, and when the
+# collector frees it sets the peak memory of repeated in-process calls
+_PARSER = _parser()
 
 
 def main(argv=None) -> int:
-    args = _parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.config) as fh:
             text = fh.read()

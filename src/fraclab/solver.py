@@ -58,23 +58,22 @@ class SolverConfig:
     snapshot_count: int = 64
 
     def __post_init__(self):
+        # each message leads with the field name: the CLI names solver.<field>
         for name in ("dt", "t_end", "eta", "gamma", "eps", "lambda_eps", "cfl_safety"):
             if not math.isfinite(getattr(self, name)):
-                raise ConfigurationError(f"{name} must be finite")
-        if self.dt <= 0.0:
-            raise ConfigurationError("dt must be positive")
-        if self.t_end <= 0.0:
-            raise ConfigurationError("t_end must be positive")
-        if self.eta < 0.0 or self.gamma < 0.0 or self.eps < 0.0:
-            raise ConfigurationError("eta, gamma, eps must be nonnegative")
-        if self.lambda_eps <= 0.0:
-            raise ConfigurationError("lambda_eps must be positive")
+                raise ConfigurationError(f"{name}: must be finite")
+        for name in ("dt", "t_end", "lambda_eps"):
+            if getattr(self, name) <= 0.0:
+                raise ConfigurationError(f"{name}: must be positive")
+        for name in ("eta", "gamma", "eps"):
+            if getattr(self, name) < 0.0:
+                raise ConfigurationError(f"{name}: must be nonnegative")
         if self.flux_scheme not in ("rusanov", "spectral"):
-            raise ConfigurationError(f"unknown flux scheme {self.flux_scheme!r}")
+            raise ConfigurationError(f"flux_scheme: unknown flux scheme {self.flux_scheme!r}")
         if not 0.0 < self.cfl_safety <= 1.0:
-            raise ConfigurationError("cfl_safety must lie in (0, 1]")
+            raise ConfigurationError("cfl_safety: must lie in (0, 1]")
         if self.snapshot_count < 2:
-            raise ConfigurationError("need at least two snapshots")
+            raise ConfigurationError("snapshot_count: need at least two snapshots")
 
     @property
     def noise_scale(self) -> float:

@@ -2,6 +2,7 @@
 layout, and exit codes."""
 
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -16,7 +17,12 @@ from hypothesis import example, given, settings, strategies as st
 import fraclab.cli as cli_module
 import fraclab.rate as rate_module
 from fraclab.cli import config_hash, load_run_config, main, parse_config_text
-from fraclab.models import ConfigurationError
+from fraclab.models import (
+    DIFFUSION_FAMILIES,
+    FLUX_FAMILIES,
+    NOISE_FAMILIES,
+    ConfigurationError,
+)
 
 BASE = """\
 # minimal noise-off run
@@ -565,3 +571,111 @@ def test_iterative_rate_calls_the_module_level_minimize(tmp_path, monkeypatch):
         code = main(["rate", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code in (0, 1)
     assert calls == ["L-BFGS-B", "L-BFGS-B"]
+
+
+# a value outside its key's kind or admitted values, with the command (and
+# settings) under which a run would read the key
+OUT_OF_SCHEMA = (
+    (("experiment", "condition2"), (), "experiment.intervals=-2"),
+    (("experiment", "condition2"), (), "experiment.intervals=0"),
+    (("skeleton",), ("control.kind=random",), "control.seed=-1"),
+    (("skeleton",), ("control.kind=random",), "control.truncation=3"),
+    (("rate",), (), "rate.eta=-1"),
+    (("experiment", "mdp"), (), "experiment.linear_check=yes"),
+    (("simulate",), (), "model.diffusion.theta=1.5"),
+    (("simulate",), (), "model.noise.q=-1"),
+    (("simulate",), (), "model.flux.clamp=-1"),
+    (("experiment", "regularization"), (), "experiment.which=foo"),
+    (("experiment", "mdp"), (), "experiment.a=0.7"),
+    (("experiment", "condition2"), (), "experiment.level_bound=-1"),
+    (("experiment", "contraction"), (), "experiment.eps=-1"),
+    (("experiment", "clt"), (), "experiment.eta=-1"),
+    (("rate",), ("rate.method=iterative",), "rate.dt=-1"),
+    (("rate",), ("rate.method=iterative",), "rate.flux_scheme=weno"),
+    (("simulate",), (), "solver.dt=-1"),
+)
+
+
+def _exit_and_error(tmp_path, command, overrides):
+    cfg = write(tmp_path, BASE)
+    argv = [*command, "--config", cfg, "--out", str(tmp_path / "out"),
+            "--workers", "1"]
+    for item in overrides:
+        argv += ["--override", item]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("case", OUT_OF_SCHEMA, ids=lambda case: case[2])
+def test_out_of_schema_value_exits_2_naming_key(tmp_path, case):
+    command, extra, item = case
+    code, err = _exit_and_error(tmp_path, command, (*extra, item))
+    key = item.split("=")[0]
+    assert code == 2
+    assert f"{key}: " in err
+
+
+def _off_kind(key):
+    """Override texts of values outside the kind or admitted values of key."""
+    schema = cli_module._SCHEMA[key]
+    letters = st.text(string.ascii_letters, min_size=1, max_size=8)
+    numbers = st.one_of(st.integers(-10**6, 10**6).map(str),
+                        st.floats(-1e6, 1e6).map(repr))
+    if schema.kind is str:
+        return st.one_of(numbers, st.sampled_from(["true", "false"]),
+                         letters.filter(lambda text: text not in schema.names)
+                         if schema.names else st.nothing())
+    if schema.kind is bool:
+        return st.one_of(numbers, letters.filter(
+            lambda text: text.lower() not in ("true", "false")))
+    bad = [st.sampled_from(["nan", "inf", "-inf", "true", "", "1e9x"]), letters]
+    if schema.kind is int:
+        bad.append(st.floats(-1e6, 1e6).filter(lambda v: v != int(v)).map(repr))
+    if not schema.many:
+        bad.append(st.just("1,2"))
+    if schema.bound is not None:
+        values = (st.integers(-10**6, 10**6) if schema.kind is int
+                  else st.floats(-1e6, 1e6))
+        bad.append(values.filter(lambda v: not schema.bound[0](v)).map(repr))
+    return st.one_of(*bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_value_outside_the_schema_exits_2_naming_key(tmp_path_factory, data):
+    key = data.draw(st.sampled_from(sorted(cli_module._SCHEMA)), label="key")
+    text = data.draw(_off_kind(key), label="text")
+    code, err = _exit_and_error(tmp_path_factory.mktemp("schema"), ("simulate",),
+                                (f"{key}={text}",))
+    assert code == 2
+    assert f"{key}: " in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_mass_martingale_passes_when_the_noise_moves_no_mass(tmp_path, workers):
+    # paired-harmonic modes have zero spatial mean: the drift is rounding
+    text = base_with(**{"model.noise.kind": "paired-harmonic"}).replace(
+        "model.noise.truncation = 6", "model.noise.pairs = 3")
+    cfg = write(tmp_path, text + "experiment.samples = 500\n")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = main(["experiment", "mass-martingale", "--config", cfg,
+                     "--out", str(tmp_path / "out"), "--workers", workers])
+    assert code == 0, out.getvalue()
+
+
+def test_readme_key_table_lists_the_schema_keys():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "README.md")
+    with open(readme) as fh:
+        listed = [line.split("`")[1] for line in fh if line.startswith("| `")]
+    model_params = {
+        f"model.{block}.{name}"
+        for block, families in (("flux", FLUX_FAMILIES),
+                                ("diffusion", DIFFUSION_FAMILIES),
+                                ("noise", NOISE_FAMILIES))
+        for factory in families.values()
+        for name in inspect.signature(factory).parameters}
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(cli_module._SCHEMA) | model_params
