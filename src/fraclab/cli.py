@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -64,7 +65,6 @@ from .skeleton import (
     control_from_csv,
     control_to_csv,
     random_control,
-    solve_skeleton,
 )
 from .solver import (
     DivergenceError,
@@ -102,12 +102,14 @@ _NONNEG = _Key(float, bound=_AT_LEAST_ZERO)
 _COUNT = _Key(int, bound=(lambda v: v >= 1, "at least 1"))
 _SEED = _Key(int, bound=_AT_LEAST_ZERO)
 _KINDS = {"float": float, "int": int, "str": str}
-_MODEL_BLOCKS = ("flux", "diffusion", "noise")
+_FAMILIES = {"flux": FLUX_FAMILIES, "diffusion": DIFFUSION_FAMILIES,
+             "noise": NOISE_FAMILIES}
 
 
 # every key a run reads, whatever its command: solver.<field> and
 # rate.<field> of their field's kind, with the rows below taking precedence;
-# a model.<block>.<param> key not listed is a number
+# a model.<block>.<param> key not listed is a number, and its param must be
+# one of the chosen family's (load_run_config)
 _SCHEMA = {
     **{f"{section}.{name}": _Key(_KINDS[option.type])
        for section, cls in (("solver", SolverConfig), ("rate", RateOptions))
@@ -152,7 +154,7 @@ _KIND_TEXT = {float: "a finite number", int: "an integer", str: "a name",
 
 def _key_schema(key: str) -> _Key | None:
     parts = key.split(".")
-    if len(parts) == 3 and parts[0] == "model" and parts[1] in _MODEL_BLOCKS:
+    if len(parts) == 3 and parts[0] == "model" and parts[1] in _FAMILIES:
         return _SCHEMA.get(key, _NUMBER)
     return _SCHEMA.get(key)
 
@@ -367,6 +369,14 @@ def load_run_config(command: str, experiment: str | None, text: str,
         cfg.values[key] = _converted(cfg, key, value)
     for key in _REQUIRED_KEYS:
         cfg.require(key)
+    for key in cfg.values:
+        if key.startswith("model.") and not key.endswith(".kind"):
+            _, block, param = key.split(".")
+            kind = cfg.values[f"model.{block}.kind"]
+            if param not in inspect.signature(_FAMILIES[block][kind]).parameters:
+                raise ConfigurationError(cfg.where(key, (
+                    f"unknown config key: {block} kind {kind!r} has no "
+                    f"parameter {param!r}")))
     _build_solver_config(cfg)  # surface solver key errors before any work
     return cfg
 
@@ -382,19 +392,34 @@ def _build_grid(cfg: RunConfig) -> GridSpec:
         raise ConfigurationError(cfg.where("grid.n", str(exc))) from exc
 
 
+def _keyed(cfg: RunConfig, section: str, exc: ConfigurationError):
+    """exc, whose message leads with a parameter name, as an error naming
+    the key section.<name> and its line; exc itself if that is no key."""
+    name, _, message = str(exc).partition(": ")
+    key = f"{section}.{name}"
+    return ConfigurationError(cfg.where(key, message)) if key in _SCHEMA else exc
+
+
 def _build_solver_config(cfg: RunConfig) -> SolverConfig:
     try:
         return SolverConfig(**{key[len("solver."):]: value
                                for key, value in cfg.values.items()
                                if key.startswith("solver.")})
     except ConfigurationError as exc:
-        # SolverConfig's messages lead with the field name
-        name, _, message = str(exc).partition(": ")
-        raise ConfigurationError(cfg.where(f"solver.{name}", message)) from exc
+        raise _keyed(cfg, "solver", exc) from exc
+
+
+def _from_file(cfg: RunConfig, key: str, read, *args):
+    """read(path, *args) of the file that key names; a file that cannot be
+    opened or parsed is a config error naming the key."""
+    try:
+        return read(cfg.require(key), *args)
+    except (OSError, ValueError, IndexError) as exc:
+        raise ConfigurationError(cfg.where(key, str(exc))) from exc
 
 
 def _build_recipe(cfg: RunConfig) -> dict:
-    recipe: dict = {block: {} for block in _MODEL_BLOCKS}
+    recipe: dict = {block: {} for block in _FAMILIES}
     for key, value in cfg.values.items():
         if key.startswith("model."):
             _, block, param = key.split(".")
@@ -421,7 +446,7 @@ def _build_initial(cfg: RunConfig, grid: GridSpec):
         x = grid.nodes()
         values = base + amplitude * np.sin(2.0 * np.pi * mode * x + phase)
         return SpectralField(grid, values)
-    u0 = field_from_csv(cfg.require("initial.path"))
+    u0 = _from_file(cfg, "initial.path", field_from_csv)
     if u0.grid != grid:
         raise ConfigurationError(cfg.where(
             "initial.path",
@@ -435,7 +460,12 @@ def _build_control(cfg: RunConfig, model, config: SolverConfig):
         return None
     kind = cfg.get("control.kind", "random")
     if kind == "csv":
-        return control_from_csv(cfg.require("control.path"))
+        def read(path):
+            control = control_from_csv(path)
+            control.check_fits(config.t_end, model.noise.truncation)
+            return control
+
+        return _from_file(cfg, "control.path", read)
     truncation = cfg.get("control.truncation", model.noise.truncation)
     if truncation != model.noise.truncation:
         raise ConfigurationError(cfg.where(
@@ -451,7 +481,7 @@ def _build_control(cfg: RunConfig, model, config: SolverConfig):
 
 def _build_target(cfg: RunConfig, grid: GridSpec):
     if cfg.get("rate.target.kind", "harmonic") == "csv":
-        return field_from_csv(cfg.require("rate.target.path"), grid)
+        return _from_file(cfg, "rate.target.path", field_from_csv, grid)
     mode = cfg.get("rate.target.mode", 1)
     re = cfg.get("rate.target.re", 0.1)
     im = cfg.get("rate.target.im", 0.0)
@@ -551,10 +581,7 @@ def _run_skeleton(cfg: RunConfig):
             "solver.eps", "skeleton runs are noise free; set solver.eps = 0"))
     u0 = _build_initial(cfg, grid)
     control = _build_control(cfg, model, config)
-    if control is None:
-        traj = solve(u0, model, config)
-    else:
-        traj = solve_skeleton(u0, model, control, config)
+    traj = solve(u0, model, config, control=control)
     artifacts = {"trajectory.csv": lambda p: trajectory_to_csv(traj, p)}
     if control is not None:
         artifacts["control.csv"] = lambda p: control_to_csv(control, p)
@@ -689,7 +716,11 @@ def _experiment_driver(cfg: RunConfig, name: str) -> ExperimentReport:
 
 
 def _run_experiment(cfg: RunConfig):
-    report = _experiment_driver(cfg, cfg.experiment)
+    try:
+        report = _experiment_driver(cfg, cfg.experiment)
+    except ConfigurationError as exc:
+        # the experiments' messages lead with the parameter name
+        raise _keyed(cfg, "experiment", exc) from exc
     lines = []
     for cell in report.cells:
         tag = "PASS" if cell.verdict else "FAIL"

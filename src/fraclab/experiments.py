@@ -29,7 +29,7 @@ import numpy as np
 from .fields import GridSpec, constant_field, path_l1_integral
 from .models import ConfigurationError, ModelSpec, build_model, noise_tables
 from .oracle import ModeParams, linearized_mode_arrays, star_moments
-from .skeleton import solve_controlled_spde, solve_skeleton
+from .skeleton import solve_skeleton
 from .solver import SolverConfig, WienerBatch, plan_steps, solve
 
 __all__ = [
@@ -199,12 +199,8 @@ def _solve_chunk(task, u0, observe, digest_samples=(0,)):
     rows = [j - start for j in digest_samples if start <= j < stop]
     path = WienerBatch(task["seed"], range(start, stop), spec.noise.truncation, rows)
     controls = task.get("controls")
-    if controls is None:
-        solve(u0, spec, config, path, observe=observe)
-    else:
-        solve_controlled_spde(u0, spec, controls, config, path,
-                              rows=np.arange(start, stop) % len(controls),
-                              observe=observe)
+    which = None if controls is None else np.arange(start, stop) % len(controls)
+    solve(u0, spec, config, path, control=controls, rows=which, observe=observe)
     return {start + r: path.digest(r) for r in rows} if config.eps > 0.0 else {}
 
 
@@ -287,16 +283,17 @@ def _mean_stderr(samples):
     return mean, float(np.std(xs, ddof=1) / np.sqrt(len(xs)))
 
 
-def _check_grid(values, label, minimum=0.0, strict_positive=True):
+def _check_grid(values, label, least=1, positive=True):
+    """values as floats: at least least of them, strictly decreasing, and
+    positive (or nonnegative).  Messages lead with label, the parameter."""
     vals = tuple(float(v) for v in values)
-    if not vals:
-        raise ConfigurationError(f"{label} must not be empty")
-    if strict_positive and min(vals) <= minimum:
-        raise ConfigurationError(f"{label} entries must exceed {minimum:g}")
-    if not strict_positive and min(vals) < minimum:
-        raise ConfigurationError(f"{label} entries must be >= {minimum:g}")
+    if len(vals) < least:
+        raise ConfigurationError(f"{label}: needs at least {least} entries, got {len(vals)}")
+    if min(vals) < 0.0 or (positive and min(vals) == 0.0):
+        sign = "positive" if positive else "nonnegative"
+        raise ConfigurationError(f"{label}: entries must be {sign}")
     if any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ConfigurationError(f"{label} must be strictly decreasing")
+        raise ConfigurationError(f"{label}: must be strictly decreasing")
     return vals
 
 
@@ -337,7 +334,7 @@ def _mode_indices(grid, modes):
     wavenumbers = list(grid.wavenumbers().astype(int))
     for k in modes:
         if int(k) not in wavenumbers:
-            raise ConfigurationError(f"mode {k} is not resolvable on the grid")
+            raise ConfigurationError(f"modes: mode {k} is not resolvable on the grid")
     return {int(k): wavenumbers.index(int(k)) for k in modes}
 
 
@@ -444,7 +441,7 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
     spec, payload = _model_payload(model, workers)
     if M < 100:
         raise ConfigurationError("fluctuation estimates need at least 100 samples")
-    eps_values = _check_grid(eps_grid, "eps grid")
+    eps_values = _check_grid(eps_grid, "eps_grid")
     u0, base = _constant_initial(u0, grid)
     grid = u0.grid
     config = config if config is not None else _default_config()
@@ -457,8 +454,7 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
     common = {"model": payload, "u0": u0.values, "mu": mu, "weights": weights,
               "references": np.full((1, len(plan_steps(config)[1]), grid.size), base),
               "mode_columns": list(mode_index.values()), "seed": seed}
-    cell_fields = [({"config": replace(config, eps=eps, eta=float(eta),
-                                       lambda_eps=1.0),
+    cell_fields = [({"config": replace(config, eps=eps, eta=float(eta)),
                      "scale": float(np.sqrt(eps))}, M)
                    for eps in eps_values]
     runs = _run_cells(_deviation_chunk, common, cell_fields, workers)
@@ -567,29 +563,19 @@ def regularization_experiment(model, control, ladder, *, which="eta", u0=None,
     measure consecutive path distances; increments must decrease down the
     ladder (a ladder of exactly zero increments also passes).
 
-    Deterministic: runs the controlled skeleton, no sampling.
+    Deterministic: runs the skeleton of control, or the uncontrolled
+    equation when control is None; no sampling.
     """
     spec, _ = _model_payload(model, 1)
-    rungs = tuple(float(r) for r in ladder)
-    if len(rungs) < 3:
-        raise ConfigurationError("the ladder needs at least three rungs")
-    if any(b >= a for a, b in zip(rungs, rungs[1:])):
-        raise ConfigurationError("the ladder must be strictly decreasing")
-    if rungs[-1] < 0.0:
-        raise ConfigurationError("ladder rungs must be nonnegative")
+    rungs = _check_grid(ladder, "ladder", least=3, positive=False)
     if which not in ("eta", "gamma"):
-        raise ConfigurationError("which must be 'eta' or 'gamma'")
+        raise ConfigurationError("which: must be 'eta' or 'gamma'")
     if u0 is None:
         u0 = constant_field(GridSpec(128), 1.0)
     config = config if config is not None else _default_config()
 
-    trajectories = []
-    for rung in rungs:
-        run_config = replace(config, **{which: rung})
-        if control is None:
-            trajectories.append(solve(u0, spec, run_config))
-        else:
-            trajectories.append(solve_skeleton(u0, spec, control, run_config))
+    trajectories = [solve(u0, spec, replace(config, **{which: rung}), control=control)
+                    for rung in rungs]
 
     cells = []
     prev = None
@@ -630,7 +616,7 @@ def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
     spec, payload = _model_payload(model, workers)
     if M < 1:
         raise ConfigurationError("need at least one sample")
-    eps_values = _check_grid(eps_grid, "eps grid", strict_positive=False)
+    eps_values = _check_grid(eps_grid, "eps_grid", positive=False)
     controls = list(control_family)
     if not controls:
         raise ConfigurationError("need at least one control")
@@ -641,8 +627,8 @@ def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
     for c in controls:
         if not c.within_level_set(float(level_bound)):
             raise ConfigurationError(
-                f"control integral {2.0 * c.energy:g} exceeds the level "
-                f"bound {float(level_bound):g}")
+                f"level_bound: control integral {2.0 * c.energy:g} exceeds "
+                f"the level bound {float(level_bound):g}")
     u0 = _initial(u0, grid)
     config = config if config is not None else _default_config()
     if delta is None:
@@ -706,11 +692,11 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
     a = float(a_exponent)
     if not 0.0 < a < 0.5:
         raise ConfigurationError(
-            "the amplification exponent must lie strictly between 0 and 1/2")
+            "a: the amplification exponent must lie strictly between 0 and 1/2")
     spec, payload = _model_payload(model, workers)
     if M < 1:
         raise ConfigurationError("need at least one sample")
-    eps_values = _check_grid(eps_grid, "eps grid")
+    eps_values = _check_grid(eps_grid, "eps_grid")
     u0, _ = _constant_initial(u0, grid)
     grid = u0.grid
     config = config if config is not None else _default_config()
@@ -724,7 +710,7 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
     # common streams across cells: quantile and raw-gap comparisons pair up
     common = {"model": payload, "u0": u0.values, "references": limit[None],
               "mode_columns": list(mode_index.values()), "seed": seed}
-    cell_fields = [({"config": replace(config, eps=eps, lambda_eps=1.0),
+    cell_fields = [({"config": replace(config, eps=eps),
                      "scale": float(np.sqrt(eps) * eps ** (-a))}, M)
                    for eps in eps_values]
     runs = _run_cells(_deviation_chunk, common, cell_fields, workers)

@@ -23,7 +23,7 @@ from .fields import (
     field_from_spectrum,
     fractional_multiplier,
 )
-from .models import ConfigurationError, ModelSpec, noise_tables
+from .models import ModelSpec, noise_tables
 from .skeleton import Control
 
 __all__ = [
@@ -122,14 +122,7 @@ def duhamel_mdp_skeleton(control: Control, model: ModelSpec, t: float,
     """Exact linear-skeleton solution at time t by per-mode Duhamel integrals."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    if control.horizon < t * (1.0 - 1e-12):
-        raise ConfigurationError(
-            f"control horizon {control.horizon:g} is shorter than t = {t:g}"
-        )
-    if control.truncation != model.noise.truncation:
-        raise ConfigurationError(
-            f"control has {control.truncation} modes, noise has {model.noise.truncation}"
-        )
+    control.check_fits(t, model.noise.truncation)
     mu, weights = linearized_mode_arrays(model, grid, eta)
     spectrum = np.zeros_like(mu)
     for i in range(control.coeffs.shape[0]):

@@ -3,8 +3,9 @@
 The skeleton equation replaces the noise with a control pairing
 h(u) l(t) dt; the moderate-deviation skeleton is its linearization about the
 constant state 1 started from zero; the mixed equation keeps both the control
-drift and the noise.  All three delegate to the IMEX integrator with a drift
-provider, so discretization conventions stay identical across the ladder.
+and the noise.  All three hand the control to the IMEX integrator, which
+pairs it with the noise coefficients like the increments, so discretization
+conventions stay identical across the ladder.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import GridSpec, SpectralField, constant_field
-from .models import ConfigurationError, ModelSpec, linearize_model, noise_pairing
+from .models import ConfigurationError, ModelSpec, linearize_model
 from .solver import SolverConfig, Trajectory, solve
 
 __all__ = [
@@ -69,13 +70,15 @@ class Control:
     def within_level_set(self, bound: float) -> bool:
         return 2.0 * self.energy <= bound * (1.0 + 1e-12)
 
-    def interval(self, t: float) -> int:
-        """Index of the interval containing t, clamped to the first and last."""
-        idx = int(np.searchsorted(self.times, t, side="right")) - 1
-        return min(max(idx, 0), self.coeffs.shape[0] - 1)
-
-    def at(self, t: float) -> np.ndarray:
-        return self.coeffs[self.interval(t)]
+    def check_fits(self, t_end: float, truncation: int) -> None:
+        """Raise ConfigurationError unless the control spans [0, t_end] with
+        one coefficient per noise mode."""
+        if self.horizon < t_end * (1.0 - 1e-12):
+            raise ConfigurationError(
+                f"control horizon {self.horizon:g} ends before t = {t_end:g}")
+        if self.truncation != truncation:
+            raise ConfigurationError(
+                f"control has {self.truncation} modes, noise has {truncation}")
 
 
 def random_control(seed: int, truncation: int, t_end: float,
@@ -116,53 +119,12 @@ def control_from_csv(path) -> Control:
     return Control(times=np.array(starts + [ends[-1]]), coeffs=np.array(coeffs))
 
 
-def _control_drift(model: ModelSpec, grid: GridSpec, controls,
-                   config: SolverConfig, rows=None):
-    """Drift provider evaluating h(u(x)) l(t) nodewise.
-
-    controls is one Control for every row, or a sequence of Controls with
-    rows[m] the index of the control that drives batch row m; each must
-    span t_end.  Each solver step is attributed to the control interval
-    containing its midpoint, so breakpoints that are exact multiples of dt
-    never flip an interval boundary through time-accumulation roundoff.
-    """
-    if isinstance(controls, Control):
-        controls = (controls,)
-    for control in controls:
-        if control.horizon < config.t_end * (1.0 - 1e-12):
-            raise ConfigurationError(
-                f"control horizon {control.horizon:g} is shorter than t_end {config.t_end:g}"
-            )
-        if control.truncation != model.noise.truncation:
-            raise ConfigurationError(
-                f"control has {control.truncation} modes, noise has {model.noise.truncation}"
-            )
-    shift = 0.5 * config.dt
-    pair = noise_pairing(model.noise, grid)
-    # controls with the same breakpoints share every step's interval
-    groups = {}
-    for c, control in enumerate(controls):
-        groups.setdefault(control.times.tobytes(), []).append(c)
-    lookup = [(controls[members[0]], members,
-               np.stack([controls[c].coeffs for c in members]))
-              for members in groups.values()]
-
-    def drift(values, t):
-        table = np.empty((len(controls), model.noise.truncation))
-        for lead, members, coeffs in lookup:
-            table[members] = coeffs[:, lead.interval(t + shift)]
-        return pair(values, table[0] if rows is None else table[rows])
-
-    return drift
-
-
 def solve_skeleton(u0: SpectralField, model: ModelSpec, control: Control,
                    config: SolverConfig) -> Trajectory:
     """Controlled deterministic equation: noise channel replaced by h(u) l(t) dt."""
     if config.eps != 0.0:
         raise ConfigurationError("the skeleton equation is noise-free; use eps = 0")
-    drift = _control_drift(model, u0.grid, control, config)
-    return solve(u0, model, config, drift=drift)
+    return solve(u0, model, config, control=control)
 
 
 def solve_mdp_skeleton(control: Control, model: ModelSpec, config: SolverConfig,
@@ -179,12 +141,11 @@ def solve_mdp_skeleton(control: Control, model: ModelSpec, config: SolverConfig,
 
 def solve_controlled_spde(u0, model: ModelSpec, control, config: SolverConfig,
                           path=None, rows=None, observe=None):
-    """Control drift plus driving noise; reduces to the skeleton when eps = 0
-    and to the plain driven equation when the control vanishes.
+    """Control plus driving noise; reduces to the skeleton when eps = 0 and
+    to the plain driven equation when the control vanishes.
 
     For a batch (see solve), control may be a sequence with rows[m] the
     control of row m; observe is passed on to solve.
     """
-    grid = u0.grid if isinstance(u0, SpectralField) else GridSpec(np.shape(u0)[-1])
-    drift = _control_drift(model, grid, control, config, rows)
-    return solve(u0, model, config, path=path, drift=drift, observe=observe)
+    return solve(u0, model, config, path=path, control=control, rows=rows,
+                 observe=observe)

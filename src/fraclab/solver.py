@@ -1,11 +1,13 @@
 """IMEX time integration of the driven nonlocal conservation law
 
     du + div F(u) dt + (-Lap)^theta Phi(u) dt
-       = eta Lap u dt - gamma Lap^2 u dt + drift dt + noise_scale h(u) dW.
+       = eta Lap u dt - gamma Lap^2 u dt + h(u) l(t) dt + sqrt(eps) h(u) dW.
 
-Flux, fractional term, drift, and noise are explicit (Ito, left endpoint);
-the viscous and biharmonic terms are inverted exactly in Fourier space, so
-only the flux and fractional terms constrain the step size.  All randomness
+Flux, fractional term, control l, and noise are explicit (Ito, left
+endpoint), and the control and the noise pair the coefficients h_k through
+one routine; the viscous and biharmonic terms are inverted exactly in
+Fourier space, so only the flux and fractional terms constrain the step
+size.  All randomness
 flows from seeded Wiener streams; a run is a pure function of
 (initial data, model, config, seed, stream).  The step acts on a batch of
 rows, one sample each, and a single path is the batch of one: every row of a
@@ -52,17 +54,16 @@ class SolverConfig:
     eta: float = 0.0
     gamma: float = 0.0
     eps: float = 0.0
-    lambda_eps: float = 1.0
     flux_scheme: str = "rusanov"
     cfl_safety: float = 0.5
     snapshot_count: int = 64
 
     def __post_init__(self):
         # each message leads with the field name: the CLI names solver.<field>
-        for name in ("dt", "t_end", "eta", "gamma", "eps", "lambda_eps", "cfl_safety"):
+        for name in ("dt", "t_end", "eta", "gamma", "eps", "cfl_safety"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name}: must be finite")
-        for name in ("dt", "t_end", "lambda_eps"):
+        for name in ("dt", "t_end"):
             if getattr(self, name) <= 0.0:
                 raise ConfigurationError(f"{name}: must be positive")
         for name in ("eta", "gamma", "eps"):
@@ -77,7 +78,7 @@ class SolverConfig:
 
     @property
     def noise_scale(self) -> float:
-        return float(np.sqrt(self.eps) / self.lambda_eps)
+        return float(np.sqrt(self.eps))
 
 
 class WienerPath:
@@ -243,10 +244,9 @@ class _StepContext:
         high = np.nonzero(np.abs(k) > grid.points_per_axis / 3.0)[0]
         self.dealias = slice(high[0], high[-1] + 1)
         self.noise_scale = config.noise_scale
-        if config.eps > 0.0:
-            self.pair = noise_pairing(model.noise, grid)
+        self.pair = noise_pairing(model.noise, grid)
 
-    def advance(self, values, dbeta=None, drift_values=None):
+    def advance(self, values, dbeta=None, coeffs=None):
         out = values.copy()
         if self.flux_on:
             if self.config.flux_scheme == "rusanov":
@@ -257,8 +257,8 @@ class _StepContext:
         if self.frac_on:
             spec = np.fft.fft(np.asarray(self.model.diffusion.eval(values), dtype=float))
             out -= self.dt * np.fft.ifft(self.frac_mult * spec).real
-        if drift_values is not None:
-            out += self.dt * drift_values
+        if coeffs is not None:
+            out += self.dt * self.pair(values, coeffs)
         if dbeta is not None:
             out += self.noise_scale * self.pair(values, dbeta)
         if self.implicit_on:
@@ -278,16 +278,25 @@ def plan_steps(config: SolverConfig):
     return n_steps, record
 
 
-def solve(u0, model: ModelSpec, config: SolverConfig, path=None, drift=None,
-          observe=None):
+def _interval_index(times, t):
+    """Index of the interval [times[j], times[j + 1]) holding each t,
+    clamped to the first and last."""
+    return np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+
+
+def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
+          rows=None, observe=None):
     """Iterate the IMEX step to t_end.
 
     u0 is one path, a SpectralField with a WienerPath, whose Trajectory at
     the steps of plan_steps is returned; or a batch, an (..., M, N) array
     with a WienerBatch driving row m by stream m (leading axes share their
     row's increments), passed to observe(step, values, dbeta) after every
-    step: step 0 is u0 with dbeta None.  drift, when present, is called as
-    drift(values, t) and returns the nodal drift at the left endpoint.
+    step: step 0 is u0 with dbeta None.  control, when present, is one
+    Control for every row, or with rows a sequence of Controls on the same
+    breakpoints, rows[m] the index of batch row m's control.  Each step
+    pairs h(u) with the coefficients of the interval holding its midpoint,
+    so breakpoints at multiples of dt never flip an interval by roundoff.
     Raises DivergenceError with the first step at which any row loses
     finiteness.
     """
@@ -308,6 +317,15 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, drift=None,
     n_steps, record = plan_steps(config)
     dt = config.dt
     noise = path.steps(n_steps, dt) if config.eps > 0.0 else None
+    if control is not None:
+        controls = (control,) if rows is None else tuple(control)
+        for c in controls:
+            c.check_fits(config.t_end, model.noise.truncation)
+        if any(not np.array_equal(c.times, controls[0].times) for c in controls):
+            raise ConfigurationError("the controls of one batch must share breakpoints")
+        stack = np.stack([c.coeffs for c in controls])
+        interval = _interval_index(controls[0].times, np.arange(n_steps) * dt + 0.5 * dt)
+        lead = 0 if rows is None else rows
     if single:
         recorded = set(record)
         times, snapshots = [], []
@@ -320,8 +338,8 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, drift=None,
     observe(0, values, None)
     for i in range(n_steps):
         dbeta = None if noise is None else next(noise)
-        drift_values = None if drift is None else np.asarray(drift(values, i * dt), dtype=float)
-        values = ctx.advance(values, dbeta, drift_values)
+        coeffs = None if control is None else stack[lead, interval[i]]
+        values = ctx.advance(values, dbeta, coeffs)
         if not np.all(np.isfinite(values)):
             raise DivergenceError(i, (i + 1) * dt)
         observe(i + 1, values, dbeta)

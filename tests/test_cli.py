@@ -23,6 +23,7 @@ from fraclab.models import (
     NOISE_FAMILIES,
     ConfigurationError,
 )
+from fraclab.skeleton import control_to_csv, random_control
 
 BASE = """\
 # minimal noise-off run
@@ -368,7 +369,7 @@ class TestExperimentCommand:
 NUMERIC_KEYS = tuple(
     [(("simulate",), (), key) for key in (
         "seed", "grid.n", "solver.dt", "solver.t_end", "solver.eta",
-        "solver.gamma", "solver.eps", "solver.lambda_eps", "solver.cfl_safety",
+        "solver.gamma", "solver.eps", "solver.cfl_safety",
         "solver.snapshot_count", "initial.value", "model.flux.clamp",
         "model.diffusion.slope", "model.diffusion.theta",
         "model.noise.truncation")]
@@ -489,6 +490,10 @@ UNKNOWN_KEYS = (
     (("rate",), "rate.target.moed = 2"),
     (("rate",), "rate.max_iter = 5"),
     (("simulate",), "seed.value = 4"),
+    # a removed key: sqrt(eps)/lambda_eps is sqrt(eps / lambda_eps^2)
+    (("simulate",), "solver.lambda_eps = 1.0"),
+    # a parameter the chosen family does not take
+    (("simulate",), "model.flux.clampp = 3"),
 )
 
 
@@ -504,6 +509,18 @@ def test_unknown_key_exits_2_naming_key_and_line(tmp_path, case):
                      "--workers", "1"])
     assert code == 2
     assert f"line {lineno}: {key}: unknown config key" in err.getvalue()
+
+
+def test_parameter_of_another_family_exits_2_naming_key_and_line(tmp_path):
+    # BASE sets model.noise.truncation on line 8, which paired-harmonic lacks
+    text = BASE.replace("model.noise.kind = diagonal-decay",
+                        "model.noise.kind = paired-harmonic")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["simulate", "--config", write(tmp_path, text),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "line 8: model.noise.truncation: unknown config key" in err.getvalue()
 
 
 def test_keys_of_other_commands_and_kinds_still_run(tmp_path):
@@ -615,6 +632,49 @@ def test_out_of_schema_value_exits_2_naming_key(tmp_path, case):
     key = item.split("=")[0]
     assert code == 2
     assert f"{key}: " in err
+
+
+# input files that are missing or do not fit the run, with the command that
+# reads them
+FILE_CASES = (
+    (("simulate",), ("initial.kind=csv", "initial.path=missing.csv")),
+    (("skeleton",), ("control.kind=csv", "control.path=missing.csv")),
+    (("rate",), ("rate.target.kind=csv", "rate.target.path=missing.csv")),
+    (("skeleton",), ("control.kind=csv", "control.path=three-modes.csv")),
+)
+
+
+@pytest.mark.parametrize("case", FILE_CASES, ids=lambda case: case[1][1])
+def test_unusable_input_file_exits_2_naming_key(tmp_path, monkeypatch, case):
+    command, overrides = case
+    monkeypatch.chdir(tmp_path)
+    control_to_csv(random_control(0, 3, 0.05, intervals=2), "three-modes.csv")
+    code, err = _exit_and_error(tmp_path, command, overrides)
+    key = overrides[1].split("=")[0]
+    assert code == 2
+    assert f"{key}: " in err
+
+
+# list values that only an experiment driver can check, with the driver
+DRIVER_CASES = (
+    (("experiment", "clt"), "experiment.eps_grid = 1e-3,1e-2"),
+    (("experiment", "regularization"), "experiment.ladder = 1e-2,1e-3"),
+    (("experiment", "clt"), "experiment.modes = 1,40"),
+    (("experiment", "condition2"), "experiment.level_bound = 1e-9"),
+)
+
+
+@pytest.mark.parametrize("case", DRIVER_CASES, ids=lambda case: case[1].split(" ")[0])
+def test_driver_list_check_exits_2_naming_key_and_line(tmp_path, case):
+    command, line = case
+    key = line.split(" ")[0]
+    cfg = write(tmp_path, BASE + line + "\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([*command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--workers", "1"])
+    assert code == 2
+    assert f"line {len(BASE.splitlines()) + 1}: {key}: " in err.getvalue()
 
 
 def _off_kind(key):

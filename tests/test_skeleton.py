@@ -10,6 +10,7 @@ from fraclab.models import (
     additive_noise,
     burgers_clamped,
     diagonal_decay_noise,
+    linear_advection,
     linear_diffusion,
 )
 from fraclab.skeleton import (
@@ -21,7 +22,7 @@ from fraclab.skeleton import (
     solve_mdp_skeleton,
     solve_skeleton,
 )
-from fraclab.solver import SolverConfig, WienerPath, solve
+from fraclab.solver import SolverConfig, WienerPath, _interval_index, solve
 
 
 def make_model(noise=None):
@@ -47,13 +48,23 @@ class TestControl:
         assert c.within_level_set(2.5)
         assert not c.within_level_set(2.4)
 
-    def test_interval_lookup(self):
-        c = Control(times=np.array([0.0, 0.25, 1.0]),
-                    coeffs=np.array([[1.0], [2.0]]))
-        assert c.at(0.0)[0] == 1.0
-        assert c.at(0.24)[0] == 1.0
-        assert c.at(0.25)[0] == 2.0
-        assert c.at(1.0)[0] == 2.0  # clamped to the last interval
+    def test_step_attribution(self):
+        times = np.array([0.0, 0.25, 1.0])
+        t = np.array([0.0, 0.24, 0.25, 1.0, 1.5])
+        # t past the end is clamped to the last interval
+        assert list(_interval_index(times, t)) == [0, 0, 1, 1, 1]
+        # a step takes the interval holding its midpoint: with one additive
+        # channel h = cos(2 pi x) and nothing else, step i adds dt l(mid_i)
+        # at node 0
+        model = ModelSpec(flux=linear_advection(0.0),
+                          diffusion=linear_diffusion(0.0, 0.5),
+                          noise=additive_noise(1))
+        config = SolverConfig(dt=0.01, t_end=1.0, snapshot_count=101)
+        control = Control(times=times, coeffs=np.array([[1.0], [2.0]]))
+        traj = solve(constant_field(GridSpec(8), 0.0), model, config,
+                     control=control)
+        steps = np.diff(traj.values_matrix()[:, 0]) / config.dt
+        assert np.allclose(steps[:25], 1.0) and np.allclose(steps[25:], 2.0)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):

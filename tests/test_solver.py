@@ -192,9 +192,7 @@ class TestBatch:
     @pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
     # a state-dependent family: both nodal tables of the pairing are nonzero
     @pytest.mark.parametrize("noise", [pytest.param(diagonal_decay_noise(4), id="table")])
-    # "mixed" drives the rows by controls of 4 and 6 intervals, so the
-    # interval lookup runs for two groups of breakpoints
-    @pytest.mark.parametrize("control", [False, True, "mixed"])
+    @pytest.mark.parametrize("control", [False, True])
     def test_rows_equal_single_paths(self, scheme, noise, control):
         grid = GridSpec(points_per_axis=32)
         model = make_model(noise=noise)
@@ -203,9 +201,6 @@ class TestBatch:
         u0 = self.rows(grid)
         path = WienerBatch(9, self.STREAMS, 4)
         controls = [random_control(i, 4, 0.05, intervals=3) for i in range(2)]
-        if control == "mixed":
-            controls = [random_control(i, 4, 0.05, intervals=n)
-                        for i, n in enumerate((4, 6, 4))]
         which = np.arange(len(self.STREAMS)) % len(controls)
         if control:
             batch = batch_snapshots(lambda observe: solve_controlled_spde(
@@ -223,6 +218,17 @@ class TestBatch:
             else:
                 traj = solve(alone, model, config, WienerPath(9, stream, 4))
             assert np.array_equal(batch[m], traj.values_matrix())
+
+    def test_controls_on_different_breakpoints_rejected(self):
+        grid = GridSpec(points_per_axis=32)
+        config = SolverConfig(dt=1e-3, t_end=0.05, eps=1e-2)
+        controls = [random_control(i, 4, 0.05, intervals=n)
+                    for i, n in enumerate((4, 6))]
+        with pytest.raises(ConfigurationError, match="share breakpoints"):
+            solve_controlled_spde(self.rows(grid), make_model(), controls, config,
+                                  WienerBatch(9, self.STREAMS, 4),
+                                  rows=np.arange(len(self.STREAMS)) % 2,
+                                  observe=lambda step, values, dbeta: None)
 
     def test_leading_axes_share_their_row_increments(self):
         grid = GridSpec(points_per_axis=32)
@@ -366,7 +372,7 @@ class TestSolve:
         assert err.value.step_index >= 0
 
     @pytest.mark.parametrize("name", ["dt", "t_end", "eta", "gamma", "eps",
-                                      "lambda_eps", "cfl_safety"])
+                                      "cfl_safety"])
     def test_non_finite_config_rejected(self, name):
         for bad in (np.nan, np.inf, -np.inf):
             fields = {"dt": 1e-3, "t_end": 1.0, name: bad}
