@@ -574,11 +574,15 @@ def _run_simulate(cfg: RunConfig):
     return True, lines, artifacts, extra
 
 
-def _run_skeleton(cfg: RunConfig):
-    model, grid, config = _prepared(cfg)
+def _require_noise_free(cfg: RunConfig, config: SolverConfig, runs: str):
     if config.eps != 0.0:
         raise ConfigurationError(cfg.where(
-            "solver.eps", "skeleton runs are noise free; set solver.eps = 0"))
+            "solver.eps", f"{runs} runs are noise free; set solver.eps = 0"))
+
+
+def _run_skeleton(cfg: RunConfig):
+    model, grid, config = _prepared(cfg)
+    _require_noise_free(cfg, config, "skeleton")
     u0 = _build_initial(cfg, grid)
     control = _build_control(cfg, model, config)
     traj = solve(u0, model, config, control=control)
@@ -689,6 +693,7 @@ def _experiment_driver(cfg: RunConfig, name: str) -> ExperimentReport:
             recipe, cfg.get("experiment.eps", 1e-2), samples, u0=u0,
             config=config, seed=seed, workers=workers)
     if name == "regularization":
+        _require_noise_free(cfg, config, "regularization")
         return regularization_experiment(
             recipe, _build_control(cfg, model, config),
             cfg.get("experiment.ladder", (1e-2, 1e-3, 1e-4, 1e-5)),

@@ -7,11 +7,12 @@ Flux, fractional term, control l, and noise are explicit (Ito, left
 endpoint), and the control and the noise pair the coefficients h_k through
 one routine; the viscous and biharmonic terms are inverted exactly in
 Fourier space, so only the flux and fractional terms constrain the step
-size.  All randomness
-flows from seeded Wiener streams; a run is a pure function of
-(initial data, model, config, seed, stream).  The step acts on a batch of
-rows, one sample each, and a single path is the batch of one: every row of a
-batch is bit for bit the path its own stream gives alone.
+size.  A step is one real-FFT spectral solve: one rfft of the explicit
+nodal update, the spectral terms applied on the half spectrum, one irfft.
+All randomness flows from seeded Wiener streams; a run is a pure function
+of (initial data, model, config, seed, stream).  The step acts on a batch
+of rows, one sample each, and a single path is the batch of one: every row
+of a batch is bit for bit the path its own stream gives alone.
 """
 
 from __future__ import annotations
@@ -25,13 +26,7 @@ import numpy as np
 # before any worker pool forks, so pool workers do not each import it again
 from numpy.random import default_rng
 
-from .fields import (
-    FOUR_PI_SQ,
-    GridSpec,
-    SpectralField,
-    fractional_multiplier,
-    laplacian_multiplier,
-)
+from .fields import FOUR_PI_SQ, GridSpec, SpectralField, laplacian_multiplier
 from .models import ConfigurationError, ModelSpec, noise_pairing
 
 __all__ = [
@@ -214,56 +209,55 @@ def _rusanov_divergence(values, flux, dx):
     return (interface - _shift(interface, 1)) / dx
 
 
-def _spectral_divergence(values, flux, deriv_mult, dealias):
-    spec = np.fft.fft(np.asarray(flux.eval(values), dtype=float))
-    spec *= deriv_mult
-    spec[..., dealias] = 0.0
-    return np.fft.ifft(spec).real
-
-
 class _StepContext:
-    """Per-run precomputation shared by every step."""
+    """Per-run half-spectrum multipliers shared by every step.
+
+    The step is linear in its spectral terms: the fractional and spectral
+    flux terms are subtracted from the rfft of the explicit nodal update
+    and the implicit symbol divided out before one irfft, or no transform
+    when no spectral term is on.  Transforms along the last axis keep each
+    row's step independent of its batch.
+    """
 
     def __init__(self, grid: GridSpec, model: ModelSpec, config: SolverConfig):
         self.model = model
-        self.config = config
-        self.dt = config.dt
+        self.dt = dt = config.dt
         self.dx = grid.cell_width
-        self.flux_on = model.flux.lipschitz_bound > 0.0
-        self.frac_on = model.diffusion.lipschitz_bound > 0.0
-        if self.frac_on:
-            self.frac_mult = fractional_multiplier(grid, model.diffusion.theta)
-        lap = laplacian_multiplier(grid)
-        self.implicit_on = config.eta > 0.0 or config.gamma > 0.0
-        if self.implicit_on:
-            self.implicit_div = 1.0 + self.dt * config.eta * lap \
-                + self.dt * config.gamma * lap * lap
-        k = grid.wavenumbers()
-        self.deriv_mult = 2j * np.pi * k
-        # the modes |k| > N/3 form one block in fft order
-        high = np.nonzero(np.abs(k) > grid.points_per_axis / 3.0)[0]
-        self.dealias = slice(high[0], high[-1] + 1)
+        self.n = n = grid.points_per_axis
+        k = np.arange(n // 2 + 1)
+        lap = laplacian_multiplier(grid)[: len(k)]
+        flux_on = model.flux.lipschitz_bound > 0.0
+        self.rusanov = flux_on and config.flux_scheme == "rusanov"
+        # the explicit spectral terms: (dt times the symbol, the nodal function)
+        terms = []
+        if model.diffusion.lipschitz_bound > 0.0:
+            terms.append((dt * lap ** model.diffusion.theta, model.diffusion.eval))
+        if flux_on and not self.rusanov:
+            # the modes |k| > N/3 are dealiased
+            terms.append((np.where(k > n / 3.0, 0.0, dt * 2j * np.pi * k), model.flux.eval))
+        self.terms = tuple(terms)
+        self.implicit = None
+        if config.eta > 0.0 or config.gamma > 0.0:
+            self.implicit = 1.0 + dt * config.eta * lap + dt * config.gamma * lap * lap
         self.noise_scale = config.noise_scale
         self.pair = noise_pairing(model.noise, grid)
 
     def advance(self, values, dbeta=None, coeffs=None):
         out = values.copy()
-        if self.flux_on:
-            if self.config.flux_scheme == "rusanov":
-                out -= self.dt * _rusanov_divergence(values, self.model.flux, self.dx)
-            else:
-                out -= self.dt * _spectral_divergence(values, self.model.flux,
-                                                      self.deriv_mult, self.dealias)
-        if self.frac_on:
-            spec = np.fft.fft(np.asarray(self.model.diffusion.eval(values), dtype=float))
-            out -= self.dt * np.fft.ifft(self.frac_mult * spec).real
+        if self.rusanov:
+            out -= self.dt * _rusanov_divergence(values, self.model.flux, self.dx)
         if coeffs is not None:
             out += self.dt * self.pair(values, coeffs)
         if dbeta is not None:
             out += self.noise_scale * self.pair(values, dbeta)
-        if self.implicit_on:
-            out = np.fft.ifft(np.fft.fft(out) / self.implicit_div).real
-        return out
+        if not self.terms and self.implicit is None:
+            return out
+        spec = np.fft.rfft(out)
+        for mult, nodal in self.terms:
+            spec -= mult * np.fft.rfft(np.asarray(nodal(values), dtype=float))
+        if self.implicit is not None:
+            spec /= self.implicit
+        return np.fft.irfft(spec, n=self.n)
 
 
 def plan_steps(config: SolverConfig):

@@ -89,3 +89,38 @@ def least_norm_mode_energy(mu, weights, T, m, target, constrain_imag=True):
     energy = 0.5 * float(sol @ sol)
     coeffs = sol.reshape(m, len(weights)) / np.sqrt(dt)
     return energy, coeffs
+
+
+def three_transform_step(values, model, config, pair, dbeta=None, coeffs=None):
+    """One IMEX step with a complex FFT pair for each spectral term in turn:
+    the spectral flux divergence, the fractional term and the implicit
+    viscous and biharmonic solve.  pair(values, coeffs) is the noise pairing."""
+    values = np.asarray(values, dtype=float)
+    n = values.shape[-1]
+    dt = config.dt
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    lap = 4.0 * np.pi**2 * k**2
+    out = values.copy()
+    flux = model.flux
+    if flux.lipschitz_bound > 0.0:
+        f = np.asarray(flux.eval(values), dtype=float)
+        if config.flux_scheme == "rusanov":
+            speed = np.abs(np.asarray(flux.deriv(values), dtype=float))
+            f_r, speed_r, values_r = (np.roll(a, -1, axis=-1) for a in (f, speed, values))
+            interface = 0.5 * (f + f_r) - 0.5 * np.maximum(speed, speed_r) * (values_r - values)
+            out -= dt * n * (interface - np.roll(interface, 1, axis=-1))
+        else:
+            spec = np.fft.fft(f) * (2j * np.pi * k)
+            spec[..., np.abs(k) > n / 3.0] = 0.0
+            out -= dt * np.fft.ifft(spec).real
+    if model.diffusion.lipschitz_bound > 0.0:
+        spec = np.fft.fft(np.asarray(model.diffusion.eval(values), dtype=float))
+        out -= dt * np.fft.ifft(lap ** model.diffusion.theta * spec).real
+    if coeffs is not None:
+        out += dt * pair(values, coeffs)
+    if dbeta is not None:
+        out += np.sqrt(config.eps) * pair(values, dbeta)
+    if config.eta > 0.0 or config.gamma > 0.0:
+        symbol = 1.0 + dt * config.eta * lap + dt * config.gamma * lap**2
+        out = np.fft.ifft(np.fft.fft(out) / symbol).real
+    return out

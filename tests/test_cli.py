@@ -275,6 +275,16 @@ class TestOtherCommands:
         assert code == 2
         assert "eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("control", ["", "control.kind = random\n"],
+                             ids=["uncontrolled", "controlled"])
+    def test_regularization_requires_noise_off(self, tmp_path, capsys, control):
+        cfg = write(tmp_path, base_with(**{"solver.eps": "1e-2"}) + control)
+        code = main(["experiment", "regularization", "--config", cfg,
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "line 14: solver.eps: regularization runs are noise free" \
+            in capsys.readouterr().err
+
     def test_skeleton_writes_control_artifact(self, tmp_path):
         cfg = write(tmp_path, BASE + "control.kind = random\n"
                                      "control.intervals = 4\n")

@@ -24,11 +24,14 @@ from fraclab.solver import (
     Trajectory,
     WienerBatch,
     WienerPath,
+    _StepContext,
     plan_steps,
     solve,
     stable_dt,
     trajectory_to_csv,
 )
+
+from oracles import three_transform_step
 
 
 def make_model(flux=None, diffusion=None, noise=None):
@@ -46,6 +49,10 @@ def unit_additive_noise():
         tables=lambda x: (np.ones((1, len(x))), np.zeros((1, len(x)))),
         decay_exponent=1.0, growth_const=1.0,
     )
+
+
+# the implicit terms of the step: none, viscous, biharmonic
+IMPLICIT = {"none": {}, "eta": {"eta": 1e-3}, "gamma": {"gamma": 1e-6}}
 
 
 class TestStableDt:
@@ -189,16 +196,27 @@ class TestBatch:
         return np.array([1.0 + 0.1 * m * np.sin(2 * np.pi * (x + 0.1 * m))
                          for m in range(len(self.STREAMS))])
 
-    @pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
+    # every transform branch of the step: the implicit term is off (the
+    # fractional and spectral flux branch of the iterative rate), viscous or
+    # biharmonic; the viscous cases have no id suffix, and one case
+    # stacks two legs that share their rows' increments
+    @pytest.mark.parametrize("scheme, implicit, legs", [
+        pytest.param(scheme, implicit, legs, id=scheme + suffix)
+        for scheme in ("rusanov", "spectral")
+        for implicit, legs, suffix in (("eta", False, ""), ("none", False, "-none"),
+                                       ("gamma", False, "-gamma"),
+                                       ("gamma", True, "-gamma-legs"))])
     # a state-dependent family: both nodal tables of the pairing are nonzero
     @pytest.mark.parametrize("noise", [pytest.param(diagonal_decay_noise(4), id="table")])
     @pytest.mark.parametrize("control", [False, True])
-    def test_rows_equal_single_paths(self, scheme, noise, control):
+    def test_rows_equal_single_paths(self, scheme, implicit, legs, noise, control):
         grid = GridSpec(points_per_axis=32)
         model = make_model(noise=noise)
-        config = SolverConfig(dt=1e-3, t_end=0.05, eps=1e-2, eta=1e-3,
-                              flux_scheme=scheme, snapshot_count=6)
+        config = SolverConfig(dt=1e-3, t_end=0.05, eps=1e-2, flux_scheme=scheme,
+                              snapshot_count=6, **IMPLICIT[implicit])
         u0 = self.rows(grid)
+        if legs:
+            u0 = np.stack((u0, u0[::-1]))
         path = WienerBatch(9, self.STREAMS, 4)
         controls = [random_control(i, 4, 0.05, intervals=3) for i in range(2)]
         which = np.arange(len(self.STREAMS)) % len(controls)
@@ -210,14 +228,16 @@ class TestBatch:
             batch = batch_snapshots(
                 lambda observe: solve(u0, model, config, path, observe=observe),
                 config)
-        for m, stream in enumerate(self.STREAMS):
-            alone = SpectralField(grid, u0[m])
+        for index in np.ndindex(u0.shape[:-1]):
+            m = index[-1]
+            alone = SpectralField(grid, u0[index])
+            stream = WienerPath(9, self.STREAMS[m], 4)
             if control:
                 traj = solve_controlled_spde(alone, model, controls[which[m]],
-                                             config, WienerPath(9, stream, 4))
+                                             config, stream)
             else:
-                traj = solve(alone, model, config, WienerPath(9, stream, 4))
-            assert np.array_equal(batch[m], traj.values_matrix())
+                traj = solve(alone, model, config, stream)
+            assert np.array_equal(batch[index], traj.values_matrix())
 
     def test_controls_on_different_breakpoints_rejected(self):
         grid = GridSpec(points_per_axis=32)
@@ -300,6 +320,68 @@ class TestStep:
         config = SolverConfig(dt=1e-4, t_end=1e-3, eps=1e-2)
         with pytest.raises(ConfigurationError):
             solve(constant_field(grid, 1.0), model, config)
+
+
+# every transform branch of the step: flux scheme, fractional term on or
+# off, implicit term
+BRANCHES = [(scheme, fractional, implicit)
+            for scheme in ("rusanov", "spectral")
+            for fractional in (False, True)
+            for implicit in IMPLICIT]
+
+
+def branch_model(fractional):
+    return make_model(diffusion=linear_diffusion(0.5 if fractional else 0.0, 0.3))
+
+
+class TestFusedStep:
+    """One real-FFT solve per step, against a complex FFT pair per term."""
+
+    @pytest.mark.parametrize("scheme, fractional, implicit", BRANCHES)
+    def test_matches_three_transform_step(self, scheme, fractional, implicit):
+        grid = GridSpec(points_per_axis=64)
+        model = branch_model(fractional)
+        config = SolverConfig(dt=1e-4, t_end=1.0, eps=1e-2, flux_scheme=scheme,
+                              **IMPLICIT[implicit])
+        ctx = _StepContext(grid, model, config)
+        rng = np.random.default_rng(17)
+        values = 1.0 + 0.3 * rng.standard_normal((2, 5, 64))
+        dbeta = np.sqrt(config.dt) * rng.standard_normal((5, 4))
+        coeffs = rng.standard_normal((5, 4))
+        fused = ctx.advance(values, dbeta, coeffs)
+        reference = three_transform_step(values, model, config, ctx.pair, dbeta, coeffs)
+        assert np.max(np.abs(fused - reference)) <= 1e-12
+
+    @pytest.mark.parametrize("scheme, fractional, implicit", BRANCHES)
+    def test_one_inverse_transform_per_step(self, monkeypatch, scheme, fractional,
+                                            implicit):
+        calls = {"rfft": 0, "irfft": 0}
+
+        def counted(name):
+            transform = getattr(np.fft, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return transform(*args, **kwargs)
+            return wrapper
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the step called a complex FFT")
+
+        for name in calls:
+            monkeypatch.setattr(np.fft, name, counted(name))
+        monkeypatch.setattr(np.fft, "fft", refuse)
+        monkeypatch.setattr(np.fft, "ifft", refuse)
+        config = SolverConfig(dt=1e-3, t_end=0.02, eps=1e-2, flux_scheme=scheme,
+                              **IMPLICIT[implicit])
+        u0 = 1.0 + 0.1 * np.random.default_rng(4).standard_normal((5, 32))
+        solve(u0, branch_model(fractional), config, WienerBatch(9, range(5), 4),
+              observe=lambda step, values, dbeta: None)
+        # Rusanov with no fractional and no implicit term has no spectral term
+        steps = 0 if scheme == "rusanov" and not fractional and implicit == "none" \
+            else 20
+        assert calls["irfft"] == steps
+        assert calls["rfft"] == steps * (1 + fractional + (scheme == "spectral"))
 
 
 class TestSolve:
