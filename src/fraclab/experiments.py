@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import GridSpec, constant_field, path_l1_integral
-from .models import ConfigurationError, ModelSpec, build_model, noise_tables
-from .oracle import ModeParams, linearized_mode_arrays, star_moments
+from .models import ConfigurationError, build_model, noise_tables
+from .oracle import linearized_mode_arrays, ou_variance
 from .skeleton import solve_skeleton
 from .solver import SolverConfig, WienerBatch, plan_steps, solve
 
@@ -137,18 +137,9 @@ def _default_config() -> SolverConfig:
     return SolverConfig(dt=2e-4, t_end=0.5)
 
 
-def _model_payload(model, workers: int):
-    """Built spec for in-process math plus the form embedded in tasks.
-
-    A plain recipe dict crosses process boundaries; a ModelSpec holds
-    callables and stays in-process, so it only supports serial runs.
-    """
-    if isinstance(model, ModelSpec):
-        if workers > 1:
-            raise ConfigurationError(
-                "parallel experiments need a plain model recipe (dict); "
-                "built model specs hold callables and stay in one process")
-        return model, model
+def _model_payload(model):
+    """Built spec for in-process math plus the recipe embedded in tasks,
+    which crosses process boundaries where the callables of a spec cannot."""
     return build_model(model), dict(model)
 
 
@@ -191,8 +182,7 @@ def _solve_chunk(task, u0, observe, digest_samples=(0,)):
     on Wiener stream start + j, u0 holds the rows on its second-to-last axis
     or is one state for all.  Returns the digests of the task's samples in
     digest_samples, by sample."""
-    model = task["model"]
-    spec = build_model(model) if isinstance(model, dict) else model
+    spec = build_model(task["model"])
     config, start, stop = task["config"], task["start"], task["stop"]
     if np.ndim(u0) == 1:
         u0 = np.broadcast_to(u0, (stop - start, len(u0)))
@@ -265,8 +255,8 @@ def _mode_variance_cells(coeffs, mode_index, mu, weights, t_end, eps, lam=1.0):
     for column, (k, idx) in enumerate(mode_index.items()):
         mode = coeffs[:, column]
         measured, err_var = _mean_stderr(np.abs(mode - mode.mean()) ** 2)
-        oracle = star_moments(ModeParams(k, complex(mu[idx]), weights[idx]),
-                              t_end)[1] / (lam * lam)
+        oracle = float(ou_variance(np.sum(np.abs(weights[idx]) ** 2),
+                                   mu[idx].real, t_end)) / (lam * lam)
         cells.append(_cell(
             params=(("kind", "mode-variance"), ("eps", eps), ("mode", k)),
             statistic=measured, stderr=err_var,
@@ -380,9 +370,9 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
     Samples are spread round-robin over the pairs; with eps = 0 both legs
     are deterministic, so a single evaluation per pair is recorded.
     """
-    _, payload = _model_payload(model, workers)
+    _, payload = _model_payload(model)
     if M < 100:
-        raise ConfigurationError("contraction estimates need at least 100 samples")
+        raise ConfigurationError(f"samples: must be at least 100, got {M}")
     if not pairs:
         raise ConfigurationError("need at least one initial pair")
     grid = pairs[0][0].grid
@@ -438,9 +428,9 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
     checked mode must match the zero-start linear variance within three
     standard errors.
     """
-    spec, payload = _model_payload(model, workers)
+    spec, payload = _model_payload(model)
     if M < 100:
-        raise ConfigurationError("fluctuation estimates need at least 100 samples")
+        raise ConfigurationError(f"samples: must be at least 100, got {M}")
     eps_values = _check_grid(eps_grid, "eps_grid")
     u0, base = _constant_initial(u0, grid)
     grid = u0.grid
@@ -507,9 +497,9 @@ def mass_martingale_experiment(model, eps, M, *, u0=None, grid=None,
     1e-12 in one deterministic run; every cell allows that much rounding
     (squared for the variance), so noise that moves no mass passes.
     """
-    spec, payload = _model_payload(model, workers)
+    spec, payload = _model_payload(model)
     if M < 500:
-        raise ConfigurationError("mass statistics need at least 500 samples")
+        raise ConfigurationError(f"samples: must be at least 500, got {M}")
     u0 = _initial(u0, grid)
     grid = u0.grid
     config = config if config is not None else _default_config()
@@ -566,7 +556,7 @@ def regularization_experiment(model, control, ladder, *, which="eta", u0=None,
     Deterministic: runs the skeleton of control, or the uncontrolled
     equation when control is None; no sampling.
     """
-    spec, _ = _model_payload(model, 1)
+    spec, _ = _model_payload(model)
     rungs = _check_grid(ladder, "ladder", least=3, positive=False)
     if which not in ("eta", "gamma"):
         raise ConfigurationError("which: must be 'eta' or 'gamma'")
@@ -613,9 +603,9 @@ def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
     the smallest eps.  Controls must sit inside the declared energy level
     set; samples go round-robin over the family.
     """
-    spec, payload = _model_payload(model, workers)
+    spec, payload = _model_payload(model)
     if M < 1:
-        raise ConfigurationError("need at least one sample")
+        raise ConfigurationError(f"samples: must be at least 1, got {M}")
     eps_values = _check_grid(eps_grid, "eps_grid", positive=False)
     controls = list(control_family)
     if not controls:
@@ -693,9 +683,9 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
     if not 0.0 < a < 0.5:
         raise ConfigurationError(
             "a: the amplification exponent must lie strictly between 0 and 1/2")
-    spec, payload = _model_payload(model, workers)
+    spec, payload = _model_payload(model)
     if M < 1:
-        raise ConfigurationError("need at least one sample")
+        raise ConfigurationError(f"samples: must be at least 1, got {M}")
     eps_values = _check_grid(eps_grid, "eps_grid")
     u0, _ = _constant_initial(u0, grid)
     grid = u0.grid

@@ -54,7 +54,6 @@ class FluxSpec:
     eval: Callable
     deriv: Callable
     lipschitz_bound: float
-    second_deriv_bound: float | None = None
     name: str = "custom"
 
 
@@ -119,8 +118,7 @@ def linear_advection(speed: float = 1.0) -> FluxSpec:
     def fp(u):
         return np.full_like(np.asarray(u, dtype=float), s)
 
-    return FluxSpec(eval=f, deriv=fp, lipschitz_bound=abs(s),
-                    second_deriv_bound=0.0, name="advection")
+    return FluxSpec(eval=f, deriv=fp, lipschitz_bound=abs(s), name="advection")
 
 
 def burgers_clamped(clamp: float = 4.0) -> FluxSpec:
@@ -139,8 +137,7 @@ def burgers_clamped(clamp: float = 4.0) -> FluxSpec:
     def fp(u):
         return np.clip(np.asarray(u, dtype=float), -m, m)
 
-    return FluxSpec(eval=f, deriv=fp, lipschitz_bound=m,
-                    second_deriv_bound=1.0, name="burgers")
+    return FluxSpec(eval=f, deriv=fp, lipschitz_bound=m, name="burgers")
 
 
 def cubic_smoothed(clamp: float = 4.0) -> FluxSpec:
@@ -159,8 +156,7 @@ def cubic_smoothed(clamp: float = 4.0) -> FluxSpec:
         u = np.asarray(u, dtype=float)
         return np.minimum(u * u, m)
 
-    return FluxSpec(eval=f, deriv=fp, lipschitz_bound=m,
-                    second_deriv_bound=2.0 * r, name="cubic")
+    return FluxSpec(eval=f, deriv=fp, lipschitz_bound=m, name="cubic")
 
 
 def linear_diffusion(slope: float = 1.0, theta: float = 0.5) -> DiffusionSpec:

@@ -6,13 +6,11 @@ complex modes with drift rate
     mu_k = 2 pi i F'(1) k + Phi'(1) (2 pi |k|)^(2 theta) + eta 4 pi^2 k^2,
 
 driven additively by the frozen noise coefficients h_n(., 1).  Everything
-here is closed form: the Ornstein-Uhlenbeck moments of the zero-start driven
-modes and the Duhamel solution of the linear controlled skeleton.
+here is closed form: the Ornstein-Uhlenbeck variance of the zero-start
+driven modes and the Duhamel solution of the linear controlled skeleton.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,26 +25,10 @@ from .models import ModelSpec, noise_tables
 from .skeleton import Control
 
 __all__ = [
-    "ModeParams",
     "linearized_mode_arrays",
-    "mode_params",
-    "star_moments",
-    "star_variance_profile",
+    "ou_variance",
     "duhamel_mdp_skeleton",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class ModeParams:
-    """One complex Fourier mode of the linearized dynamics."""
-
-    wavenumber: int
-    drift_rate: complex
-    noise_weights: np.ndarray
-
-    def __post_init__(self):
-        if self.drift_rate.real < -1e-12:
-            raise ValueError("mode drift rate must have nonnegative real part")
 
 
 def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0):
@@ -68,43 +50,16 @@ def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0):
     return mu, weights
 
 
-def mode_params(model: ModelSpec, grid: GridSpec, wavenumber: int,
-                eta: float = 0.0) -> ModeParams:
-    mu, weights = linearized_mode_arrays(model, grid, eta)
-    ks = list(grid.wavenumbers().astype(int))
-    if wavenumber not in ks:
-        raise ValueError(f"wavenumber {wavenumber} is not resolvable on this grid")
-    idx = ks.index(wavenumber)
-    return ModeParams(wavenumber=wavenumber, drift_rate=complex(mu[idx]),
-                      noise_weights=weights[idx].copy())
-
-
-def _ou_variance(total_sq, re_mu, t: float):
-    """total_sq (1 - e^{-2 re_mu t}) / (2 re_mu), or total_sq t where re_mu
-    is zero; elementwise over arrays."""
+def ou_variance(total_sq, re_mu, t: float):
+    """Variance at time t of a zero-start driven complex mode, which is also
+    its reachability Gramian: total_sq (1 - e^{-2 re_mu t}) / (2 re_mu), or
+    total_sq t where re_mu is zero; elementwise over arrays.  total_sq is the
+    squared norm of the mode's noise weights; the real and imaginary parts
+    carry half the variance each."""
     undamped = np.asarray(re_mu) == 0.0
     rate = np.where(undamped, 1.0, re_mu)
     return np.where(undamped, total_sq * t,
                     total_sq * -np.expm1(-2.0 * rate * t) / (2.0 * rate))
-
-
-def star_moments(mode: ModeParams, t: float):
-    """Mean and variance of the zero-start driven complex mode at time t.
-
-    The variance convention is for the full complex mode; the real and
-    imaginary parts carry half each.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    total_sq = float(np.sum(np.abs(mode.noise_weights) ** 2))
-    return 0.0 + 0.0j, float(_ou_variance(total_sq, mode.drift_rate.real, t))
-
-
-def star_variance_profile(model: ModelSpec, grid: GridSpec, t: float,
-                          eta: float = 0.0) -> np.ndarray:
-    """Variance of every resolvable complex mode at time t (fft layout)."""
-    mu, weights = linearized_mode_arrays(model, grid, eta)
-    return _ou_variance(np.sum(np.abs(weights) ** 2, axis=1), mu.real, t)
 
 
 def _interval_kernel(mu: np.ndarray, t: float, a: float, b: float) -> np.ndarray:

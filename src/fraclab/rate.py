@@ -25,7 +25,7 @@ from .models import ModelSpec
 from .oracle import (
     duhamel_mdp_skeleton,
     linearized_mode_arrays,
-    star_variance_profile,
+    ou_variance,
     _interval_kernel,
 )
 from .skeleton import Control, solve_controlled_spde
@@ -144,9 +144,9 @@ def mdp_rate_exact(target: SpectralField, model: ModelSpec, T: float,
         raise ValueError("T must be positive")
     grid = target.grid
     mu, weights = linearized_mode_arrays(model, grid, eta)
-    gram = star_variance_profile(model, grid, T, eta)
-    tau = target.spectrum
     weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
+    gram = ou_variance(weight_sq, mu.real, T)
+    tau = target.spectrum
     # the floor references the strongest driven mode: weights that are pure
     # transform roundoff produce a Gramian proportional to themselves, so a
     # per-mode relative test could never fire

@@ -109,10 +109,13 @@ def control_from_csv(path) -> Control:
     if len(rows) < 2:
         raise ConfigurationError(f"no control rows in {path}")
     starts, ends, coeffs = [], [], []
-    for row in rows[1:]:
-        starts.append(float(row[0]))
-        ends.append(float(row[1]))
-        coeffs.append([float(v) for v in row[2:]])
+    for i, row in enumerate(rows[1:], start=1):
+        values = [float(v) for v in row]
+        if not np.all(np.isfinite(values)):
+            raise ConfigurationError(f"non-finite value in control row {i}")
+        starts.append(values[0])
+        ends.append(values[1])
+        coeffs.append(values[2:])
     for i in range(1, len(starts)):
         if abs(starts[i] - ends[i - 1]) > 1e-12:
             raise ConfigurationError(f"control intervals not contiguous at row {i + 1}")

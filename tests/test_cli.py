@@ -665,6 +665,26 @@ def test_unusable_input_file_exits_2_naming_key(tmp_path, monkeypatch, case):
     assert f"{key}: " in err
 
 
+# one control row over the run's horizon and six noise modes, with one
+# non-finite breakpoint or coefficient
+NON_FINITE_CONTROLS = {
+    "nan-coefficient": "0.0,0.05,nan,0,0,0,0,0",
+    "inf-coefficient": "0.0,0.05,inf,0,0,0,0,0",
+    "nan-end-time": "0.0,nan,0.1,0,0,0,0,0",
+    "inf-end-time": "0.0,inf,0.1,0,0,0,0,0",
+}
+
+
+@pytest.mark.parametrize("row", NON_FINITE_CONTROLS.values(), ids=NON_FINITE_CONTROLS)
+def test_non_finite_control_csv_exits_2_naming_key(tmp_path, row):
+    path = tmp_path / "control.csv"
+    path.write_text("t_start,t_end,l_1,l_2,l_3,l_4,l_5,l_6\n" + row + "\n")
+    code, err = _exit_and_error(tmp_path, ("skeleton",),
+                                ("control.kind=csv", f"control.path={path}"))
+    assert code == 2
+    assert "control.path: " in err
+
+
 # list values that only an experiment driver can check, with the driver
 DRIVER_CASES = (
     (("experiment", "clt"), "experiment.eps_grid = 1e-3,1e-2"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fraclab.fields import GridSpec, SpectralField, constant_field, path_l1_integral
-from fraclab.models import ConfigurationError, build_model
+from fraclab.models import ConfigurationError
 from fraclab.skeleton import random_control
 from fraclab.solver import SolverConfig, WienerPath
 from fraclab.experiments import (
@@ -86,9 +86,6 @@ class TestContraction:
         with pytest.raises(ConfigurationError):
             contraction_experiment(BURGERS, [(pair[0], other)], 1e-2, 100,
                                    config=CONFIG)
-        with pytest.raises(ConfigurationError):
-            contraction_experiment(build_model(BURGERS), [pair], 1e-2, 100,
-                                   config=CONFIG, workers=2)
 
 
 class TestClt:

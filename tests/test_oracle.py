@@ -1,4 +1,4 @@
-"""Tests for the exact mode oracle: drift rates, driven-mode moments, and
+"""Tests for the exact mode oracle: drift rates, driven-mode variances, and
 the Duhamel solution of the linear skeleton."""
 
 import numpy as np
@@ -14,12 +14,9 @@ from fraclab.models import (
     linear_diffusion,
 )
 from fraclab.oracle import (
-    ModeParams,
     duhamel_mdp_skeleton,
     linearized_mode_arrays,
-    mode_params,
-    star_moments,
-    star_variance_profile,
+    ou_variance,
 )
 from fraclab.skeleton import Control, random_control, solve_mdp_skeleton
 from fraclab.solver import SolverConfig
@@ -38,16 +35,28 @@ def make_model(noise=None):
 GRID = GridSpec(points_per_axis=64)
 
 
+def mode(model, k, eta=0.0):
+    """Drift rate and noise weights of wavenumber k on GRID."""
+    mu, weights = linearized_mode_arrays(model, GRID, eta)
+    idx = list(GRID.wavenumbers().astype(int)).index(k)
+    return mu[idx], weights[idx]
+
+
+def mode_variance(model, k, t):
+    mu, weights = mode(model, k)
+    return float(ou_variance(np.sum(np.abs(weights) ** 2), mu.real, t))
+
+
 class TestModeParams:
     def test_drift_rate_formula(self):
         # F'(1) = 1, Phi'(1) = 0.5, theta = 0.5: mu_1 = pi + 2 pi i
-        mode = mode_params(make_model(), GRID, 1)
-        assert abs(mode.drift_rate - (np.pi + 2j * np.pi)) < 1e-13
+        mu, _ = mode(make_model(), 1)
+        assert abs(mu - (np.pi + 2j * np.pi)) < 1e-13
 
     def test_viscosity_enters_real_part(self):
-        mode = mode_params(make_model(), GRID, 2, eta=0.1)
-        base = mode_params(make_model(), GRID, 2)
-        assert abs((mode.drift_rate - base.drift_rate) - 0.1 * 4 * np.pi ** 2 * 4) < 1e-10
+        mu, _ = mode(make_model(), 2, eta=0.1)
+        base, _ = mode(make_model(), 2)
+        assert abs((mu - base) - 0.1 * 4 * np.pi ** 2 * 4) < 1e-10
 
     def test_conjugate_pairing(self):
         mu, _ = linearized_mode_arrays(make_model(), GRID)
@@ -59,67 +68,42 @@ class TestModeParams:
     def test_noise_weights(self):
         # diagonal-decay at state 1: h_n = n^-1 (sin(2 pi n x) + 1), so mode n
         # carries -i/(2n) and mode 0 carries n^-1
-        mode = mode_params(make_model(), GRID, 1)
-        assert abs(mode.noise_weights[0] - (-0.5j)) < 1e-14
-        assert abs(np.sum(np.abs(mode.noise_weights) ** 2) - 0.25) < 1e-14
-        zero = mode_params(make_model(), GRID, 0)
-        assert np.allclose(zero.noise_weights, [1, 0.5, 1 / 3, 0.25], atol=1e-14)
-
-    def test_unresolvable_mode_rejected(self):
-        with pytest.raises(ValueError):
-            mode_params(make_model(), GRID, 200)
-
-    def test_negative_real_part_rejected(self):
-        with pytest.raises(ValueError):
-            ModeParams(wavenumber=1, drift_rate=-1.0 + 0j,
-                       noise_weights=np.array([1.0 + 0j]))
+        _, weights = mode(make_model(), 1)
+        assert abs(weights[0] - (-0.5j)) < 1e-14
+        assert abs(np.sum(np.abs(weights) ** 2) - 0.25) < 1e-14
+        _, zero = mode(make_model(), 0)
+        assert np.allclose(zero, [1, 0.5, 1 / 3, 0.25], atol=1e-14)
 
 
 class TestStarMoments:
     def test_zero_time(self):
-        mode = mode_params(make_model(), GRID, 1)
-        mean, var = star_moments(mode, 0.0)
-        assert mean == 0.0 and var == 0.0
+        assert mode_variance(make_model(), 1, 0.0) == 0.0
 
     def test_brownian_mode_zero(self):
         # k = 0 with eta = 0 is undamped: variance grows linearly; the
         # additive offset family has weight 0.5/n at mode zero
         model = make_model(noise=additive_noise(3, q=1.0, offset=0.5))
-        mode = mode_params(model, GRID, 0)
-        assert mode.drift_rate == 0.0
-        _, var = star_moments(mode, 2.0)
+        assert mode(model, 0)[0] == 0.0
+        var = mode_variance(model, 0, 2.0)
         expected = sum((0.5 / n) ** 2 for n in (1, 2, 3)) * 2.0
         assert abs(var - expected) < 1e-14
         assert abs(var - 0.6805555555555556) < 1e-14
 
     def test_generic_mode_matches_quadrature(self):
-        mode = mode_params(make_model(), GRID, 1)
-        _, var = star_moments(mode, 0.5)
-        total_sq = float(np.sum(np.abs(mode.noise_weights) ** 2))
-        quad = ou_variance_quadrature(total_sq, mode.drift_rate.real, 0.5)
+        mu, weights = mode(make_model(), 1)
+        var = mode_variance(make_model(), 1, 0.5)
+        total_sq = float(np.sum(np.abs(weights) ** 2))
+        quad = ou_variance_quadrature(total_sq, mu.real, 0.5)
         assert abs(var - quad) < 1e-10
         assert abs(var - 0.03806930859746171) < 1e-15
 
     def test_monotone_and_bounded(self):
-        mode = mode_params(make_model(), GRID, 2)
+        mu, weights = mode(make_model(), 2)
         times = np.linspace(0.0, 3.0, 40)
-        variances = [star_moments(mode, t)[1] for t in times]
+        variances = [mode_variance(make_model(), 2, t) for t in times]
         assert np.all(np.diff(variances) >= 0)
-        cap = float(np.sum(np.abs(mode.noise_weights) ** 2)) / (2 * mode.drift_rate.real)
+        cap = float(np.sum(np.abs(weights) ** 2)) / (2 * mu.real)
         assert variances[-1] <= cap + 1e-14
-
-    def test_profile_matches_per_mode(self):
-        model = make_model()
-        prof = star_variance_profile(model, GRID, 0.7)
-        k = GRID.wavenumbers().astype(int)
-        for kk in (0, 1, 5, -3):
-            mode = mode_params(model, GRID, kk)
-            assert abs(prof[list(k).index(kk)] - star_moments(mode, 0.7)[1]) < 1e-14
-
-    def test_negative_time_rejected(self):
-        mode = mode_params(make_model(), GRID, 1)
-        with pytest.raises(ValueError):
-            star_moments(mode, -0.1)
 
 
 class TestDuhamel:

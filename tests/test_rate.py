@@ -20,7 +20,7 @@ from fraclab.models import (
 from fraclab.oracle import (
     duhamel_mdp_skeleton,
     linearized_mode_arrays,
-    star_variance_profile,
+    ou_variance,
 )
 from fraclab.rate import (
     RateOptions,
@@ -77,7 +77,8 @@ def test_unreachable_mode_flagged():
 
 
 def test_gramian_matches_hand_formula():
-    gram = star_variance_profile(SLOW, GRID, 0.5)
+    mu, weights = linearized_mode_arrays(SLOW, GRID)
+    gram = ou_variance(np.sum(np.abs(weights) ** 2, axis=1), mu.real, 0.5)
     mu = 0.2 * (4.0 * np.pi ** 2 * 4.0) ** 0.25
     hand = 2.0 * (0.5 / 2.0) ** 2 * (1.0 - np.exp(-2.0 * mu * 0.5)) / (2.0 * mu)
     assert abs(gram[2] - hand) <= 1e-15

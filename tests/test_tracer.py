@@ -2,12 +2,16 @@
 
 perfbench/tracer.py wraps module-level names of fraclab from outside the
 program; a name it cannot find would crash a traced run or leave one of its
-per-layer metrics at 0.
+per-layer metrics at 0.  It wraps every function in fraclab.oracle.__all__
+and skips a listed name the module lacks, so every __all__ must be current.
 """
 
+import importlib
 import importlib.util
 import os
+import pkgutil
 
+import fraclab
 import fraclab.rate
 
 TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -27,3 +31,11 @@ def test_tracer_wraps_every_name_it_patches():
     finally:
         tracer.remove()
     assert fraclab.rate.minimize is minimize
+
+
+def test_every_public_name_is_defined():
+    for info in pkgutil.iter_modules(fraclab.__path__, "fraclab."):
+        module = importlib.import_module(info.name)
+        missing = [name for name in getattr(module, "__all__", ())
+                   if not hasattr(module, name)]
+        assert missing == [], f"{info.name}.__all__ lists undefined {missing}"
