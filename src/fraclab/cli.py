@@ -58,7 +58,7 @@ from .models import (
     validate_model,
 )
 from .oracle import linearized_mode_arrays, ou_variance
-from .rate import RateOptions, ldp_rate_iterative, mdp_rate_exact
+from .rate import GRAMIAN_FLOOR, RateOptions, ldp_rate_iterative, mdp_rate_exact
 from .rate import report_to_json as rate_report_to_json
 from .skeleton import (
     Control,
@@ -598,6 +598,9 @@ def _run_oracle(cfg: RunConfig):
     model, grid, config = _prepared(cfg)
     mu, weights = linearized_mode_arrays(model, grid, config.eta)
     weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
+    # the modes the noise does not drive hold transform rounding: they print
+    # as 0, below the floor by which mdp_rate_exact calls a mode unreachable
+    weight_sq[weight_sq < GRAMIAN_FLOOR * np.max(weight_sq)] = 0.0
     variance = ou_variance(weight_sq, mu.real, config.t_end)
     ks = grid.wavenumbers().astype(int)
 

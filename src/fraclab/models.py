@@ -49,10 +49,15 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class FluxSpec:
-    """Scalar flux with its derivative and a declared global Lipschitz bound."""
+    """Scalar flux with its first two derivatives and a declared global
+    Lipschitz bound.
+
+    deriv2 is the derivative of deriv; where deriv has a kink, it takes the
+    value of one side, which each family names."""
 
     eval: Callable
     deriv: Callable
+    deriv2: Callable
     lipschitz_bound: float
     name: str = "custom"
 
@@ -118,13 +123,18 @@ def linear_advection(speed: float = 1.0) -> FluxSpec:
     def fp(u):
         return np.full_like(np.asarray(u, dtype=float), s)
 
-    return FluxSpec(eval=f, deriv=fp, lipschitz_bound=abs(s), name="advection")
+    def fpp(u):
+        return np.zeros_like(np.asarray(u, dtype=float))
+
+    return FluxSpec(eval=f, deriv=fp, deriv2=fpp, lipschitz_bound=abs(s),
+                    name="advection")
 
 
 def burgers_clamped(clamp: float = 4.0) -> FluxSpec:
     """u^2/2 with derivative clamped to [-clamp, clamp]; linear growth outside.
 
-    Clamping is what makes the flux globally Lipschitz.
+    Clamping is what makes the flux globally Lipschitz.  At |u| = clamp the
+    second derivative takes the outer side's value 0.
     """
     if clamp <= 0:
         raise ConfigurationError("clamp must be positive")
@@ -137,11 +147,17 @@ def burgers_clamped(clamp: float = 4.0) -> FluxSpec:
     def fp(u):
         return np.clip(np.asarray(u, dtype=float), -m, m)
 
-    return FluxSpec(eval=f, deriv=fp, lipschitz_bound=m, name="burgers")
+    def fpp(u):
+        return np.where(np.abs(np.asarray(u, dtype=float)) < m, 1.0, 0.0)
+
+    return FluxSpec(eval=f, deriv=fp, deriv2=fpp, lipschitz_bound=m, name="burgers")
 
 
 def cubic_smoothed(clamp: float = 4.0) -> FluxSpec:
-    """u^3/3 with derivative u^2 capped at clamp; linear growth outside the cap."""
+    """u^3/3 with derivative u^2 capped at clamp; linear growth outside the cap.
+
+    At u^2 = clamp the second derivative takes the outer side's value 0.
+    """
     if clamp <= 0:
         raise ConfigurationError("clamp must be positive")
     m = float(clamp)
@@ -156,7 +172,11 @@ def cubic_smoothed(clamp: float = 4.0) -> FluxSpec:
         u = np.asarray(u, dtype=float)
         return np.minimum(u * u, m)
 
-    return FluxSpec(eval=f, deriv=fp, lipschitz_bound=m, name="cubic")
+    def fpp(u):
+        u = np.asarray(u, dtype=float)
+        return np.where(u * u < m, 2.0 * u, 0.0)
+
+    return FluxSpec(eval=f, deriv=fp, deriv2=fpp, lipschitz_bound=m, name="cubic")
 
 
 def linear_diffusion(slope: float = 1.0, theta: float = 0.5) -> DiffusionSpec:
@@ -336,12 +356,26 @@ def noise_pairing(noise: NoiseSpec, grid: GridSpec):
     The solver pairs the Wiener increments and the skeleton pairs the control
     through this routine.  coeffs is one vector (K,) for every row of values,
     or a batch (M, K) with row m for row m of values (..., M, N).
+
+    The adjoint gradient takes two derivatives from the same tables:
+    pair.slope(coeffs) = sum_k c_k B_k, the derivative of the pairing in
+    the state, and pair.transpose(values, cotangents) = the K sums
+    sum_x h_k(x, u(x)) w(x), its transpose in the coefficients, row by row:
+    (N,) or (S, N) arrays give (K,) or (S, K).
     """
     a, b = noise_tables(noise, grid.nodes())
 
     def pair(values, coeffs):
         return _row_products(coeffs, a) + values * _row_products(coeffs, b)
 
+    def slope(coeffs):
+        return _row_products(coeffs, b)
+
+    def transpose(values, cotangents):
+        return cotangents @ a.T + (values * cotangents) @ b.T
+
+    pair.slope = slope
+    pair.transpose = transpose
     return pair
 
 
@@ -408,9 +442,9 @@ def validate_model(model: ModelSpec, sample_count: int = 256,
     """Sampled check of the structural assumptions behind a model triple.
 
     Deterministic Halton points in [0,1) x [-box_radius, box_radius] probe
-    flux Lipschitz continuity and derivative consistency, diffusion
-    monotonicity and coercivity, and noise growth plus joint Lipschitz
-    behaviour.  Violations beyond 1e-9 slack fail the report.
+    flux Lipschitz continuity and the consistency of both flux derivatives,
+    diffusion monotonicity and coercivity, and noise growth plus joint
+    Lipschitz behaviour.  Violations beyond 1e-9 slack fail the report.
     """
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
@@ -437,6 +471,7 @@ def validate_model(model: ModelSpec, sample_count: int = 256,
         ratio = float(np.max(np.abs(fa - fb)))
     checks.append(AssumptionCheck("flux-lipschitz", bool(ratio <= 1.0 + slack), ratio))
     checks.append(_derivative_check("flux-derivative", f, fp, u))
+    checks.append(_derivative_check("flux-second-derivative", fp, model.flux.deriv2, u))
 
     phi, phip, lip_p = (model.diffusion.eval, model.diffusion.deriv,
                         model.diffusion.lipschitz_bound)

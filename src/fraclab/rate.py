@@ -29,7 +29,7 @@ from .oracle import (
     _interval_kernel,
 )
 from .skeleton import Control, solve_controlled_spde
-from .solver import SolverConfig
+from .solver import SolverConfig, control_gradient, plan_steps
 
 __all__ = [
     "RateReport",
@@ -177,80 +177,72 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
     """Upper bound on the deviation cost under the nonlinear skeleton.
 
     Minimizes energy plus a quadratic terminal penalty over piecewise
-    constant controls (numerical gradients), escalating the penalty weight,
-    then rescales the control so the dominant target mode is hit exactly.
-    Never silently fails: the report carries converged and the achieved
-    residual.
+    constant controls, escalating the penalty weight, then rescales the
+    control so the dominant target mode is hit exactly.  Never silently
+    fails: the report carries converged and the achieved residual.
 
-    Every objective evaluation is a batched skeleton solve, one row per
-    control: the points of one finite-difference gradient form one batch,
-    and a single point is the batch of one.  Row m of a batch is bit for bit
-    the path of its control solved alone, so the optimizer's path is that of
-    serial evaluations.
+    Each objective evaluation is one skeleton solve that records the path,
+    and its gradient, exact for the discrete objective, is one backward
+    sweep of the transposed step along that path (solver.control_gradient).
     """
     opts = opts or RateOptions()
-    grid = target.grid
     K = model.noise.truncation
     m = opts.intervals
     times = np.linspace(0.0, T, m + 1)
+    widths = np.diff(times)[:, None]
     config = SolverConfig(dt=opts.dt, t_end=T, eta=opts.eta,
                           flux_scheme=opts.flux_scheme)
     target_values = target.values
+    size = target.grid.size
 
-    def simulate(points):
-        """Controls of the points and their terminal states, shape (P, N)."""
-        controls = [Control(times=times, coeffs=np.reshape(flat, (m, K)))
-                    for flat in points]
-        terminal = None
+    n_steps, _ = plan_steps(config)
+
+    def forward(flat):
+        """The control of flat and the states u_0 .. u_N of its path."""
+        control = Control(times=times, coeffs=np.reshape(flat, (m, K)))
+        states = np.empty((n_steps + 1, size))
 
         def observe(step, values, dbeta):
-            nonlocal terminal
-            terminal = values
+            states[step] = values
 
-        start = np.broadcast_to(u0.values, (len(controls), grid.size))
-        solve_controlled_spde(start, model, controls, config,
-                              rows=np.arange(len(controls)), observe=observe)
-        return controls, terminal
+        solve_controlled_spde(u0.values, model, control, config, observe=observe)
+        return control, states
 
-    def objectives(points, penalty):
-        controls, terminal = simulate(points)
-        gaps = np.mean((terminal - target_values) ** 2, axis=-1)
-        return [control.energy + penalty * float(gap)
-                for control, gap in zip(controls, gaps)]
-
-    def objective(flat, penalty):
-        return objectives([flat], penalty)[0]
+    def value_and_gradient(flat, penalty):
+        control, states = forward(flat)
+        gap = states[-1] - target_values
+        value = control.energy + penalty * float(np.mean(gap ** 2))
+        grad = control_gradient(states, model, config, control,
+                                2.0 * penalty * gap / size)
+        return value, (grad + widths * control.coeffs).ravel()
 
     x = np.zeros(m * K)
     penalty = opts.penalty
     iterations = 0
     success = True
     for _ in range(opts.rounds):
-        # scipy hands every finite-difference point of a gradient to workers
-        # at once and still forms each difference quotient itself
-        def workers(fun, points, penalty=penalty):
-            return objectives(points, penalty)
-
-        result = minimize(objective, x, args=(penalty,), method="L-BFGS-B",
-                          jac="3-point",
-                          options={"maxiter": opts.maxiter, "gtol": opts.gradient_tol,
-                                   "workers": workers})
+        result = minimize(value_and_gradient, x, args=(penalty,), method="L-BFGS-B",
+                          jac=True,
+                          options={"maxiter": opts.maxiter, "gtol": opts.gradient_tol})
         x = result.x
         iterations += int(result.nit)
         success = bool(result.success) and success
         penalty *= opts.penalty_growth
 
-    (control, _), (terminal, base) = simulate([x, np.zeros_like(x)])
+    base = forward(np.zeros_like(x))[1][-1]
+    control, states = forward(x)
+    terminal = states[-1]
     # rescale along the found direction so the dominant deviation mode is hit
     # with the exact amplitude; keeps the value an honest upper bound
-    tau_dev = np.fft.fft(target_values - base) / grid.size
-    response = np.fft.fft(terminal - base) / grid.size
+    tau_dev = np.fft.fft(target_values - base) / size
+    response = np.fft.fft(terminal - base) / size
     idx = int(np.argmax(np.abs(tau_dev)))
     if np.abs(tau_dev[idx]) > 1e-12 and np.abs(response[idx]) > 1e-12:
         factor = float(np.abs(tau_dev[idx]) / np.abs(response[idx]))
         factor = min(max(factor, 0.1), 10.0)
         x = factor * x
-        (control,), (terminal,) = simulate([x])
+        control, states = forward(x)
+        terminal = states[-1]
 
     residual = _l2(terminal - target_values)
     scale = max(1.0, _l2(target_values))

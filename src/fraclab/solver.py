@@ -12,7 +12,9 @@ nodal update, the spectral terms applied on the half spectrum, one irfft.
 All randomness flows from seeded Wiener streams; a run is a pure function
 of (initial data, model, config, seed, stream).  The step acts on a batch
 of rows, one sample each, and a single path is the batch of one: every row
-of a batch is bit for bit the path its own stream gives alone.
+of a batch is bit for bit the path its own stream gives alone.  The
+transposed step, the same pieces in reverse order, gives control_gradient
+the exact gradient of a noise-free path's end state in its control.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 # numpy imports numpy.random on its first use; importing it here loads it
@@ -38,6 +41,7 @@ __all__ = [
     "stable_dt",
     "plan_steps",
     "solve",
+    "control_gradient",
     "trajectory_to_csv",
 ]
 
@@ -209,6 +213,28 @@ def _rusanov_divergence(values, flux, dx):
     return (interface - _shift(interface, 1)) / dx
 
 
+def _rusanov_divergence_transpose(values, flux, dx, cotangent):
+    """The transpose of the derivative of _rusanov_divergence at values,
+    applied to cotangent.
+
+    The dissipation speed max(|F'(u_j)|, |F'(u_j+1)|) is differentiated
+    through the left node on a tie, and |F'| through sign +1 where F' = 0.
+    """
+    fp = np.asarray(flux.deriv(values), dtype=float)
+    speed = np.abs(fp)
+    dspeed = np.where(fp < 0.0, -1.0, 1.0) * np.asarray(flux.deriv2(values), dtype=float)
+    right = _shift(speed, -1)
+    left_wins = speed >= right
+    jump = _shift(values, -1) - values
+    # the cotangent of interface j + 1/2, which depends on nodes j and j + 1
+    face = (cotangent - _shift(cotangent, -1)) / dx
+    big = np.maximum(speed, right)
+    here = face * 0.5 * (fp + big - np.where(left_wins, dspeed, 0.0) * jump)
+    there = face * 0.5 * (_shift(fp, -1) - big
+                          - np.where(left_wins, 0.0, _shift(dspeed, -1)) * jump)
+    return here + _shift(there, 1)
+
+
 class _StepContext:
     """Per-run half-spectrum multipliers shared by every step.
 
@@ -216,7 +242,8 @@ class _StepContext:
     flux terms are subtracted from the rfft of the explicit nodal update
     and the implicit symbol divided out before one irfft, or no transform
     when no spectral term is on.  Transforms along the last axis keep each
-    row's step independent of its batch.
+    row's step independent of its batch.  transpose applies the same pieces
+    in reverse order.
     """
 
     def __init__(self, grid: GridSpec, model: ModelSpec, config: SolverConfig):
@@ -228,13 +255,16 @@ class _StepContext:
         lap = laplacian_multiplier(grid)[: len(k)]
         flux_on = model.flux.lipschitz_bound > 0.0
         self.rusanov = flux_on and config.flux_scheme == "rusanov"
-        # the explicit spectral terms: (dt times the symbol, the nodal function)
+        # the explicit spectral terms: (dt times the symbol, the nodal
+        # function, its derivative)
         terms = []
         if model.diffusion.lipschitz_bound > 0.0:
-            terms.append((dt * lap ** model.diffusion.theta, model.diffusion.eval))
+            terms.append((dt * lap ** model.diffusion.theta, model.diffusion.eval,
+                          model.diffusion.deriv))
         if flux_on and not self.rusanov:
             # the modes |k| > N/3 are dealiased
-            terms.append((np.where(k > n / 3.0, 0.0, dt * 2j * np.pi * k), model.flux.eval))
+            terms.append((np.where(k > n / 3.0, 0.0, dt * 2j * np.pi * k),
+                          model.flux.eval, model.flux.deriv))
         self.terms = tuple(terms)
         self.implicit = None
         if config.eta > 0.0 or config.gamma > 0.0:
@@ -253,11 +283,43 @@ class _StepContext:
         if not self.terms and self.implicit is None:
             return out
         spec = np.fft.rfft(out)
-        for mult, nodal in self.terms:
+        for mult, nodal, _ in self.terms:
             spec -= mult * np.fft.rfft(np.asarray(nodal(values), dtype=float))
         if self.implicit is not None:
             spec /= self.implicit
         return np.fft.irfft(spec, n=self.n)
+
+    @cached_property
+    def _transposed_symbols(self):
+        """Rows 1/I and conj(m_i)/I of the implicit symbol I and the
+        spectral terms' symbols m_i: the transposes of the linear maps from
+        the explicit update and from each nodal term to the next state."""
+        inverse = 1.0 if self.implicit is None else 1.0 / self.implicit
+        rows = [np.broadcast_to(inverse, self.n // 2 + 1)]
+        rows += [np.conj(mult) * inverse for mult, _, _ in self.terms]
+        return np.stack(rows)
+
+    def transpose(self, values, cotangent, coeffs):
+        """The transposed noise-free step about the state values, one row.
+
+        Returns (J^T cotangent, w): J is the derivative of advance(values,
+        None, coeffs) in values, and w = L0^T cotangent, where L0 is the
+        implicit solve, is the cotangent of the explicit update, which the
+        control coefficients pair with.
+        """
+        w, nodal = cotangent, ()
+        if self.terms or self.implicit is not None:
+            stack = np.fft.irfft(self._transposed_symbols * np.fft.rfft(cotangent),
+                                 n=self.n)
+            w, nodal = stack[0], stack[1:]
+        out = w.copy()
+        for (_, _, deriv), z in zip(self.terms, nodal):
+            out -= np.asarray(deriv(values), dtype=float) * z
+        if self.rusanov:
+            out -= self.dt * _rusanov_divergence_transpose(
+                values, self.model.flux, self.dx, w)
+        out += self.dt * self.pair.slope(coeffs) * w
+        return out, w
 
 
 def plan_steps(config: SolverConfig):
@@ -339,6 +401,35 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
         observe(i + 1, values, dbeta)
     if single:
         return Trajectory(times=np.array(times), snapshots=tuple(snapshots))
+
+
+def control_gradient(states, model: ModelSpec, config: SolverConfig, control,
+                     cotangent):
+    """Gradient of <cotangent, u_N> in control.coeffs, shape (m, K), by one
+    backward sweep of the transposed step.
+
+    states holds u_0 .. u_N of the noise-free row that solve gives with
+    this control.  Step n adds dt (A w_n + B (u_n w_n)) to the gradient of
+    the interval holding its midpoint.  Raises DivergenceError with the
+    last step whose cotangent is not finite.
+    """
+    ctx = _StepContext(GridSpec(states.shape[-1]), model, config)
+    n_steps = len(states) - 1
+    dt = config.dt
+    interval = _interval_index(control.times, np.arange(n_steps) * dt + 0.5 * dt)
+    lam = cotangent
+    # one K-vector per step: products of the whole (steps, N) sweep at once
+    # would hold several such arrays and reach for a matrix-matrix product
+    rows = np.empty((n_steps, control.truncation))
+    for i in reversed(range(n_steps)):
+        lam, w = ctx.transpose(states[i], lam, control.coeffs[interval[i]])
+        rows[i] = ctx.pair.transpose(states[i], w)
+    lost = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
+    if len(lost):
+        raise DivergenceError(int(lost[-1]), (lost[-1] + 1) * dt)
+    # the steps of one interval are contiguous
+    edges = np.searchsorted(interval, np.arange(len(control.coeffs) + 1))
+    return dt * np.array([rows[a:b].sum(axis=0) for a, b in zip(edges[:-1], edges[1:])])
 
 
 def trajectory_to_csv(traj: Trajectory, path) -> None:

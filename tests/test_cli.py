@@ -308,6 +308,21 @@ class TestOtherCommands:
             for cell in cells[1:]:
                 float(cell)
 
+    def test_oracle_prints_undriven_modes_as_zero(self, tmp_path):
+        # diagonal-decay noise (K = 6, N = 32) drives the frequencies |k| <= 6;
+        # the others hold only transform rounding
+        cfg = write(tmp_path, BASE)
+        out = str(tmp_path / "out")
+        assert main(["oracle", "--config", cfg, "--out", out]) == 0
+        (run_name,) = os.listdir(out)
+        rows = (tmp_path / "out" / run_name / "modes.csv").read_text().splitlines()
+        for row in rows[1:]:
+            k, _, _, weight_sq, variance = row.split(",")
+            if abs(int(k)) <= 6:
+                assert float(weight_sq) > 0.0 and float(variance) > 0.0
+            else:
+                assert (weight_sq, variance) == ("0.0", "0.0")
+
     def test_rate_exact_writes_report_and_control(self, tmp_path):
         text = base_with(**{"model.noise.kind": "paired-harmonic"})
         text = text.replace("model.noise.truncation = 6",

@@ -63,6 +63,15 @@ class TestBuiltinFamilies:
         assert abs(f.eval(r + 1e-12) - f.eval(r)) < 1e-10
         assert f.deriv(10.0) == 4.0
 
+    def test_second_derivatives_take_the_outer_side_at_the_kinks(self):
+        assert np.all(linear_advection(2.0).deriv2(np.linspace(-3, 3, 7)) == 0.0)
+        burgers = burgers_clamped(2.0)
+        assert list(burgers.deriv2(np.array([-2.5, -2.0, -1.0, 0.0, 1.9, 2.0]))) \
+            == [0.0, 0.0, 1.0, 1.0, 1.0, 0.0]
+        cubic = cubic_smoothed(4.0)
+        assert list(cubic.deriv2(np.array([-3.0, -2.0, -1.5, 0.5, 2.0]))) \
+            == [0.0, 0.0, -3.0, 1.0, 0.0]
+
     def test_noise_family_shapes(self):
         n = diagonal_decay_noise(6)
         assert n.truncation == 6
@@ -103,6 +112,7 @@ class TestValidateModel:
     def test_understated_lipschitz_fails(self):
         f = FluxSpec(eval=lambda u: 3.0 * np.asarray(u, dtype=float),
                      deriv=lambda u: np.full_like(np.asarray(u, dtype=float), 3.0),
+                     deriv2=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                      lipschitz_bound=1.0)
         rep = validate_model(basic_model(flux=f), sample_count=128)
         assert not rep.check("flux-lipschitz").passed
@@ -110,9 +120,24 @@ class TestValidateModel:
     def test_wrong_derivative_fails(self):
         f = FluxSpec(eval=lambda u: np.asarray(u, dtype=float) ** 2 / 2.0,
                      deriv=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
+                     deriv2=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                      lipschitz_bound=100.0)
         rep = validate_model(basic_model(flux=f), sample_count=128)
         assert not rep.check("flux-derivative").passed
+
+    def test_wrong_second_derivative_fails(self):
+        f = FluxSpec(eval=lambda u: np.asarray(u, dtype=float) ** 2 / 2.0,
+                     deriv=lambda u: np.asarray(u, dtype=float),
+                     deriv2=lambda u: np.full_like(np.asarray(u, dtype=float), 2.0),
+                     lipschitz_bound=100.0)
+        rep = validate_model(basic_model(flux=f), sample_count=128)
+        assert rep.check("flux-derivative").passed
+        assert not rep.check("flux-second-derivative").passed
+
+    def test_builtin_second_derivatives_pass(self):
+        for flux in (linear_advection(1.5), burgers_clamped(4.0), cubic_smoothed(4.0)):
+            rep = validate_model(basic_model(flux=flux), sample_count=256)
+            assert rep.check("flux-second-derivative").passed
 
     def test_diagonal_growth_frozen_ratio(self):
         # independent direct supremum over the same Halton points gives
@@ -215,6 +240,20 @@ class TestNoiseEvaluation:
         lhs = pair(u.values, a * c1 + b * c2)
         rhs = a * pair(u.values, c1) + b * pair(u.values, c2)
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(1.0, np.max(np.abs(rhs)))
+
+    def test_slope_and_transpose(self):
+        # pair.slope is the derivative in the state, pair.transpose the
+        # transpose in the coefficients
+        grid = GridSpec(points_per_axis=32)
+        pair = noise_pairing(diagonal_decay_noise(6), grid)
+        rng = np.random.default_rng(2)
+        u, w = rng.standard_normal((2, 32))
+        c = rng.standard_normal(6)
+        assert np.allclose(pair(u, c) - pair(np.zeros(32), c), u * pair.slope(c),
+                           rtol=0.0, atol=1e-14)
+        assert pair(u, c) @ w == pytest.approx(c @ pair.transpose(u, w), rel=1e-13)
+        rows = pair.transpose(np.stack([u, w]), np.stack([w, u]))
+        assert np.allclose(rows[0], pair.transpose(u, w), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_affine_tables(self, family):

@@ -12,6 +12,8 @@ from fraclab.models import (
     ModelSpec,
     additive_noise,
     burgers_clamped,
+    cubic_smoothed,
+    diagonal_decay_noise,
     linear_advection,
     linear_diffusion,
     linearize_model,
@@ -30,7 +32,7 @@ from fraclab.rate import (
     verify_rate_bound,
 )
 from fraclab.skeleton import Control, solve_skeleton
-from fraclab.solver import SolverConfig, solve
+from fraclab.solver import DivergenceError, SolverConfig, control_gradient, solve
 
 from oracles import least_norm_mode_energy
 
@@ -240,45 +242,116 @@ def test_a_failed_round_clears_converged(monkeypatch):
     assert report.converged is False
 
 
-def test_batched_gradients_follow_the_serial_path(monkeypatch):
+SINE = field_from_spectrum(
+    GRID, np.fft.fft(0.1 + 0.8 * np.sin(2.0 * np.pi * GRID.nodes())) / GRID.size)
+
+
+def terminal_and_states(u0, model, control, config):
+    states = []
+    solve(u0.values, model, config, control=control,
+          observe=lambda step, values, dbeta: states.append(values))
+    return states[-1], np.array(states)
+
+
+@pytest.mark.parametrize("flux, noise, scheme, eta, gamma, slope", [
+    (burgers_clamped(4.0), diagonal_decay_noise(3), "rusanov", 0.0, 0.0, 0.5),
+    (cubic_smoothed(4.0), diagonal_decay_noise(3), "rusanov", 1e-3, 0.0, 0.5),
+    (burgers_clamped(4.0), paired_harmonic_noise(2), "spectral", 0.0, 1e-6, 0.5),
+    (burgers_clamped(4.0), diagonal_decay_noise(3), "spectral", 1e-3, 1e-6, 0.5),
+    # no spectral term and no implicit solve: a step takes no transform
+    (burgers_clamped(4.0), diagonal_decay_noise(3), "rusanov", 0.0, 0.0, 0.0),
+])
+def test_adjoint_gradient_matches_central_differences(flux, noise, scheme, eta,
+                                                      gamma, slope):
+    # the sine keeps |u| well inside both clamps; Burgers' |F'| has a kink
+    # where u = 0, which no node hits after step 0, and the Jacobian of
+    # step 0 never enters the control gradient
+    model = ModelSpec(flux, linear_diffusion(slope, 0.5), noise)
+    config = SolverConfig(dt=1e-3, t_end=0.03, eta=eta, gamma=gamma,
+                          flux_scheme=scheme)
+    rng = np.random.default_rng(11)
+    times = np.linspace(0.0, config.t_end, 4)
+    coeffs = 0.5 * rng.standard_normal((3, noise.truncation))
+    cotangent = rng.standard_normal(GRID.size)
+    control = Control(times=times, coeffs=coeffs)
+    _, states = terminal_and_states(SINE, model, control, config)
+    grad = control_gradient(states, model, config, control, cotangent)
+
+    delta = 1e-6
+    differences = np.zeros_like(coeffs)
+    for idx in np.ndindex(coeffs.shape):
+        ends = []
+        for sign in (1.0, -1.0):
+            moved = coeffs.copy()
+            moved[idx] += sign * delta
+            terminal, _ = terminal_and_states(
+                SINE, model, Control(times=times, coeffs=moved), config)
+            ends.append(cotangent @ terminal)
+        differences[idx] = (ends[0] - ends[1]) / (2.0 * delta)
+    assert np.max(np.abs(grad - differences)) <= 1e-6 * np.max(np.abs(differences))
+
+
+def test_objective_is_energy_plus_penalty_with_its_exact_gradient(monkeypatch):
     # a nonlinear model: Rusanov fluxes of clamped Burgers about a sine
     model = ModelSpec(burgers_clamped(4.0), linear_diffusion(0.5, 0.5),
                       paired_harmonic_noise(pairs=2))
     T = 0.05
-    u0 = field_from_spectrum(
-        GRID, np.fft.fft(1.0 + 0.2 * np.sin(2.0 * np.pi * GRID.nodes())) / GRID.size)
-    config = SolverConfig(dt=1e-3, t_end=T)
+    config = SolverConfig(dt=1e-3, t_end=T, eta=1e-3)
     target = field_from_spectrum(
-        GRID, solve(u0, model, config).terminal.spectrum
+        GRID, solve(SINE, model, config).terminal.spectrum
         + pair_target(GRID, {1: 0.01 - 0.02j}).spectrum)
-    opts = RateOptions(intervals=2, dt=1e-3, rounds=2, maxiter=15)
-    batched = ldp_rate_iterative(target, u0, model, T, opts)
-
+    opts = RateOptions(intervals=2, dt=1e-3, eta=1e-3, rounds=1, maxiter=3)
     calls = []
 
-    def serial(fun, x0, args, method, jac, options):
-        # the reference: scipy's default map evaluates one point at a time
-        calls.append((fun, args, options.pop("workers")))
-        return minimize(fun, x0, args=args, method=method, jac=jac, options=options)
+    def recorded(fun, x0, args, **kwargs):
+        calls.append((fun, args))
+        return minimize(fun, x0, args=args, **kwargs)
 
-    monkeypatch.setattr(rate_module, "minimize", serial)
-    reference = ldp_rate_iterative(target, u0, model, T, opts)
-    assert batched.iterations == reference.iterations > 0
-    assert batched.value == reference.value
-    assert batched.residual == reference.residual
-    assert (batched.optimal_control.coeffs.tobytes()
-            == reference.optimal_control.coeffs.tobytes())
+    monkeypatch.setattr(rate_module, "minimize", recorded)
+    ldp_rate_iterative(target, SINE, model, T, opts)
+    fun, (penalty,) = calls[0]
 
-    # batched objective values are those of separate skeleton solves
-    fun, (penalty,), workers = calls[0]
     times = np.linspace(0.0, T, opts.intervals + 1)
     rng = np.random.default_rng(4)
-    points = [0.5 * rng.standard_normal(opts.intervals * 4) for _ in range(3)]
-    for point, value in zip(points, workers(fun, iter(points))):
+    delta = 1e-6
+    for _ in range(3):
+        point = 0.5 * rng.standard_normal(opts.intervals * 4)
+        value, grad = fun(point, penalty)
         control = Control(times=times, coeffs=point.reshape(opts.intervals, 4))
-        terminal = solve_skeleton(u0, model, control, config).terminal.values
+        terminal = solve_skeleton(SINE, model, control, config).terminal.values
         gap = float(np.mean((terminal - target.values) ** 2))
         assert value == control.energy + penalty * gap
+        differences = np.array([
+            (fun(point + delta * e, penalty)[0] - fun(point - delta * e, penalty)[0])
+            / (2.0 * delta) for e in np.eye(len(point))])
+        assert np.max(np.abs(grad - differences)) <= 1e-6 * np.max(np.abs(differences))
+
+
+def test_a_non_finite_gradient_raises_divergence():
+    model = ModelSpec(burgers_clamped(4.0), linear_diffusion(0.5, 0.5),
+                      diagonal_decay_noise(3))
+    config = SolverConfig(dt=1e-3, t_end=0.01)
+    control = Control(times=np.array([0.0, 0.01]), coeffs=np.ones((1, 3)))
+    _, states = terminal_and_states(SINE, model, control, config)
+    cotangent = np.ones(GRID.size)
+    cotangent[5] = np.inf
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            control_gradient(states, model, config, control, cotangent)
+    assert err.value.step_index == 9
+
+
+def test_undriven_modes_of_the_iterative_control_are_rounding():
+    # the rate-iterative benchmark case: the target drives only the first
+    # frequency, so the coefficients of the second pair stay at rounding
+    model = ModelSpec(linear_advection(1.0), linear_diffusion(0.5, 0.5),
+                      paired_harmonic_noise(pairs=2))
+    opts = RateOptions(intervals=10, dt=1e-3, flux_scheme="spectral",
+                       rounds=3, maxiter=100)
+    report = ldp_rate_iterative(pair_target(GRID, {1: 0.08 - 0.05j}),
+                                constant_field(GRID, 0.0), model, 0.25, opts)
+    assert report.converged
+    assert np.max(np.abs(report.optimal_control.coeffs[:, 2:])) <= 1e-14
 
 
 def test_report_json_fields():

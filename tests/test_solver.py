@@ -268,6 +268,7 @@ class TestBatch:
     def test_diverging_row_reports_its_first_bad_step(self):
         lying = FluxSpec(eval=lambda u: 1e6 * np.asarray(u, dtype=float),
                          deriv=lambda u: np.full_like(np.asarray(u, dtype=float), 1e6),
+                         deriv2=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                          lipschitz_bound=1e-9)
         model = make_model(flux=lying, diffusion=linear_diffusion(0.0, 0.5))
         grid = GridSpec(points_per_axis=32)
@@ -442,6 +443,7 @@ class TestSolve:
         # unstable run through; the blow-up must be caught and located
         lying = FluxSpec(eval=lambda u: 1e6 * np.asarray(u, dtype=float),
                          deriv=lambda u: np.full_like(np.asarray(u, dtype=float), 1e6),
+                         deriv2=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
                          lipschitz_bound=1e-9)
         model = make_model(flux=lying, diffusion=linear_diffusion(0.0, 0.5))
         grid = GridSpec(points_per_axis=32)
