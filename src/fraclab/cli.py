@@ -70,6 +70,7 @@ from .solver import (
     DivergenceError,
     SolverConfig,
     WienerPath,
+    plan_steps,
     solve,
     stable_dt,
     trajectory_to_csv,
@@ -506,11 +507,20 @@ def _prepared(cfg: RunConfig):
         failed = ", ".join(c.name for c in report.checks if not c.passed)
         raise ConfigurationError(
             f"{cfg.source}: model violates structural assumptions: {failed}")
-    limit = stable_dt(model, grid, config)
-    if config.dt > limit * (1.0 + 1e-12):
-        raise ConfigurationError(cfg.where(
-            "solver.dt", f"dt {config.dt:g} exceeds the stable step {limit:g}"))
+    _check_step(cfg, "solver.dt", model, grid, config)
     return model, grid, config
+
+
+def _check_step(cfg: RunConfig, key: str, model, grid: GridSpec,
+                config: SolverConfig):
+    """A config error naming key unless config.dt divides t_end stably."""
+    try:
+        plan_steps(config)
+        limit = stable_dt(model, grid, config)
+        if config.dt > limit * (1.0 + 1e-12):
+            raise ConfigurationError(f"dt {config.dt:g} exceeds the stable step {limit:g}")
+    except ConfigurationError as exc:
+        raise ConfigurationError(cfg.where(key, str(exc))) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +609,7 @@ def _run_oracle(cfg: RunConfig):
     mu, weights = linearized_mode_arrays(model, grid, config.eta)
     weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
     # the modes the noise does not drive hold transform rounding: they print
-    # as 0, below the floor by which mdp_rate_exact calls a mode unreachable
+    # as 0, below the floor under which mdp_rate_exact calls a mode undriven
     weight_sq[weight_sq < GRAMIAN_FLOOR * np.max(weight_sq)] = 0.0
     variance = ou_variance(weight_sq, mu.real, config.t_end)
     ks = grid.wavenumbers().astype(int)
@@ -629,6 +639,9 @@ def _run_rate(cfg: RunConfig):
         options = {name: cfg.get(f"rate.{name}", option.default)
                    for name, option in RateOptions.__dataclass_fields__.items()}
         options["eta"] = eta
+        _check_step(cfg, "rate.dt", model, grid, SolverConfig(
+            dt=options["dt"], t_end=config.t_end, eta=eta,
+            flux_scheme=options["flux_scheme"]))
         report = ldp_rate_iterative(target, _build_initial(cfg, grid), model,
                                     config.t_end, RateOptions(**options))
 

@@ -1,16 +1,10 @@
 """Deviation cost of terminal states for the controlled linear skeleton.
 
-The minimal control energy to steer one driven mode pair to a terminal
-value is a quadratic form in the target with the reachability Gramian
-
-    G_k(T) = sum_n |h_n(., 1)^_k|^2 (1 - e^{-2 Re mu_k T}) / (2 Re mu_k)
-
-as its kernel.  Summed over the conjugate-symmetric mode layout with weight
-1/2 (so each conjugate pair counts once at full weight and the self-paired
-modes at half), this gives the exact cost for noise families that drive
-each frequency isotropically; for anisotropic families it is the standard
-circular relaxation.  A penalty-method optimizer provides upper bounds for
-the nonlinear problem.
+The exact cost is the least control energy that steers the linear skeleton
+from zero to a target: (1/2) t' G^+ t, with t the target's driven real
+Fourier parts and G their controllability Gramian in closed form, for every
+noise family.  A penalty-method optimizer provides upper bounds for the
+nonlinear problem.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ from .models import ModelSpec
 from .oracle import (
     duhamel_mdp_skeleton,
     linearized_mode_arrays,
-    ou_variance,
     _interval_kernel,
 )
 from .skeleton import Control, solve_controlled_spde
@@ -40,7 +33,9 @@ __all__ = [
     "report_to_json",
 ]
 
-# a mode is unreachable when its Gramian is this far below the natural scale
+# a mode is driven when its squared noise weight exceeds this fraction of
+# the largest, and the Gramian's pseudo-inverse drops the eigenvalues below
+# this fraction of the largest
 GRAMIAN_FLOOR = 1e-14
 
 
@@ -96,80 +91,65 @@ def _l2(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(values ** 2)))
 
 
-def _adjoint_control(tau, mu, weights, gram, usable, T, intervals, tau_tol):
-    """Closed-form steering control: superposition of time-reversed adjoint
-    profiles per targeted mode, sampled at interval midpoints, with the mode-0
-    coefficient solved against the discrete response so the mean is hit
-    exactly."""
-    n_modes, K = weights.shape
-    times = np.linspace(0.0, T, intervals + 1)
-    mids = 0.5 * (times[:-1] + times[1:])
-    coeffs = np.zeros((intervals, K))
-    half = n_modes // 2
-    for idx in range(1, half + 1):
-        if idx == half and n_modes % 2 == 0:
-            continue  # nyquist carries no usable targets in practice
-        if not usable[idx]:
-            continue
-        beta = tau[idx] / gram[idx]
-        profile = np.conj(np.exp(-mu[idx] * (T - mids)))
-        coeffs += 2.0 * np.real(beta * profile[:, None] * np.conj(weights[idx])[None, :])
-
-    kern0 = np.array([_interval_kernel(np.array([mu[0]]), T, times[i], times[i + 1])[0]
-                      for i in range(intervals)])
-    w0 = weights[0].real
-    induced = complex(np.sum(kern0 * (coeffs @ weights[0])))
-    target0 = tau[0].real
-    # only compensate a mean drift that is actually there; a near-zero
-    # mode-0 response would otherwise amplify roundoff
-    if usable[0] or abs(induced) > tau_tol:
-        decay0 = np.exp(-mu[0].real * (T - mids))
-        response0 = float(np.real(np.sum(kern0 * decay0)) * np.sum(w0 * w0))
-        if response0 > 0.0:
-            beta0 = (target0 - induced.real) / response0
-            coeffs += beta0 * decay0[:, None] * w0[None, :]
-    return Control(times=times, coeffs=coeffs)
-
-
 def mdp_rate_exact(target: SpectralField, model: ModelSpec, T: float,
                    eta: float = 0.0, control_intervals: int = 64) -> RateReport:
     """Exact quadratic deviation cost of a terminal state under the linear
-    skeleton, with the closed-form steering control.
+    skeleton, and the least-energy control constant on each of
+    control_intervals equal intervals that steers to it.
 
-    Target coefficients below 1e-12 of the field scale are treated as zero.
-    Modes with nonzero targets but Gramian below 1e-14 of its natural scale
-    are unreachable: the report carries the infinite flag and lists them.
+    Mode k ends at u_k(T) = int_0^T e^{-mu_k (T - s)} w_k . l(s) ds.  The
+    constraints t are the real parts of the driven modes 0 <= k <= N/2 and
+    the imaginary parts of those other than 0 and N/2; the value is
+    (1/2) t' G^+ t with G their Gramian.  Target parts below 1e-12 of the
+    field scale count as zero; a larger part outside the range of G, or on
+    a mode the noise does not drive, makes the report infinite and lists
+    its mode.  residual is the control's miss by the Duhamel oracle.
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
     grid = target.grid
+    n = grid.size
     mu, weights = linearized_mode_arrays(model, grid, eta)
-    weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
-    gram = ou_variance(weight_sq, mu.real, T)
-    tau = target.spectrum
-    # the floor references the strongest driven mode: weights that are pure
-    # transform roundoff produce a Gramian proportional to themselves, so a
-    # per-mode relative test could never fire
-    floor = GRAMIAN_FLOOR * float(np.max(weight_sq)) * T
+    tau = target.spectrum[:n // 2 + 1]
+    weight_sq = np.sum(np.abs(weights[:n // 2 + 1]) ** 2, axis=1)
+    driven = np.flatnonzero(weight_sq > GRAMIAN_FLOOR * float(np.max(weight_sq)))
+    # row r reads Re(c_r u_k(T)): c = 1 for every driven mode, and c = -i for
+    # the imaginary parts a real field leaves free (all but k = 0 and N/2)
+    paired = driven[(driven > 0) & (2 * driven < n)]
+    row_mode = np.concatenate([driven, paired])
+    phase = np.concatenate([np.ones(len(driven)), np.full(len(paired), -1j)])
+    rates, drive = mu[row_mode], phase[:, None] * weights[row_mode]
+    t = (phase * tau[row_mode]).real
+    # Re a . Re b = Re(a conj(b) + a b) / 2, integrated over the horizon
+    h = (drive @ drive.conj().T) * _interval_kernel(
+        rates[:, None] + rates.conj(), T, 0.0, T)
+    p = (drive @ drive.T) * _interval_kernel(rates[:, None] + rates, T, 0.0, T)
+    gram = 0.5 * (h + p).real
+    solved = np.linalg.pinv(gram, rcond=GRAMIAN_FLOOR, hermitian=True) @ t
+
     tau_tol = 1e-12 * max(1.0, float(np.max(np.abs(tau))))
-    active = np.abs(tau) > tau_tol
-    reachable = gram > floor
+    unreachable = np.abs(tau) > tau_tol
+    unreachable[driven] = False
+    unreachable[row_mode[np.abs(t - gram @ solved) > tau_tol]] = True
+    if np.any(unreachable):
+        return RateReport(value=None, infinite=True, unreachable_modes=tuple(
+            int(k) for k in np.flatnonzero(unreachable)))
 
-    dead = active & ~reachable
-    if np.any(dead):
-        k = grid.wavenumbers().astype(int)
-        return RateReport(value=None, infinite=True,
-                          unreachable_modes=tuple(int(v) for v in k[dead]))
-
-    usable = active & reachable
-    value = 0.0
-    if np.any(usable):
-        value = 0.5 * float(np.sum(np.abs(tau[usable]) ** 2 / gram[usable]))
-    control = _adjoint_control(tau, mu, weights, gram, usable, T,
-                               control_intervals, tau_tol)
-    achieved = duhamel_mdp_skeleton(control, model, T, grid, eta)
-    residual = _l2(achieved.values - target.values)
-    return RateReport(value=value, optimal_control=control, residual=residual)
+    # the same rows of the responses to a unit coefficient on each interval,
+    # columns scaled by 1/sqrt(width): the least-norm solution has the least
+    # energy, and a singular value is the root of a Gramian eigenvalue
+    m, K = control_intervals, weights.shape[1]
+    times = np.linspace(0.0, T, m + 1)
+    root = np.sqrt(T / m)
+    kernel = np.stack([_interval_kernel(rates, T, a, b)
+                       for a, b in zip(times[:-1], times[1:])], axis=1)
+    response = (kernel[:, :, None] * drive[:, None, :] / root).real
+    scaled, *_ = np.linalg.lstsq(response.reshape(len(t), m * K), t,
+                                 rcond=np.sqrt(GRAMIAN_FLOOR))
+    control = Control(times=times, coeffs=scaled.reshape(m, K) / root)
+    achieved = duhamel_mdp_skeleton(control, model, T, grid, eta).values
+    return RateReport(value=0.5 * float(t @ solved), optimal_control=control,
+                      residual=_l2(achieved - target.values))
 
 
 def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpec,
@@ -196,16 +176,22 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
     size = target.grid.size
 
     n_steps, _ = plan_steps(config)
+    last = [None, None]  # the last point solved and its (control, states)
 
     def forward(flat):
-        """The control of flat and the states u_0 .. u_N of its path."""
-        control = Control(times=times, coeffs=np.reshape(flat, (m, K)))
+        """The control of flat and the states u_0 .. u_N of its path; the
+        last point solved is kept, so a repeated point costs no solve."""
+        if np.array_equal(last[0], flat):
+            return last[1]
+        flat = np.array(flat, dtype=float)
+        control = Control(times=times, coeffs=flat.reshape(m, K))
         states = np.empty((n_steps + 1, size))
 
         def observe(step, values, dbeta):
             states[step] = values
 
         solve_controlled_spde(u0.values, model, control, config, observe=observe)
+        last[:] = flat, (control, states)
         return control, states
 
     def value_and_gradient(flat, penalty):
@@ -217,6 +203,8 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
         return value, (grad + widths * control.coeffs).ravel()
 
     x = np.zeros(m * K)
+    # the first evaluation of the first round is at x = 0
+    base = forward(x)[1][-1].copy()
     penalty = opts.penalty
     iterations = 0
     success = True
@@ -229,7 +217,6 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
         success = bool(result.success) and success
         penalty *= opts.penalty_growth
 
-    base = forward(np.zeros_like(x))[1][-1]
     control, states = forward(x)
     terminal = states[-1]
     # rescale along the found direction so the dominant deviation mode is hit

@@ -143,12 +143,11 @@ def solve_mdp_skeleton(control: Control, model: ModelSpec, config: SolverConfig,
 
 
 def solve_controlled_spde(u0, model: ModelSpec, control, config: SolverConfig,
-                          path=None, rows=None, observe=None):
+                          path=None, observe=None):
     """Control plus driving noise; reduces to the skeleton when eps = 0 and
     to the plain driven equation when the control vanishes.
 
-    For a batch (see solve), control may be a sequence with rows[m] the
-    control of row m; observe is passed on to solve.
+    u0 may be a batch (see solve) that every row drives with the one
+    control; observe is passed on to solve.
     """
-    return solve(u0, model, config, path=path, control=control, rows=rows,
-                 observe=observe)
+    return solve(u0, model, config, path=path, control=control, observe=observe)

@@ -173,8 +173,8 @@ class Trajectory:
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, step_index: int, time: float):
-        super().__init__(f"solution lost finiteness at step {step_index} (t = {time:g})")
+    def __init__(self, step_index: int, time: float, what: str = "solution"):
+        super().__init__(f"{what} lost finiteness at step {step_index} (t = {time:g})")
         self.step_index = step_index
         self.time = time
 
@@ -410,8 +410,8 @@ def control_gradient(states, model: ModelSpec, config: SolverConfig, control,
 
     states holds u_0 .. u_N of the noise-free row that solve gives with
     this control.  Step n adds dt (A w_n + B (u_n w_n)) to the gradient of
-    the interval holding its midpoint.  Raises DivergenceError with the
-    last step whose cotangent is not finite.
+    the interval holding its midpoint.  Raises DivergenceError naming the
+    adjoint cotangent and the last step at which it is not finite.
     """
     ctx = _StepContext(GridSpec(states.shape[-1]), model, config)
     n_steps = len(states) - 1
@@ -426,7 +426,7 @@ def control_gradient(states, model: ModelSpec, config: SolverConfig, control,
         rows[i] = ctx.pair.transpose(states[i], w)
     lost = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
     if len(lost):
-        raise DivergenceError(int(lost[-1]), (lost[-1] + 1) * dt)
+        raise DivergenceError(int(lost[-1]), (lost[-1] + 1) * dt, "the adjoint cotangent")
     # the steps of one interval are contiguous
     edges = np.searchsorted(interval, np.arange(len(control.coeffs) + 1))
     return dt * np.array([rows[a:b].sum(axis=0) for a, b in zip(edges[:-1], edges[1:])])

@@ -62,32 +62,41 @@ def duhamel_mode_quadrature(mu, weights, control_times, control_coeffs, t, n_sub
 
 
 def least_norm_mode_energy(mu, weights, T, m, target, constrain_imag=True):
-    """Minimal REAL-control energy steering one complex mode to `target`.
+    """Minimal REAL-control energy steering one or several complex modes at
+    once to `target`.
 
-    Discretizes the control onto m equal intervals, builds the exact Duhamel
-    response of each (interval, channel) pair, stacks the real and imaginary
-    constraint rows (imaginary row dropped for self-conjugate modes), and
-    takes the real min-norm least-squares solution. Returns
-    (energy, coefficients) with energy = (1/2) sum_i dt sum_n l_in^2.
+    mu and target hold one entry per mode and weights one row per mode (a
+    scalar and one row for a single mode); constrain_imag is one flag, or
+    one per mode, and is False for the self-conjugate modes, whose value is
+    real.  Discretizes the control onto m equal intervals, builds the exact
+    Duhamel response of each (interval, channel) pair, stacks every mode's
+    real constraint row and the imaginary rows asked for, and takes the real
+    min-norm least-squares solution. Returns (energy, coefficients) with
+    energy = (1/2) sum_i dt sum_n l_in^2.
     """
-    weights = np.asarray(weights, dtype=complex)
+    mu = np.atleast_1d(np.asarray(mu, dtype=complex))
+    weights = np.atleast_2d(np.asarray(weights, dtype=complex))
+    target = np.atleast_1d(np.asarray(target, dtype=complex))
+    imag = np.broadcast_to(constrain_imag, mu.shape)
     dt = T / m
     edges = np.linspace(0.0, T, m + 1)
-    if mu == 0:
-        a = np.full(m, dt, dtype=complex)
-    else:
-        a = (np.exp(-mu * (T - edges[1:])) - np.exp(-mu * (T - edges[:-1]))) / mu
-    # response of unit l_in is weights[n] * a[i]; scale columns by sqrt(dt) so
-    # the euclidean min-norm solution minimizes sum_i dt sum_n l_in^2
-    response = (a[:, None] * weights[None, :]).ravel() / np.sqrt(dt)
-    rows = [response.real]
-    rhs = [target.real]
-    if constrain_imag:
-        rows.append(response.imag)
-        rhs.append(target.imag)
+    rows, rhs = [], []
+    for rate, weight, tau, both in zip(mu, weights, target, imag):
+        if rate == 0:
+            a = np.full(m, dt, dtype=complex)
+        else:
+            a = (np.exp(-rate * (T - edges[1:])) - np.exp(-rate * (T - edges[:-1]))) / rate
+        # response of unit l_in is weight[n] * a[i]; scale columns by sqrt(dt)
+        # so the euclidean min-norm solution minimizes sum_i dt sum_n l_in^2
+        response = (a[:, None] * weight[None, :]).ravel() / np.sqrt(dt)
+        rows.append(response.real)
+        rhs.append(tau.real)
+        if both:
+            rows.append(response.imag)
+            rhs.append(tau.imag)
     sol, *_ = np.linalg.lstsq(np.stack(rows), np.array(rhs), rcond=None)
     energy = 0.5 * float(sol @ sol)
-    coeffs = sol.reshape(m, len(weights)) / np.sqrt(dt)
+    coeffs = sol.reshape(m, weights.shape[1]) / np.sqrt(dt)
     return energy, coeffs
 
 

@@ -634,7 +634,11 @@ OUT_OF_SCHEMA = (
     (("experiment", "clt"), (), "experiment.eta=-1"),
     (("rate",), ("rate.method=iterative",), "rate.dt=-1"),
     (("rate",), ("rate.method=iterative",), "rate.flux_scheme=weno"),
+    # a step that does not divide t_end, and one beyond the stable step
+    (("rate",), ("rate.method=iterative",), "rate.dt=3e-3"),
+    (("rate",), ("rate.method=iterative",), "rate.dt=0.05"),
     (("simulate",), (), "solver.dt=-1"),
+    (("simulate",), (), "solver.dt=3e-3"),
 )
 
 

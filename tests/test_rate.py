@@ -31,7 +31,7 @@ from fraclab.rate import (
     report_to_json,
     verify_rate_bound,
 )
-from fraclab.skeleton import Control, solve_skeleton
+from fraclab.skeleton import Control, solve_controlled_spde, solve_skeleton
 from fraclab.solver import DivergenceError, SolverConfig, control_gradient, solve
 
 from oracles import least_norm_mode_energy
@@ -104,8 +104,8 @@ def test_matches_least_norm_brute_force():
 
 
 def test_flat_model_value_and_control_are_exact():
-    # with zero drift rates the adjoint profile is constant in time, so the
-    # discretized control carries no sampling error at all
+    # with zero drift rates the least-energy control is constant in time, so
+    # the piecewise-constant control costs the value exactly
     T = 0.5
     target = pair_target(GRID, {1: 0.4 - 0.1j, 3: -0.2 + 0.3j})
     report = mdp_rate_exact(target, FLAT, T)
@@ -168,6 +168,67 @@ def test_verify_rate_bound_accepts_and_rejects():
                    coeffs=np.zeros((1, FLAT.noise.truncation)))
     with pytest.raises(ValueError, match="residual"):
         verify_rate_bound(zero, target, FLAT, T)
+
+
+def brute_force_energy(model, target, T, m, driven):
+    """Least-norm energy of a control on m intervals that steers the modes
+    0..driven, which the noise drives, to the target's values."""
+    mu, weights = linearized_mode_arrays(model, GRID)
+    k = np.arange(driven + 1)
+    return least_norm_mode_energy(mu[k], weights[k], T, m, target.spectrum[k],
+                                  constrain_imag=(k > 0) & (2 * k < GRID.size))[0]
+
+
+NYQUIST = ModelSpec(linear_advection(0.5), linear_diffusion(0.5, 0.5),
+                    additive_noise(16, offset=0.3))
+NYQUIST_TARGET = field_from_spectrum(GRID, 0.1 * np.eye(GRID.size)[GRID.size // 2])
+
+# families that drive a frequency along one direction of the complex plane,
+# or couple the frequencies through their mean, with the highest mode driven
+ANISOTROPIC = {
+    "diagonal-decay": (ModelSpec(burgers_clamped(4.0), linear_diffusion(0.5, 0.5),
+                                 diagonal_decay_noise(6)),
+                       pair_target(GRID, {1: 0.05 + 0.02j}), 6),
+    "additive-offset": (ModelSpec(linear_advection(0.5), linear_diffusion(0.5, 0.5),
+                                  additive_noise(8, offset=0.3)),
+                        pair_target(GRID, {3: 0.1 + 0.1j}), 8),
+    "nyquist": (NYQUIST, NYQUIST_TARGET, 16),
+}
+
+
+@pytest.mark.parametrize("model, target, driven", ANISOTROPIC.values(),
+                         ids=ANISOTROPIC)
+def test_anisotropic_value_is_the_least_norm_energy(model, target, driven):
+    T = 0.25
+    report = mdp_rate_exact(target, model, T)
+    coarse, fine = (brute_force_energy(model, target, T, m, driven) for m in (200, 400))
+    # controls on m intervals cost O(1/m^2) more than the minimum
+    assert report.value < fine < coarse
+    assert fine - report.value <= 0.3 * (coarse - report.value)
+    assert report.residual <= 1e-12
+    assert verify_rate_bound(report.optimal_control, target, model, T) >= report.value
+
+
+def test_a_target_cosine_noise_cannot_reach_is_infinite():
+    model = ModelSpec(linear_advection(0.0), linear_diffusion(0.5, 0.5),
+                      additive_noise(8))
+    report = mdp_rate_exact(pair_target(GRID, {3: 0.1 + 0.1j}), model, 0.25)
+    assert report.infinite and report.value is None
+    assert report.unreachable_modes == (3,)
+    reachable = mdp_rate_exact(pair_target(GRID, {3: 0.1}), model, 0.25)
+    assert not reachable.infinite
+    assert reachable.residual <= 1e-12
+
+
+def test_the_control_energy_approaches_the_value_at_nyquist():
+    reports = [mdp_rate_exact(NYQUIST_TARGET, NYQUIST, 0.25, control_intervals=m)
+               for m in (64, 1024)]
+    value = reports[0].value
+    coarse, fine = (r.optimal_control.energy for r in reports)
+    # the gap falls as 1/m^2: by 256 from 64 to 1024 intervals
+    assert value < fine < coarse
+    assert fine - value <= (coarse - value) / 100.0
+    assert max(r.residual for r in reports) <= 1e-12
 
 
 def test_iterative_trivial_target_is_free():
@@ -339,6 +400,7 @@ def test_a_non_finite_gradient_raises_divergence():
         with pytest.raises(DivergenceError) as err:
             control_gradient(states, model, config, control, cotangent)
     assert err.value.step_index == 9
+    assert str(err.value).startswith("the adjoint cotangent lost finiteness at step 9")
 
 
 def test_undriven_modes_of_the_iterative_control_are_rounding():
@@ -352,6 +414,26 @@ def test_undriven_modes_of_the_iterative_control_are_rounding():
                                 constant_field(GRID, 0.0), model, 0.25, opts)
     assert report.converged
     assert np.max(np.abs(report.optimal_control.coeffs[:, 2:])) <= 1e-14
+
+
+def test_the_iterative_rate_solves_each_control_once(monkeypatch):
+    solved = []
+
+    def recorded(u0, model, control, config, **kwargs):
+        solved.append(control.coeffs.tobytes())
+        return solve_controlled_spde(u0, model, control, config, **kwargs)
+
+    monkeypatch.setattr(rate_module, "solve_controlled_spde", recorded)
+    # the rate-iterative benchmark case
+    model = ModelSpec(linear_advection(1.0), linear_diffusion(0.5, 0.5),
+                      paired_harmonic_noise(pairs=2))
+    opts = RateOptions(intervals=10, dt=1e-3, flux_scheme="spectral",
+                       rounds=3, maxiter=100)
+    report = ldp_rate_iterative(pair_target(GRID, {1: 0.08 - 0.05j}),
+                                constant_field(GRID, 0.0), model, 0.25, opts)
+    assert report.converged
+    assert report.optimal_control.coeffs.tobytes() == solved[-1]
+    assert len(set(solved)) == len(solved)
 
 
 def test_report_json_fields():

@@ -17,7 +17,7 @@ from fraclab.models import (
     linear_advection,
     linear_diffusion,
 )
-from fraclab.skeleton import random_control, solve_controlled_spde
+from fraclab.skeleton import random_control
 from fraclab.solver import (
     DivergenceError,
     SolverConfig,
@@ -221,8 +221,8 @@ class TestBatch:
         controls = [random_control(i, 4, 0.05, intervals=3) for i in range(2)]
         which = np.arange(len(self.STREAMS)) % len(controls)
         if control:
-            batch = batch_snapshots(lambda observe: solve_controlled_spde(
-                u0, model, controls, config, path, rows=which,
+            batch = batch_snapshots(lambda observe: solve(
+                u0, model, config, path, control=controls, rows=which,
                 observe=observe), config)
         else:
             batch = batch_snapshots(
@@ -233,8 +233,7 @@ class TestBatch:
             alone = SpectralField(grid, u0[index])
             stream = WienerPath(9, self.STREAMS[m], 4)
             if control:
-                traj = solve_controlled_spde(alone, model, controls[which[m]],
-                                             config, stream)
+                traj = solve(alone, model, config, stream, control=controls[which[m]])
             else:
                 traj = solve(alone, model, config, stream)
             assert np.array_equal(batch[index], traj.values_matrix())
@@ -245,10 +244,10 @@ class TestBatch:
         controls = [random_control(i, 4, 0.05, intervals=n)
                     for i, n in enumerate((4, 6))]
         with pytest.raises(ConfigurationError, match="share breakpoints"):
-            solve_controlled_spde(self.rows(grid), make_model(), controls, config,
-                                  WienerBatch(9, self.STREAMS, 4),
-                                  rows=np.arange(len(self.STREAMS)) % 2,
-                                  observe=lambda step, values, dbeta: None)
+            solve(self.rows(grid), make_model(), config,
+                  WienerBatch(9, self.STREAMS, 4), control=controls,
+                  rows=np.arange(len(self.STREAMS)) % 2,
+                  observe=lambda step, values, dbeta: None)
 
     def test_leading_axes_share_their_row_increments(self):
         grid = GridSpec(points_per_axis=32)
