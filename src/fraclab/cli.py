@@ -57,8 +57,8 @@ from .models import (
     build_model,
     validate_model,
 )
-from .oracle import linearized_mode_arrays, ou_variance
-from .rate import GRAMIAN_FLOOR, RateOptions, ldp_rate_iterative, mdp_rate_exact
+from .oracle import _driven_weight_sq, linearized_mode_arrays, ou_variance
+from .rate import RateOptions, ldp_rate_iterative, mdp_rate_exact
 from .rate import report_to_json as rate_report_to_json
 from .skeleton import (
     Control,
@@ -607,10 +607,7 @@ def _run_skeleton(cfg: RunConfig):
 def _run_oracle(cfg: RunConfig):
     model, grid, config = _prepared(cfg)
     mu, weights = linearized_mode_arrays(model, grid, config.eta)
-    weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
-    # the modes the noise does not drive hold transform rounding: they print
-    # as 0, below the floor under which mdp_rate_exact calls a mode undriven
-    weight_sq[weight_sq < GRAMIAN_FLOOR * np.max(weight_sq)] = 0.0
+    weight_sq = _driven_weight_sq(weights)
     variance = ou_variance(weight_sq, mu.real, config.t_end)
     ks = grid.wavenumbers().astype(int)
 

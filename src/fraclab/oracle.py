@@ -5,9 +5,9 @@ complex modes with drift rate
 
     mu_k = 2 pi i F'(1) k + Phi'(1) (2 pi |k|)^(2 theta) + eta 4 pi^2 k^2,
 
-driven additively by the frozen noise coefficients h_n(., 1).  Everything
-here is closed form: the Ornstein-Uhlenbeck variance of the zero-start
-driven modes and the Duhamel solution of the linear controlled skeleton.
+driven additively by the frozen noise coefficients h_n(., 1).  One closed
+form, the Duhamel kernel, gives the Ornstein-Uhlenbeck variance of the
+zero-start driven modes, the linear controlled skeleton and the exact rate.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ __all__ = [
     "duhamel_mdp_skeleton",
 ]
 
+# a mode is driven when its squared noise weight exceeds this fraction of the
+# largest, and the exact rate's pseudo-inverse drops Gramian eigenvalues below it
+_GRAMIAN_FLOOR = 1e-14
+
 
 def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0):
     """Drift rates (fft layout) and noise weight matrix of shape (modes, K).
@@ -45,31 +49,33 @@ def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0):
           + pslope * fractional_multiplier(grid, model.diffusion.theta)
           + eta * FOUR_PI_SQ * k * k)
     a, b = noise_tables(model.noise, grid.nodes())
-    n = grid.size
-    weights = np.stack([np.fft.fft(row) / n for row in a + b], axis=1)
+    weights = (np.fft.fft(a + b) / grid.size).T.copy()
     return mu, weights
+
+
+def _driven_weight_sq(weights: np.ndarray) -> np.ndarray:
+    """Squared norm of each mode's noise weights, 0 on the modes the noise
+    does not drive, which hold only transform rounding."""
+    weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
+    return np.where(weight_sq > _GRAMIAN_FLOOR * np.max(weight_sq), weight_sq, 0.0)
 
 
 def ou_variance(total_sq, re_mu, t: float):
     """Variance at time t of a zero-start driven complex mode, which is also
-    its reachability Gramian: total_sq (1 - e^{-2 re_mu t}) / (2 re_mu), or
-    total_sq t where re_mu is zero; elementwise over arrays.  total_sq is the
-    squared norm of the mode's noise weights; the real and imaginary parts
-    carry half the variance each."""
-    undamped = np.asarray(re_mu) == 0.0
-    rate = np.where(undamped, 1.0, re_mu)
-    return np.where(undamped, total_sq * t,
-                    total_sq * -np.expm1(-2.0 * rate * t) / (2.0 * rate))
+    its reachability Gramian: total_sq times the Duhamel kernel at rate
+    2 re_mu on [0, t]; elementwise over arrays.  total_sq is the squared norm
+    of the mode's noise weights; the real and imaginary parts carry half the
+    variance each."""
+    return total_sq * _interval_kernel(2.0 * re_mu, t, 0.0, t)
 
 
-def _interval_kernel(mu: np.ndarray, t: float, a: float, b: float) -> np.ndarray:
-    """Closed form of the Duhamel interval integral of e^{-mu (t - s)} ds."""
-    out = np.empty_like(mu)
+def _interval_kernel(mu, t, a, b):
+    """int_a^b e^{-mu (t - s)} ds for a <= b <= t, broadcast: e^{-mu (t - b)}
+    (1 - e^{-mu (b - a)}) / mu with the last factor by expm1, or b - a at mu = 0."""
     zero = mu == 0.0
-    out[zero] = b - a
-    nz = ~zero
-    out[nz] = (np.exp(-mu[nz] * (t - b)) - np.exp(-mu[nz] * (t - a))) / mu[nz]
-    return out
+    rate = np.where(zero, 1.0, mu)
+    return np.where(zero, b - a,
+                    np.exp(-rate * (t - b)) * -np.expm1(-rate * (b - a)) / rate)
 
 
 def duhamel_mdp_skeleton(control: Control, model: ModelSpec, t: float,
@@ -79,12 +85,7 @@ def duhamel_mdp_skeleton(control: Control, model: ModelSpec, t: float,
         raise ValueError("t must be nonnegative")
     control.check_fits(t, model.noise.truncation)
     mu, weights = linearized_mode_arrays(model, grid, eta)
-    spectrum = np.zeros_like(mu)
-    for i in range(control.coeffs.shape[0]):
-        a = float(control.times[i])
-        b = min(float(control.times[i + 1]), t)
-        if a >= t:
-            break
-        forcing = weights @ control.coeffs[i]
-        spectrum += _interval_kernel(mu, t, a, b) * forcing
+    edges = np.minimum(control.times, t)
+    kernel = _interval_kernel(mu[:, None], t, edges[:-1], edges[1:])
+    spectrum = np.sum(kernel * (weights @ control.coeffs.T), axis=1)
     return field_from_spectrum(grid, spectrum)

@@ -17,9 +17,11 @@ import numpy as np
 from .fields import SpectralField
 from .models import ModelSpec
 from .oracle import (
+    _GRAMIAN_FLOOR,
+    _driven_weight_sq,
+    _interval_kernel,
     duhamel_mdp_skeleton,
     linearized_mode_arrays,
-    _interval_kernel,
 )
 from .skeleton import Control, solve_controlled_spde
 from .solver import SolverConfig, control_gradient, plan_steps
@@ -32,12 +34,6 @@ __all__ = [
     "verify_rate_bound",
     "report_to_json",
 ]
-
-# a mode is driven when its squared noise weight exceeds this fraction of
-# the largest, and the Gramian's pseudo-inverse drops the eigenvalues below
-# this fraction of the largest
-GRAMIAN_FLOOR = 1e-14
-
 
 @dataclass(frozen=True, eq=False)
 class RateReport:
@@ -91,28 +87,15 @@ def _l2(values: np.ndarray) -> float:
     return float(np.sqrt(np.mean(values ** 2)))
 
 
-def mdp_rate_exact(target: SpectralField, model: ModelSpec, T: float,
-                   eta: float = 0.0, control_intervals: int = 64) -> RateReport:
-    """Exact quadratic deviation cost of a terminal state under the linear
-    skeleton, and the least-energy control constant on each of
-    control_intervals equal intervals that steers to it.
-
-    Mode k ends at u_k(T) = int_0^T e^{-mu_k (T - s)} w_k . l(s) ds.  The
-    constraints t are the real parts of the driven modes 0 <= k <= N/2 and
-    the imaginary parts of those other than 0 and N/2; the value is
-    (1/2) t' G^+ t with G their Gramian.  Target parts below 1e-12 of the
-    field scale count as zero; a larger part outside the range of G, or on
-    a mode the noise does not drive, makes the report infinite and lists
-    its mode.  residual is the control's miss by the Duhamel oracle.
-    """
+def _gramian_value(target: SpectralField, model: ModelSpec, T: float, eta: float):
+    """mdp_rate_exact's value, None if infinite, the unreachable modes, and
+    the rates, drives and targets of its constraint rows."""
     if T <= 0.0:
         raise ValueError("T must be positive")
-    grid = target.grid
-    n = grid.size
-    mu, weights = linearized_mode_arrays(model, grid, eta)
+    n = target.grid.size
+    mu, weights = linearized_mode_arrays(model, target.grid, eta)
     tau = target.spectrum[:n // 2 + 1]
-    weight_sq = np.sum(np.abs(weights[:n // 2 + 1]) ** 2, axis=1)
-    driven = np.flatnonzero(weight_sq > GRAMIAN_FLOOR * float(np.max(weight_sq)))
+    driven = np.flatnonzero(_driven_weight_sq(weights)[:n // 2 + 1])
     # row r reads Re(c_r u_k(T)): c = 1 for every driven mode, and c = -i for
     # the imaginary parts a real field leaves free (all but k = 0 and N/2)
     paired = driven[(driven > 0) & (2 * driven < n)]
@@ -125,30 +108,48 @@ def mdp_rate_exact(target: SpectralField, model: ModelSpec, T: float,
         rates[:, None] + rates.conj(), T, 0.0, T)
     p = (drive @ drive.T) * _interval_kernel(rates[:, None] + rates, T, 0.0, T)
     gram = 0.5 * (h + p).real
-    solved = np.linalg.pinv(gram, rcond=GRAMIAN_FLOOR, hermitian=True) @ t
+    solved = np.linalg.pinv(gram, rcond=_GRAMIAN_FLOOR, hermitian=True) @ t
 
     tau_tol = 1e-12 * max(1.0, float(np.max(np.abs(tau))))
     unreachable = np.abs(tau) > tau_tol
     unreachable[driven] = False
     unreachable[row_mode[np.abs(t - gram @ solved) > tau_tol]] = True
-    if np.any(unreachable):
-        return RateReport(value=None, infinite=True, unreachable_modes=tuple(
-            int(k) for k in np.flatnonzero(unreachable)))
+    modes = tuple(int(k) for k in np.flatnonzero(unreachable))
+    return None if modes else 0.5 * float(t @ solved), modes, rates, drive, t
+
+
+def mdp_rate_exact(target: SpectralField, model: ModelSpec, T: float,
+                   eta: float = 0.0, control_intervals: int = 64) -> RateReport:
+    """Exact quadratic deviation cost of a terminal state under the linear
+    skeleton, and the least-energy control constant on each of
+    control_intervals equal intervals that steers to it.
+
+    Mode k ends at u_k(T) = int_0^T e^{-mu_k (T - s)} w_k . l(s) ds.  The
+    constraints t are the real parts of the driven modes 0 <= k <= N/2 (as
+    oracle decides) and the imaginary parts of those other than 0 and N/2;
+    the value is (1/2) t' G^+ t with G their Gramian.  Target parts below
+    1e-12 of the field scale count as zero; a larger part outside the range
+    of G, or on a mode the noise does not drive, makes the report infinite
+    and lists its mode.  G and the control's responses are oracle's Duhamel
+    kernel.  residual is the control's miss by the Duhamel oracle.
+    """
+    value, unreachable, rates, drive, t = _gramian_value(target, model, T, eta)
+    if value is None:
+        return RateReport(value=None, infinite=True, unreachable_modes=unreachable)
 
     # the same rows of the responses to a unit coefficient on each interval,
     # columns scaled by 1/sqrt(width): the least-norm solution has the least
     # energy, and a singular value is the root of a Gramian eigenvalue
-    m, K = control_intervals, weights.shape[1]
+    m, K = control_intervals, drive.shape[1]
     times = np.linspace(0.0, T, m + 1)
     root = np.sqrt(T / m)
-    kernel = np.stack([_interval_kernel(rates, T, a, b)
-                       for a, b in zip(times[:-1], times[1:])], axis=1)
+    kernel = _interval_kernel(rates[:, None], T, times[:-1], times[1:])
     response = (kernel[:, :, None] * drive[:, None, :] / root).real
     scaled, *_ = np.linalg.lstsq(response.reshape(len(t), m * K), t,
-                                 rcond=np.sqrt(GRAMIAN_FLOOR))
+                                 rcond=np.sqrt(_GRAMIAN_FLOOR))
     control = Control(times=times, coeffs=scaled.reshape(m, K) / root)
-    achieved = duhamel_mdp_skeleton(control, model, T, grid, eta).values
-    return RateReport(value=0.5 * float(t @ solved), optimal_control=control,
+    achieved = duhamel_mdp_skeleton(control, model, T, target.grid, eta).values
+    return RateReport(value=value, optimal_control=control,
                       residual=_l2(achieved - target.values))
 
 
@@ -253,10 +254,10 @@ def verify_rate_bound(control: Control, target: SpectralField, model: ModelSpec,
             f"{feasibility_tol:g} of scale"
         )
     energy = control.energy
-    exact = mdp_rate_exact(target, model, T, eta)
-    if not exact.infinite and energy < exact.value - 1e-8 * max(1.0, exact.value):
+    exact = _gramian_value(target, model, T, eta)[0]
+    if exact is not None and energy < exact - 1e-8 * max(1.0, exact):
         raise ValueError(
-            f"control energy {energy:g} undercuts the exact minimum {exact.value:g}"
+            f"control energy {energy:g} undercuts the exact minimum {exact:g}"
         )
     return energy
 

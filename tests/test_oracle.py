@@ -97,6 +97,14 @@ class TestStarMoments:
         assert abs(var - quad) < 1e-10
         assert abs(var - 0.03806930859746171) < 1e-15
 
+    def test_tiny_rate_keeps_full_precision(self):
+        # (1 - e^{-2 r t}) / (2 r) = t (1 - r t) to O(r^2 t^3); a difference
+        # of exponentials would lose about 4 digits at r = 1e-12
+        re_mu, t, total_sq = 1e-12, 1.0, 0.37
+        var = float(ou_variance(total_sq, re_mu, t))
+        expected = total_sq * t * (1.0 - re_mu * t)
+        assert abs(var - expected) <= 1e-15 * expected
+
     def test_monotone_and_bounded(self):
         mu, weights = mode(make_model(), 2)
         times = np.linspace(0.0, 3.0, 40)
@@ -126,16 +134,18 @@ class TestDuhamel:
         quad = duhamel_mode_quadrature(mu[1], w[1], ctrl.times, ctrl.coeffs, 0.4)
         assert abs(zhat1 - quad) < 1e-9
 
-    def test_multi_interval_matches_quadrature(self):
+    # t at the control's horizon, on an inner breakpoint and inside an interval
+    @pytest.mark.parametrize("t", [0.5, 0.25, 0.3])
+    def test_multi_interval_matches_quadrature(self, t):
         model = make_model()
         ctrl = random_control(23, 4, 0.5, intervals=6)
-        out = duhamel_mdp_skeleton(ctrl, model, 0.5, GRID)
+        out = duhamel_mdp_skeleton(ctrl, model, t, GRID)
         mu, w = linearized_mode_arrays(model, GRID)
         spec = out.spectrum
         k = GRID.wavenumbers().astype(int)
         for kk in (0, 1, 2, 3):
             idx = list(k).index(kk)
-            quad = duhamel_mode_quadrature(mu[idx], w[idx], ctrl.times, ctrl.coeffs, 0.5)
+            quad = duhamel_mode_quadrature(mu[idx], w[idx], ctrl.times, ctrl.coeffs, t)
             assert abs(spec[idx] - quad) < 1e-8
 
     def test_superposition(self):

@@ -170,6 +170,22 @@ def test_verify_rate_bound_accepts_and_rejects():
         verify_rate_bound(zero, target, FLAT, T)
 
 
+def test_verify_rate_bound_solves_the_skeleton_once(monkeypatch):
+    # the exact value needs only the Gramian, not the exact rate's control
+    T = 0.5
+    target = pair_target(GRID, {1: 0.4 - 0.1j, 3: -0.2 + 0.3j})
+    control = mdp_rate_exact(target, FLAT, T).optimal_control
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return duhamel_mdp_skeleton(*args, **kwargs)
+
+    monkeypatch.setattr(rate_module, "duhamel_mdp_skeleton", counted)
+    verify_rate_bound(control, target, FLAT, T)
+    assert len(calls) == 1
+
+
 def brute_force_energy(model, target, T, m, driven):
     """Least-norm energy of a control on m intervals that steers the modes
     0..driven, which the noise drives, to the target's values."""
