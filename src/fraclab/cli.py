@@ -69,7 +69,7 @@ from .skeleton import (
 from .solver import (
     DivergenceError,
     SolverConfig,
-    WienerPath,
+    WienerBatch,
     plan_steps,
     solve,
     stable_dt,
@@ -107,14 +107,13 @@ _FAMILIES = {"flux": FLUX_FAMILIES, "diffusion": DIFFUSION_FAMILIES,
              "noise": NOISE_FAMILIES}
 
 
-# every key a run reads, whatever its command: solver.<field> and
-# rate.<field> of their field's kind, with the rows below taking precedence;
-# a model.<block>.<param> key not listed is a number, and its param must be
+# every key a run reads, whatever its command: solver.<field> of its field's
+# kind, and the rows below, which list every rate.<field> too; a
+# model.<block>.<param> key not listed is a number, and its param must be
 # one of the chosen family's (load_run_config)
 _SCHEMA = {
-    **{f"{section}.{name}": _Key(_KINDS[option.type])
-       for section, cls in (("solver", SolverConfig), ("rate", RateOptions))
-       for name, option in cls.__dataclass_fields__.items()},
+    **{f"solver.{name}": _Key(_KINDS[option.type])
+       for name, option in SolverConfig.__dataclass_fields__.items()},
     "seed": _SEED, "grid.n": _Key(int),
     "model.flux.kind": _Key(str, tuple(FLUX_FAMILIES)), "model.flux.clamp": _POSITIVE,
     "model.diffusion.kind": _Key(str, tuple(DIFFUSION_FAMILIES)),
@@ -573,10 +572,10 @@ def _text_artifact(text: str):
 def _run_simulate(cfg: RunConfig):
     model, grid, config = _prepared(cfg)
     u0 = _build_initial(cfg, grid)
-    path = WienerPath(cfg.seed, 0, model.noise.truncation) if config.eps > 0.0 else None
+    path = WienerBatch(cfg.seed, 0, model.noise.truncation) if config.eps > 0.0 else None
     traj = solve(u0, model, config, path)
     artifacts = {"trajectory.csv": lambda p: trajectory_to_csv(traj, p)}
-    terminal = traj.terminal.values
+    terminal = traj.values[-1]
     lines = [f"PASS simulate: {len(traj.times)} snapshots to t={config.t_end:g}, "
              f"terminal mean {float(np.mean(terminal)):.6g}"]
     extra = {"snapshots": len(traj.times),

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import GridSpec, constant_field, path_l1_integral
-from .models import ConfigurationError, build_model, noise_tables
+from .models import ConfigurationError, build_model, linearize_model, noise_tables
 from .oracle import linearized_mode_arrays, ou_variance
 from .skeleton import solve_skeleton
 from .solver import SolverConfig, WienerBatch, plan_steps, solve
@@ -303,17 +303,18 @@ def _constant_initial(u0, grid):
     return u0, base
 
 
-def _scheme_modes(spec, grid, eta, flux_scheme):
-    """Drift rates and noise weights of the scheme's linearization about 1.
+def _scheme_modes(spec, grid, eta, flux_scheme, state):
+    """Drift rates and noise weights of the scheme's linearization about state.
 
     The spectral flux keeps the continuum advection rate 2 pi i a k, with
-    a = F'(1).  Rusanov's upwinded difference has the symbol
+    a = F'(state).  Rusanov's upwinded difference has the symbol
     i a N sin(2 pi k/N) + |a| N (1 - cos(2 pi k/N)) instead; its real part is
     the scheme's numerical viscosity, which damps the mode variances.
     """
-    mu, weights = linearized_mode_arrays(spec, grid, eta)
+    frozen = linearize_model(spec, state)
+    mu, weights = linearized_mode_arrays(frozen, grid, eta)
     if flux_scheme == "rusanov":
-        a = float(spec.flux.deriv(1.0))
+        a = float(frozen.flux.deriv(state))
         n = grid.points_per_axis
         phase = 2.0 * np.pi * grid.wavenumbers() / n
         mu = mu.real + n * (abs(a) * (1.0 - np.cos(phase)) + 1j * a * np.sin(phase))
@@ -420,8 +421,8 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
 
 def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
                    modes=(1, 2), seed=0, workers=1) -> ExperimentReport:
-    """Couple the rescaled fluctuation (u - 1)/sqrt(eps) to the exact linear
-    mode dynamics driven by the same increments.
+    """Couple (u - c)/sqrt(eps), c the constant initial state, to the exact
+    linear mode dynamics about c driven by the same increments.
 
     Per eps cell: mean path gap in the L1 time integral, required to
     decrease as eps does.  At the smallest eps the terminal variance of each
@@ -436,7 +437,7 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
     grid = u0.grid
     config = config if config is not None else _default_config()
 
-    mu, weights = _scheme_modes(spec, grid, float(eta), config.flux_scheme)
+    mu, weights = _scheme_modes(spec, grid, float(eta), config.flux_scheme, base)
     mode_index = _mode_indices(grid, modes)
 
     # sample j draws stream j in every cell: cross-cell comparisons are
@@ -560,8 +561,7 @@ def regularization_experiment(model, control, ladder, *, which="eta", u0=None,
     rungs = _check_grid(ladder, "ladder", least=3, positive=False)
     if which not in ("eta", "gamma"):
         raise ConfigurationError("which: must be 'eta' or 'gamma'")
-    if u0 is None:
-        u0 = constant_field(GridSpec(128), 1.0)
+    u0 = _initial(u0, None)
     config = config if config is not None else _default_config()
 
     trajectories = [solve(u0, spec, replace(config, **{which: rung}), control=control)
@@ -571,9 +571,7 @@ def regularization_experiment(model, control, ladder, *, which="eta", u0=None,
     prev = None
     for i in range(len(rungs) - 1):
         a, b = trajectories[i], trajectories[i + 1]
-        gaps = [np.abs(p.values - q.values)
-                for p, q in zip(a.snapshots, b.snapshots)]
-        increment = path_l1_integral(a.times, gaps)
+        increment = path_l1_integral(a.times, np.abs(a.values - b.values))
         if prev is None:
             verdict = True
         else:
@@ -626,7 +624,7 @@ def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
     delta = float(delta)
 
     skeletons = np.stack([
-        solve_skeleton(u0, spec, control, replace(config, eps=0.0)).values_matrix()
+        solve_skeleton(u0, spec, control, replace(config, eps=0.0)).values
         for control in controls])
 
     # common streams across cells: the exceedance comparison is paired in eps
@@ -677,7 +675,7 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
 
     The amplification eps^-a needs a in (0, 1/2) so it grows while
     sqrt(eps) * eps^-a still vanishes.  With linear_check the terminal mode
-    variance of z is compared against the linear oracle scaled by eps^{2a}.
+    variance of z is held to the linear oracle about u0, scaled by eps^{2a}.
     """
     a = float(a_exponent)
     if not 0.0 < a < 0.5:
@@ -687,14 +685,14 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
     if M < 1:
         raise ConfigurationError(f"samples: must be at least 1, got {M}")
     eps_values = _check_grid(eps_grid, "eps_grid")
-    u0, _ = _constant_initial(u0, grid)
+    u0, base = _constant_initial(u0, grid)
     grid = u0.grid
     config = config if config is not None else _default_config()
 
-    limit = solve(u0, spec, replace(config, eps=0.0)).values_matrix()
+    limit = solve(u0, spec, replace(config, eps=0.0)).values
     mode_index = {}
     if linear_check:
-        mu, weights = _scheme_modes(spec, grid, config.eta, config.flux_scheme)
+        mu, weights = _scheme_modes(spec, grid, config.eta, config.flux_scheme, base)
         mode_index = _mode_indices(grid, modes)
 
     # common streams across cells: quantile and raw-gap comparisons pair up

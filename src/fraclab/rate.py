@@ -10,7 +10,7 @@ nonlinear problem.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -176,7 +176,8 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
     target_values = target.values
     size = target.grid.size
 
-    n_steps, _ = plan_steps(config)
+    # every step recorded: the gradient sweeps the whole path
+    every_step = replace(config, snapshot_count=plan_steps(config)[0] + 1)
     last = [None, None]  # the last point solved and its (control, states)
 
     def forward(flat):
@@ -186,12 +187,7 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
             return last[1]
         flat = np.array(flat, dtype=float)
         control = Control(times=times, coeffs=flat.reshape(m, K))
-        states = np.empty((n_steps + 1, size))
-
-        def observe(step, values, dbeta):
-            states[step] = values
-
-        solve_controlled_spde(u0.values, model, control, config, observe=observe)
+        states = solve_controlled_spde(u0, model, control, every_step).values
         last[:] = flat, (control, states)
         return control, states
 
@@ -205,7 +201,7 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
 
     x = np.zeros(m * K)
     # the first evaluation of the first round is at x = 0
-    base = forward(x)[1][-1].copy()
+    base = forward(x)[1][-1]
     penalty = opts.penalty
     iterations = 0
     success = True

@@ -153,23 +153,28 @@ class WienerBatch:
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
+    """The state at times[r] is values[r], row r of one read-only (R, N) array."""
+
     times: np.ndarray
-    snapshots: tuple
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.times) != len(self.snapshots):
-            raise ValueError("times and snapshots must have equal length")
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim != 2 or len(self.times) != len(values):
+            raise ValueError("values must hold one row per time")
         if len(self.times) == 0 or self.times[0] != 0.0:
             raise ValueError("trajectories start at t = 0")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly increasing")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @property
     def terminal(self) -> SpectralField:
-        return self.snapshots[-1]
+        return SpectralField(GridSpec(self.values.shape[-1]), self.values[-1])
 
     def values_matrix(self) -> np.ndarray:
-        return np.stack([s.values for s in self.snapshots])
+        return self.values
 
 
 class DivergenceError(RuntimeError):
@@ -344,23 +349,22 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
           rows=None, observe=None):
     """Iterate the IMEX step to t_end.
 
-    u0 is one path, a SpectralField with a WienerPath, whose Trajectory at
-    the steps of plan_steps is returned; or a batch, an (..., M, N) array
-    with a WienerBatch driving row m by stream m (leading axes share their
-    row's increments), passed to observe(step, values, dbeta) after every
-    step: step 0 is u0 with dbeta None.  control, when present, is one
-    Control for every row, or with rows a sequence of Controls on the same
-    breakpoints, rows[m] the index of batch row m's control.  Each step
-    pairs h(u) with the coefficients of the interval holding its midpoint,
-    so breakpoints at multiples of dt never flip an interval by roundoff.
-    Raises DivergenceError with the first step at which any row loses
-    finiteness.
+    u0 is an (..., M, N) array of rows, or one path as a SpectralField,
+    the batch of one.  path, a WienerBatch, drives row m by stream m
+    (leading axes share their row's increments); one path takes a scalar
+    stream index.  observe(step, values, dbeta) sees the rows after every
+    step: step 0 is u0 with dbeta None.  For one path the Trajectory of its
+    states at the steps of plan_steps is returned.  control, when present,
+    is one Control for every row, or with rows a sequence of Controls on
+    the same breakpoints, rows[m] the index of batch row m's control.  Each
+    step pairs h(u) with the coefficients of the interval holding its
+    midpoint, so breakpoints at multiples of dt never flip an interval by
+    roundoff.  Raises DivergenceError with the first step at which any row
+    loses finiteness.
     """
     single = isinstance(u0, SpectralField)
     values = np.array(u0.values if single else u0, dtype=float, order="C")
     grid = GridSpec(values.shape[-1])
-    if single and path is not None:
-        path = WienerBatch(path.master_seed, path.stream_index, path.truncation)
     ctx = _StepContext(grid, model, config)
     limit = stable_dt(model, grid, config)
     if config.dt > limit * (1.0 + 1e-12):
@@ -383,13 +387,12 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
         interval = _interval_index(controls[0].times, np.arange(n_steps) * dt + 0.5 * dt)
         lead = 0 if rows is None else rows
     if single:
-        recorded = set(record)
-        times, snapshots = [], []
+        row_of = {step: r for r, step in enumerate(record)}
+        recorded = np.empty((len(record), grid.size))
 
         def observe(step, state, dbeta):
-            if step in recorded:
-                times.append(step * dt)
-                snapshots.append(SpectralField(grid, state))
+            if step in row_of:
+                recorded[row_of[step]] = state
 
     observe(0, values, None)
     for i in range(n_steps):
@@ -400,7 +403,7 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
             raise DivergenceError(i, (i + 1) * dt)
         observe(i + 1, values, dbeta)
     if single:
-        return Trajectory(times=np.array(times), snapshots=tuple(snapshots))
+        return Trajectory(times=np.array(record) * dt, values=recorded)
 
 
 def control_gradient(states, model: ModelSpec, config: SolverConfig, control,
@@ -438,10 +441,10 @@ def trajectory_to_csv(traj: Trajectory, path) -> None:
     The bytes are those of csv.writer with its default dialect: no field
     (a float repr or an integer) needs quoting, and every line ends in CRLF.
     """
-    lines = ["time,node,value\r\n"]
-    for t, snap in zip(traj.times, traj.snapshots):
-        stamp = repr(float(t))
-        lines += [f"{stamp},{j},{v!r}\r\n"
-                  for j, v in enumerate(snap.values.tolist())]
     with open(path, "w", newline="") as fh:
-        fh.write("".join(lines))
+        fh.write("time,node,value\r\n")
+        # a row at a time: the lines of the whole path at once raise peak memory
+        for t, row in zip(traj.times, traj.values):
+            stamp = repr(float(t))
+            fh.write("".join([f"{stamp},{j},{v!r}\r\n"
+                              for j, v in enumerate(row.tolist())]))

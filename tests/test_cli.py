@@ -788,3 +788,10 @@ def test_readme_key_table_lists_the_schema_keys():
         for name in inspect.signature(factory).parameters}
     assert len(listed) == len(set(listed))
     assert set(listed) == set(cli_module._SCHEMA) | model_params
+
+
+def test_every_rate_option_has_a_schema_row():
+    # only solver.<field> rows are generated from a dataclass: a new
+    # RateOptions field needs its own row, or the key would be unknown
+    for name in rate_module.RateOptions.__dataclass_fields__:
+        assert f"rate.{name}" in cli_module._SCHEMA, name

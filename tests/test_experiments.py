@@ -330,6 +330,33 @@ class TestMdpConcentration:
         assert rep.passed
 
 
+@pytest.mark.parametrize("name", ["clt", "mdp"])
+def test_mode_oracle_linearizes_about_the_constant_state(name):
+    # about u0 = 2 Rusanov's numerical viscosity is |F'(2)| N (1 - cos(2 pi k/N))
+    # with F'(2) = 2, and h_k(., 2) = k^-1 (sin(2 pi k x) + 2) drives mode k
+    # with squared weight k^-2/4
+    eta, a = 1e-3, 0.25
+    u0 = constant_field(GRID, 2.0)
+    if name == "clt":
+        rep = clt_experiment(BURGERS, [1e-2, 1e-3], eta, 100, u0=u0,
+                             config=CONFIG, modes=(1, 2), seed=0)
+    else:
+        config = SolverConfig(dt=1e-3, t_end=0.1, snapshot_count=11, eta=eta)
+        rep = mdp_concentration_experiment(BURGERS, a, [1e-2, 1e-3], 20, u0=u0,
+                                           config=config, linear_check=True,
+                                           modes=(1, 2), seed=0)
+    var_cells = cells_of_kind(rep, "mode-variance")
+    assert {dict(c.params)["mode"] for c in var_cells} == {1, 2}
+    for cell in var_cells:
+        k, eps = dict(cell.params)["mode"], dict(cell.params)["eps"]
+        rho = (0.5 * 2 * np.pi * k + eta * 4 * np.pi ** 2 * k * k
+               + 2.0 * 32 * (1 - np.cos(2 * np.pi * k / 32)))
+        expected = -np.expm1(-2 * rho * 0.1) / (2 * rho) / (4 * k * k)
+        if name == "mdp":
+            expected *= eps ** (2 * a)
+        assert dict(cell.extra)["oracle"] == pytest.approx(expected, rel=1e-12)
+
+
 class TestReproducibility:
     def test_reports_bitwise_identical_across_worker_counts(self):
         pair = smooth_pair()

@@ -22,7 +22,7 @@ from fraclab.skeleton import (
     solve_mdp_skeleton,
     solve_skeleton,
 )
-from fraclab.solver import SolverConfig, WienerPath, _interval_index, solve
+from fraclab.solver import SolverConfig, WienerBatch, _interval_index, solve
 
 
 def make_model(noise=None):
@@ -109,7 +109,7 @@ class TestSolveSkeleton:
         ell = np.array([0.3, -0.2, 0.1, 0.05])
         control = Control(times=np.array([0.0, 1e-3]), coeffs=ell[None, :])
         traj = solve_skeleton(constant_field(grid, 1.0), model, control, config)
-        one_step = traj.snapshots[1].values
+        one_step = traj.values[1]
         x = grid.nodes()
         forcing = sum(ell[k - 1] * k ** -1.0 * np.cos(2 * np.pi * k * x)
                       for k in range(1, 5))
@@ -129,9 +129,9 @@ class TestSolveSkeleton:
         b[2:] += rng.standard_normal((2, 4))  # differ only after t = 0.1
         ta = solve_skeleton(u0, model, Control(times, a), config)
         tb = solve_skeleton(u0, model, Control(times, b), config)
-        for t, sa, sb in zip(ta.times, ta.snapshots, tb.snapshots):
+        for t, sa, sb in zip(ta.times, ta.values, tb.values):
             if t <= 0.1 + 1e-12:
-                assert np.array_equal(sa.values, sb.values)
+                assert np.array_equal(sa, sb)
         assert not np.array_equal(ta.terminal.values, tb.terminal.values)
 
     def test_noise_scale_rejected(self):
@@ -159,7 +159,7 @@ class TestSolveSkeleton:
         for seed in range(5):
             control = random_control(seed, 4, 0.1, intervals=4)
             traj = solve_skeleton(u0, model, control, config)
-            sup_sq = max(np.mean(s.values ** 2) for s in traj.snapshots)
+            sup_sq = max(np.mean(row ** 2) for row in traj.values)
             widths = np.diff(control.times)
             l1_norm = float(widths @ np.sqrt(np.sum(control.coeffs ** 2, axis=1)))
             ratio = sup_sq / (u0_sq * np.exp(l1_norm))
@@ -217,8 +217,8 @@ class TestSolveControlledSpde:
         model = make_model()
         config = SolverConfig(dt=5e-4, t_end=0.1, eps=1e-2)
         control = zero_control(4, 0.1)
-        a = solve_controlled_spde(u0, model, control, config, path=WienerPath(13, 0, 4))
-        b = solve(u0, model, config, path=WienerPath(13, 0, 4))
+        a = solve_controlled_spde(u0, model, control, config, path=WienerBatch(13, 0, 4))
+        b = solve(u0, model, config, path=WienerBatch(13, 0, 4))
         assert np.array_equal(a.values_matrix(), b.values_matrix())
 
     def test_small_noise_tracks_skeleton(self):
@@ -235,7 +235,7 @@ class TestSolveControlledSpde:
             dev = []
             for m in range(20):
                 traj = solve_controlled_spde(u0, model, control, config,
-                                             path=WienerPath(31, m, 4))
+                                             path=WienerBatch(31, m, 4))
                 dev.append(np.mean(np.abs(traj.terminal.values
                                           - skeleton.terminal.values)))
             gaps.append(np.mean(dev))

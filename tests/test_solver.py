@@ -191,35 +191,39 @@ class TestBatch:
 
     STREAMS = (3, 7, 0, 11, 4)
 
-    def rows(self, grid):
+    def rows(self, grid, count=len(STREAMS)):
         x = grid.nodes()
         return np.array([1.0 + 0.1 * m * np.sin(2 * np.pi * (x + 0.1 * m))
-                         for m in range(len(self.STREAMS))])
+                         for m in range(count)])
 
     # every transform branch of the step: the implicit term is off (the
     # fractional and spectral flux branch of the iterative rate), viscous or
     # biharmonic; the viscous cases have no id suffix, and one case
-    # stacks two legs that share their rows' increments
-    @pytest.mark.parametrize("scheme, implicit, legs", [
-        pytest.param(scheme, implicit, legs, id=scheme + suffix)
-        for scheme in ("rusanov", "spectral")
-        for implicit, legs, suffix in (("eta", False, ""), ("none", False, "-none"),
-                                       ("gamma", False, "-gamma"),
-                                       ("gamma", True, "-gamma-legs"))])
+    # stacks two legs that share their rows' increments.  The one-row cases
+    # hold the path alone, a scalar stream, to the (1, N) batch of stream 0
+    @pytest.mark.parametrize("scheme, implicit, legs, streams", [
+        pytest.param(scheme, implicit, legs, streams, id=scheme + suffix)
+        # the outermost iterable is the only one that sees the class's names
+        for implicit, legs, streams, suffix in (
+            ("eta", False, STREAMS, ""), ("none", False, STREAMS, "-none"),
+            ("gamma", False, STREAMS, "-gamma"), ("gamma", True, STREAMS, "-gamma-legs"),
+            ("eta", False, (0,), "-one-row"))
+        for scheme in ("rusanov", "spectral")])
     # a state-dependent family: both nodal tables of the pairing are nonzero
     @pytest.mark.parametrize("noise", [pytest.param(diagonal_decay_noise(4), id="table")])
     @pytest.mark.parametrize("control", [False, True])
-    def test_rows_equal_single_paths(self, scheme, implicit, legs, noise, control):
+    def test_rows_equal_single_paths(self, scheme, implicit, legs, streams, noise,
+                                     control):
         grid = GridSpec(points_per_axis=32)
         model = make_model(noise=noise)
         config = SolverConfig(dt=1e-3, t_end=0.05, eps=1e-2, flux_scheme=scheme,
                               snapshot_count=6, **IMPLICIT[implicit])
-        u0 = self.rows(grid)
+        u0 = self.rows(grid, len(streams))
         if legs:
             u0 = np.stack((u0, u0[::-1]))
-        path = WienerBatch(9, self.STREAMS, 4)
+        path = WienerBatch(9, streams, 4)
         controls = [random_control(i, 4, 0.05, intervals=3) for i in range(2)]
-        which = np.arange(len(self.STREAMS)) % len(controls)
+        which = np.arange(len(streams)) % len(controls)
         if control:
             batch = batch_snapshots(lambda observe: solve(
                 u0, model, config, path, control=controls, rows=which,
@@ -231,7 +235,7 @@ class TestBatch:
         for index in np.ndindex(u0.shape[:-1]):
             m = index[-1]
             alone = SpectralField(grid, u0[index])
-            stream = WienerPath(9, self.STREAMS[m], 4)
+            stream = WienerBatch(9, streams[m], 4)
             if control:
                 traj = solve(alone, model, config, stream, control=controls[which[m]])
             else:
@@ -261,7 +265,7 @@ class TestBatch:
         for leg in range(2):
             for m, stream in enumerate(self.STREAMS):
                 traj = solve(SpectralField(grid, legs[leg, m]), model, config,
-                             WienerPath(2, stream, 4))
+                             WienerBatch(2, stream, 4))
                 assert np.array_equal(batch[leg, m], traj.values_matrix())
 
     def test_diverging_row_reports_its_first_bad_step(self):
@@ -309,7 +313,7 @@ class TestStep:
                            diffusion=linear_diffusion(0.0, 0.5),
                            noise=unit_additive_noise())
         config = SolverConfig(dt=1e-3, t_end=1e-3, eps=0.04)
-        path = WienerPath(master_seed=21, stream_index=0, truncation=1)
+        path = WienerBatch(master_seed=21, streams=0, truncation=1)
         u1 = solve(constant_field(grid, 0.0), model, config, path=path).terminal
         dbeta = np.random.default_rng((21, 0)).standard_normal(1)[0] * np.sqrt(1e-3)
         assert np.allclose(u1.values, 0.2 * dbeta, atol=1e-15)
@@ -392,7 +396,7 @@ class TestSolve:
         model = make_model()
         config = SolverConfig(dt=5e-4, t_end=0.2)
         traj = solve(u0, model, config)
-        masses = [np.mean(s.values) for s in traj.snapshots]
+        masses = [np.mean(row) for row in traj.values]
         assert np.max(np.abs(np.array(masses) - masses[0])) < 1e-12
 
     def test_same_seed_identical(self):
@@ -400,10 +404,10 @@ class TestSolve:
         u0 = constant_field(grid, 1.0)
         model = make_model()
         config = SolverConfig(dt=5e-4, t_end=0.05, eps=1e-2)
-        t1 = solve(u0, model, config, path=WienerPath(9, 0, 4))
-        t2 = solve(u0, model, config, path=WienerPath(9, 0, 4))
+        t1 = solve(u0, model, config, path=WienerBatch(9, 0, 4))
+        t2 = solve(u0, model, config, path=WienerBatch(9, 0, 4))
         assert np.array_equal(t1.values_matrix(), t2.values_matrix())
-        t3 = solve(u0, model, config, path=WienerPath(9, 1, 4))
+        t3 = solve(u0, model, config, path=WienerBatch(9, 1, 4))
         assert not np.array_equal(t1.values_matrix(), t3.values_matrix())
 
     def test_snapshot_layout(self):
@@ -425,7 +429,7 @@ class TestSolve:
         config = SolverConfig(dt=1e-3, t_end=0.05, eps=1e-2)
         drifts = []
         for m in range(200):
-            traj = solve(u0, model, config, path=WienerPath(17, m, 4))
+            traj = solve(u0, model, config, path=WienerBatch(17, m, 4))
             drifts.append(np.mean(traj.terminal.values) - 1.0)
         drifts = np.array(drifts)
         stderr = np.std(drifts, ddof=1) / np.sqrt(len(drifts))
@@ -480,8 +484,8 @@ class TestSchemeProperties:
         config = SolverConfig(dt=0.1 / 40, t_end=0.1)
         tu = solve(u0, model, config)
         tv = solve(v0, model, config)
-        for su, sv in zip(tu.snapshots, tv.snapshots):
-            assert np.all(su.values <= sv.values + 1e-12)
+        for su, sv in zip(tu.values, tv.values):
+            assert np.all(su <= sv + 1e-12)
 
     def test_l2_dissipation(self):
         grid = GridSpec(points_per_axis=64)
@@ -490,7 +494,7 @@ class TestSchemeProperties:
         model = make_model(flux=burgers_clamped(2.0), diffusion=linear_diffusion(0.5, 0.5))
         config = SolverConfig(dt=0.1 / 50, t_end=0.1)
         traj = solve(u0, model, config)
-        l2 = [np.sqrt(np.mean(s.values ** 2)) for s in traj.snapshots]
+        l2 = [np.sqrt(np.mean(row ** 2)) for row in traj.values]
         assert np.all(np.diff(l2) <= 1e-10)
 
     def test_energy_ledger_with_viscosity(self):
@@ -506,8 +510,9 @@ class TestSchemeProperties:
         lap = laplacian_multiplier(grid)
         initial = np.mean(u0.values ** 2)
         ledger = 0.0
-        for state in traj.snapshots[1:]:
-            grad_sq = float(np.sum(lap * np.abs(state.spectrum) ** 2))
+        for row in traj.values[1:]:
+            spectrum = np.fft.fft(row) / grid.size
+            grad_sq = float(np.sum(lap * np.abs(spectrum) ** 2))
             ledger += 2.0 * config.eta * config.dt * grad_sq
         final = np.mean(traj.terminal.values ** 2)
         assert final + ledger <= initial + 1e-8
@@ -515,12 +520,21 @@ class TestSchemeProperties:
 
 class TestTrajectoryArtifacts:
     def test_validation(self):
-        grid = GridSpec(points_per_axis=8)
-        snap = constant_field(grid, 1.0)
+        snaps = np.ones((2, 8))
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.1, 0.2]), snapshots=(snap, snap))
+            Trajectory(times=np.array([0.1, 0.2]), values=snaps)
         with pytest.raises(ValueError):
-            Trajectory(times=np.array([0.0, 0.0]), snapshots=(snap, snap))
+            Trajectory(times=np.array([0.0, 0.0]), values=snaps)
+
+    def test_values_are_one_read_only_array(self):
+        # the iterative rate caches a recorded path, so no caller may write it
+        grid = GridSpec(points_per_axis=16)
+        traj = solve(constant_field(grid, 1.0), make_model(),
+                     SolverConfig(dt=1e-3, t_end=0.01))
+        assert traj.values.shape == (len(traj.times), 16)
+        assert not traj.values.flags.writeable
+        assert traj.values_matrix() is traj.values
+        assert np.array_equal(traj.terminal.values, traj.values[-1])
 
     def test_csv_export(self, tmp_path):
         grid = GridSpec(points_per_axis=16)
@@ -533,14 +547,12 @@ class TestTrajectoryArtifacts:
         assert len(lines) == 1 + 16 * len(traj.times)
 
     def test_csv_bytes_match_csv_writer(self, tmp_path):
-        grid = GridSpec(points_per_axis=8)
         rows = np.array([
             [-1.5, 5e-324, 1e-300, 3.0, -0.0, 0.0, -2.2250738585072014e-308, 1e300],
             [0.1, -0.2, 1.0 / 3.0, -7.0, 2.5e-310, -1e-300, 12345678.0, -3.25],
         ])
         traj = Trajectory(times=np.array([0.0, 1e-300, 0.5]),
-                          snapshots=tuple(SpectralField(grid, row)
-                                          for row in (rows[0], rows[1], -rows[0])))
+                          values=np.array([rows[0], rows[1], -rows[0]]))
         out = tmp_path / "traj.csv"
         trajectory_to_csv(traj, out)
 
@@ -548,7 +560,7 @@ class TestTrajectoryArtifacts:
         with open(reference, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["time", "node", "value"])
-            for t, snap in zip(traj.times, traj.snapshots):
-                for j, v in enumerate(snap.values):
+            for t, snap in zip(traj.times, traj.values):
+                for j, v in enumerate(snap):
                     writer.writerow([repr(float(t)), j, repr(float(v))])
         assert out.read_bytes() == reference.read_bytes()
