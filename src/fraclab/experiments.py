@@ -4,13 +4,13 @@ the exact linear modes, mass conservation in mean, vanishing-viscosity
 ladders, controlled-path coupling, and moderate-deviation concentration.
 
 Every experiment is a pure function of its arguments and a master seed.
-Sample j owns Wiener stream j; experiments that compare cells across an eps
-grid reuse the same streams in every cell, so cross-cell differences are
-paired and the shared discretization floor cancels.  Each cell is built as
-one batch of rows, one sample per row, integrated once, and reduced while it
-runs; workers only split the rows into contiguous chunks.  Every row is bit
-for bit the path of its own stream, and pool.map keeps the chunk order, so
-reruns reproduce every statistic bit for bit regardless of worker count.
+Sample j owns Wiener stream j; an eps grid is one batch axis whose cells
+share each row's stream, drawn once, so cross-cell differences are paired
+and the shared discretization floor cancels.  A run is one batch of rows,
+one sample per row, integrated once and reduced while it runs; workers only
+split the rows into contiguous chunks.  Every (eps, row) path is bit for bit
+the path of its own stream at that eps, and pool.map keeps the chunk order,
+so reruns reproduce every statistic bit for bit regardless of worker count.
 Paired comparisons drive both legs of each sample with the same increments
 and log the digest of the increments the first sample per cell consumed.
 
@@ -30,7 +30,7 @@ from .fields import GridSpec, constant_field, path_l1_integral
 from .models import ConfigurationError, build_model, linearize_model, noise_tables
 from .oracle import linearized_mode_arrays, ou_variance
 from .skeleton import solve_skeleton
-from .solver import SolverConfig, WienerBatch, plan_steps, solve
+from .solver import DivergenceError, SolverConfig, WienerBatch, plan_steps, solve
 
 __all__ = [
     "CellResult",
@@ -154,44 +154,46 @@ def _map_samples(worker, tasks, workers: int):
         return list(pool.map(worker, tasks))
 
 
-def _run_cells(worker, common, cells, workers: int):
-    """Integrate every cell in contiguous row chunks, one per worker.
+def _run_rows(worker, common, count, workers: int):
+    """Integrate count rows in contiguous chunks, one per worker.
 
-    cells lists (fields, row count); a task is common plus its cell's fields
-    and its rows [start, stop).  Returns per cell the worker's columns
-    joined in row order, "digests" mapping hashed samples to digests."""
-    tasks = []
-    for c, (fields, count) in enumerate(cells):
-        parts = max(1, min(workers, count))
-        bounds = [count * i // parts for i in range(parts + 1)]
-        tasks.extend({**common, **fields, "cell": c, "start": lo, "stop": hi}
-                     for lo, hi in zip(bounds, bounds[1:]))
+    A task is common plus its rows [start, stop).  Returns the workers'
+    columns joined in row order, "digests" mapping hashed samples to
+    digests."""
+    parts = max(1, min(workers, count))
+    bounds = [count * i // parts for i in range(parts + 1)]
+    tasks = [{**common, "start": lo, "stop": hi} for lo, hi in zip(bounds, bounds[1:])]
     results = _map_samples(worker, tasks, workers)
-    joined = []
-    for c in range(len(cells)):
-        parts = [r for t, r in zip(tasks, results) if t["cell"] == c]
-        out = {key: np.concatenate([p[key] for p in parts])
-               for key in parts[0] if key != "digests"}
-        out["digests"] = {j: d for p in parts for j, d in p["digests"].items()}
-        joined.append(out)
-    return joined
+    out = {key: np.concatenate([r[key] for r in results])
+           for key in results[0] if key != "digests"}
+    out["digests"] = {j: d for r in results for j, d in r["digests"].items()}
+    return out
 
 
 def _solve_chunk(task, u0, observe, digest_samples=(0,)):
     """Integrate the rows of one task as one batch: row j is sample start + j
     on Wiener stream start + j, u0 holds the rows on its second-to-last axis
-    or is one state for all.  Returns the digests of the task's samples in
-    digest_samples, by sample."""
+    or is one state for all.  task["eps"], when present, is the batch's first
+    axis, one noise intensity per slice.  Returns the digests of the task's
+    samples in digest_samples, by sample."""
     spec = build_model(task["model"])
     config, start, stop = task["config"], task["start"], task["stop"]
+    eps = task.get("eps", config.eps)
     if np.ndim(u0) == 1:
-        u0 = np.broadcast_to(u0, (stop - start, len(u0)))
+        u0 = np.broadcast_to(u0, np.shape(eps) + (stop - start, len(u0)))
     rows = [j - start for j in digest_samples if start <= j < stop]
     path = WienerBatch(task["seed"], range(start, stop), spec.noise.truncation, rows)
     controls = task.get("controls")
     which = None if controls is None else np.arange(start, stop) % len(controls)
-    solve(u0, spec, config, path, control=controls, rows=which, observe=observe)
-    return {start + r: path.digest(r) for r in rows} if config.eps > 0.0 else {}
+    try:
+        solve(u0, spec, config, path, control=controls, rows=which, observe=observe,
+              eps=eps)
+    except DivergenceError as err:
+        index = err.slices[0]
+        at = eps[index[0]] if np.ndim(eps) else eps
+        raise DivergenceError(err.step_index, err.time, f"sample {start + index[-1]} "
+                              f"at eps = {at:g}", err.slices) from err
+    return {start + r: path.digest(r) for r in rows} if np.max(eps) > 0.0 else {}
 
 
 class _PathL1:
@@ -217,8 +219,9 @@ def _recorder(config):
 
 
 def _deviation_chunk(task):
-    """Per row, the L1 path integral of z - oracle with z = (u - reference)
-    / scale, reference j mod len(references) for row j, and the terminal
+    """Per row and eps slice e, "e1" (rows, E), the L1 path integral of
+    z - oracle with z = (u - reference) / scale[e], reference j mod
+    len(references) for row j, and "coeffs" (rows, E, modes), the terminal
     Fourier coefficients of z at task["mode_columns"].  Given linear-mode
     weights, the oracle is the exact per-mode decay driven by the increments
     the row consumed (left-point, as in the solver); else it is zero."""
@@ -242,10 +245,16 @@ def _deviation_chunk(task):
             gap.add(step * config.dt,
                     z if weights is None else z - np.fft.ifft(oracle * n).real)
             if step == last:
-                out["coeffs"] = (np.fft.fft(z) / n)[:, task["mode_columns"]]
+                out["coeffs"] = (np.fft.fft(z) / n)[..., task["mode_columns"]]
 
     digests = _solve_chunk(task, task["u0"], observe)
-    return {"e1": gap.total, "coeffs": out["coeffs"], "digests": digests}
+    return {"e1": gap.total.T, "coeffs": out["coeffs"].transpose(1, 0, 2),
+            "digests": digests}
+
+
+def _column(run, key, e):
+    """Cell e of a joined deviation run, contiguous as its own batch gave it."""
+    return np.ascontiguousarray(run[key][:, e])
 
 
 def _mode_variance_cells(coeffs, mode_index, mu, weights, t_end, eps, lam=1.0):
@@ -386,9 +395,9 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
     n_pairs = len(pairs)
     count = M if run_config.eps > 0.0 else n_pairs
     initial = np.array([[u0.values, v0.values] for u0, v0 in pairs])
-    (run,) = _run_cells(_contraction_chunk, {"model": payload, "config": run_config,
-                                             "pairs": initial, "seed": seed},
-                        [({}, count)], workers)
+    run = _run_rows(_contraction_chunk, {"model": payload, "config": run_config,
+                                         "pairs": initial, "seed": seed},
+                    count, workers)
     _, times = _recorder(run_config)
 
     cells = []
@@ -440,21 +449,20 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
     mu, weights = _scheme_modes(spec, grid, float(eta), config.flux_scheme, base)
     mode_index = _mode_indices(grid, modes)
 
-    # sample j draws stream j in every cell: cross-cell comparisons are
-    # paired, so the shared discretization floor cancels from differences
-    common = {"model": payload, "u0": u0.values, "mu": mu, "weights": weights,
-              "references": np.full((1, len(plan_steps(config)[1]), grid.size), base),
-              "mode_columns": list(mode_index.values()), "seed": seed}
-    cell_fields = [({"config": replace(config, eps=eps, eta=float(eta)),
-                     "scale": float(np.sqrt(eps))}, M)
-                   for eps in eps_values]
-    runs = _run_cells(_deviation_chunk, common, cell_fields, workers)
+    # the grid is one batch axis: sample j's stream drives every cell
+    eps_axis = np.array(eps_values)
+    run = _run_rows(_deviation_chunk, {
+        "model": payload, "u0": u0.values, "mu": mu, "weights": weights,
+        "references": np.full((1, len(plan_steps(config)[1]), grid.size), base),
+        "mode_columns": list(mode_index.values()), "seed": seed,
+        "config": replace(config, eta=float(eta)), "eps": eps_axis,
+        "scale": np.sqrt(eps_axis)[:, None, None]}, M, workers)
 
     cells = []
     digests = []
     prev = None
-    for c, (eps, run) in enumerate(zip(eps_values, runs)):
-        stat, err = _mean_stderr(run["e1"])
+    for c, eps in enumerate(eps_values):
+        stat, err = _mean_stderr(_column(run, "e1", c))
         verdict = True if prev is None else stat < prev
         cells.append(_cell(params=(("kind", "path-gap"), ("eps", eps)),
                            statistic=stat, stderr=err, verdict=verdict,
@@ -462,7 +470,7 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
         digests.append(f"eps{eps:g}:{run['digests'][0]}")
         prev = stat
         if c == len(eps_values) - 1:
-            cells += _mode_variance_cells(run["coeffs"], mode_index,
+            cells += _mode_variance_cells(_column(run, "coeffs", c), mode_index,
                                           mu, weights, config.t_end, eps)
     return ExperimentReport(
         name="clt",
@@ -507,9 +515,9 @@ def mass_martingale_experiment(model, eps, M, *, u0=None, grid=None,
     run_config = replace(config, eps=float(eps))
 
     count = M if run_config.eps > 0.0 else 1
-    (run,) = _run_cells(_mass_chunk, {"model": payload, "config": run_config,
-                                      "u0": u0.values, "seed": seed},
-                        [({}, count)], workers)
+    run = _run_rows(_mass_chunk, {"model": payload, "config": run_config,
+                                  "u0": u0.values, "seed": seed},
+                    count, workers)
     drifts = run["drift"]
 
     cells = []
@@ -627,19 +635,25 @@ def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
         solve_skeleton(u0, spec, control, replace(config, eps=0.0)).values
         for control in controls])
 
-    # common streams across cells: the exceedance comparison is paired in eps
+    # the positive eps values are one batch axis, paired in eps; the
+    # noise-free cell, one row per control, is its own batch
     common = {"model": payload, "u0": u0.values, "controls": controls,
-              "references": skeletons, "scale": 1.0, "mode_columns": [],
-              "seed": seed}
-    cell_fields = [({"config": replace(config, eps=eps)},
-                    M if eps > 0.0 else len(controls)) for eps in eps_values]
-    runs = _run_cells(_deviation_chunk, common, cell_fields, workers)
+              "references": skeletons, "mode_columns": [], "seed": seed,
+              "config": config}
+    positive = eps_values[:-1] if eps_values[-1] == 0.0 else eps_values
+    columns, noise_digests = [], {}
+    for axis, count in ((positive, M), (eps_values[len(positive):], len(controls))):
+        if axis:
+            run = _run_rows(_deviation_chunk, {**common, "eps": np.array(axis),
+                                               "scale": np.ones((len(axis), 1, 1))},
+                            count, workers)
+            columns += [_column(run, "e1", e) for e in range(len(axis))]
+            noise_digests.update(run["digests"])
 
     cells = []
     digests = []
     prev = None
-    for c, (eps, run) in enumerate(zip(eps_values, runs)):
-        gaps = run["e1"]
+    for c, (eps, gaps) in enumerate(zip(eps_values, columns)):
         hits = (gaps > delta).astype(float)
         fraction = float(np.mean(hits))
         err = float(np.std(hits, ddof=1) / np.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
@@ -652,8 +666,8 @@ def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
             statistic=fraction, stderr=err, verdict=verdict,
             samples=len(gaps),
             extra=(("delta", delta), ("mean_gap", mean_gap))))
-        if 0 in run["digests"]:
-            digests.append(f"eps{eps:g}:{run['digests'][0]}")
+        if eps > 0.0:
+            digests.append(f"eps{eps:g}:{noise_digests[0]}")
         prev = fraction
     return ExperimentReport(
         name="condition2-coupling",
@@ -695,21 +709,21 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
         mu, weights = _scheme_modes(spec, grid, config.eta, config.flux_scheme, base)
         mode_index = _mode_indices(grid, modes)
 
-    # common streams across cells: quantile and raw-gap comparisons pair up
-    common = {"model": payload, "u0": u0.values, "references": limit[None],
-              "mode_columns": list(mode_index.values()), "seed": seed}
-    cell_fields = [({"config": replace(config, eps=eps),
-                     "scale": float(np.sqrt(eps) * eps ** (-a))}, M)
-                   for eps in eps_values]
-    runs = _run_cells(_deviation_chunk, common, cell_fields, workers)
+    # the grid is one batch axis: quantile and raw-gap comparisons pair up
+    run = _run_rows(_deviation_chunk, {
+        "model": payload, "u0": u0.values, "references": limit[None],
+        "mode_columns": list(mode_index.values()), "seed": seed,
+        "config": config, "eps": np.array(eps_values),
+        "scale": np.array([np.sqrt(eps) * eps ** (-a)
+                           for eps in eps_values])[:, None, None]}, M, workers)
 
     cells = []
     digests = []
     first_q90 = first_band = None
     prev_raw = None
-    for eps, run in zip(eps_values, runs):
+    for c, eps in enumerate(eps_values):
         lam = eps ** (-a)
-        z_samples = run["e1"]
+        z_samples = _column(run, "e1", c)
         q50, band50 = _quantile_band(z_samples, 0.5)
         q90, band90 = _quantile_band(z_samples, 0.9)
         if first_q90 is None:
@@ -730,7 +744,7 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
             samples=M))
         prev_raw = raw_mean
         if linear_check:
-            cells += _mode_variance_cells(run["coeffs"], mode_index,
+            cells += _mode_variance_cells(_column(run, "coeffs", c), mode_index,
                                           mu, weights, config.t_end, eps, lam)
         digests.append(f"eps{eps:g}:{run['digests'][0]}")
     return ExperimentReport(

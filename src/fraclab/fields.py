@@ -134,21 +134,20 @@ def apply_fractional_laplacian(field: SpectralField, theta: float) -> SpectralFi
     return SpectralField(field.grid, out.real)
 
 
-def path_l1_integral(times, fields) -> float:
-    """Left-endpoint rectangle rule for the time integral of the spatial L1 norm.
+def path_l1_integral(times, values) -> float:
+    """Left-endpoint rectangle rule for the time integral of the spatial L1
+    norm of the (R, N) array values, row r the state at times[r].
 
     This is the discrete realization of the L1([0,T]; L1) path norm used by all
     experiment statistics; tolerances elsewhere refer to this convention.
     """
     times = np.asarray(times, dtype=float)
-    if len(times) != len(fields):
-        raise ValueError("times and fields must have equal length")
-    if len(times) < 2:
-        return 0.0
+    values = np.asarray(values, dtype=float)
+    if len(times) != len(values):
+        raise ValueError("times and values must have equal length")
     total = 0.0
     for i in range(len(times) - 1):
-        u = fields[i].values if isinstance(fields[i], SpectralField) else np.asarray(fields[i])
-        total += (times[i + 1] - times[i]) * float(np.mean(np.abs(u)))
+        total += (times[i + 1] - times[i]) * float(np.mean(np.abs(values[i])))
     return total
 
 

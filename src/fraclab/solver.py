@@ -8,11 +8,13 @@ endpoint), and the control and the noise pair the coefficients h_k through
 one routine; the viscous and biharmonic terms are inverted exactly in
 Fourier space, so only the flux and fractional terms constrain the step
 size.  A step is one real-FFT spectral solve: one rfft of the explicit
-nodal update, the spectral terms applied on the half spectrum, one irfft.
+nodal update and the spectral terms' nodal functions together, the terms
+applied on the half spectrum, one irfft.
 All randomness flows from seeded Wiener streams; a run is a pure function
 of (initial data, model, config, seed, stream).  The step acts on a batch
 of rows, one sample each, and a single path is the batch of one: every row
-of a batch is bit for bit the path its own stream gives alone.  The
+of a batch is bit for bit the path its own stream gives alone, and an axis
+of noise intensities runs several eps on the same streams.  The
 transposed step, the same pieces in reverse order, gives control_gradient
 the exact gradient of a noise-free path's end state in its control.
 """
@@ -74,10 +76,6 @@ class SolverConfig:
             raise ConfigurationError("cfl_safety: must lie in (0, 1]")
         if self.snapshot_count < 2:
             raise ConfigurationError("snapshot_count: need at least two snapshots")
-
-    @property
-    def noise_scale(self) -> float:
-        return float(np.sqrt(self.eps))
 
 
 class WienerPath:
@@ -178,10 +176,16 @@ class Trajectory:
 
 
 class DivergenceError(RuntimeError):
-    def __init__(self, step_index: int, time: float, what: str = "solution"):
+    def __init__(self, step_index: int, time: float, what: str = "solution",
+                 slices=()):
         super().__init__(f"{what} lost finiteness at step {step_index} (t = {time:g})")
         self.step_index = step_index
         self.time = time
+        self.what = what
+        self.slices = slices
+
+    def __reduce__(self):  # pickled back from a pool worker by its fields
+        return type(self), (self.step_index, self.time, self.what, self.slices)
 
 
 def stable_dt(model: ModelSpec, grid: GridSpec, config: SolverConfig) -> float:
@@ -243,15 +247,17 @@ def _rusanov_divergence_transpose(values, flux, dx, cotangent):
 class _StepContext:
     """Per-run half-spectrum multipliers shared by every step.
 
-    The step is linear in its spectral terms: the fractional and spectral
-    flux terms are subtracted from the rfft of the explicit nodal update
-    and the implicit symbol divided out before one irfft, or no transform
-    when no spectral term is on.  Transforms along the last axis keep each
-    row's step independent of its batch.  transpose applies the same pieces
-    in reverse order.
+    The step is linear in its spectral terms: one rfft transforms the
+    explicit nodal update and the nodal functions of the fractional and
+    spectral flux terms, stacked in one buffer; the terms are subtracted and
+    the implicit symbol divided out before one irfft, or no transform when
+    no spectral term is on.  Transforms along the last axis keep each row's
+    step independent of its batch.  transpose applies the same pieces in
+    reverse order.
     """
 
-    def __init__(self, grid: GridSpec, model: ModelSpec, config: SolverConfig):
+    def __init__(self, grid: GridSpec, model: ModelSpec, config: SolverConfig,
+                 eps=None):
         self.model = model
         self.dt = dt = config.dt
         self.dx = grid.cell_width
@@ -274,11 +280,19 @@ class _StepContext:
         self.implicit = None
         if config.eta > 0.0 or config.gamma > 0.0:
             self.implicit = 1.0 + dt * config.eta * lap + dt * config.gamma * lap * lap
-        self.noise_scale = config.noise_scale
+        # one noise scale per leading slice of the rows, or one for all
+        self.noise_scale = np.sqrt(config.eps if eps is None else eps)
         self.pair = noise_pairing(model.noise, grid)
+        self._buffer = None
 
     def advance(self, values, dbeta=None, coeffs=None):
-        out = values.copy()
+        # the explicit update and each spectral term's nodal function share
+        # one buffer, so one rfft transforms them all
+        if self._buffer is None or self._buffer.shape[1:] != values.shape:
+            self._buffer = np.empty((1 + len(self.terms),) + values.shape)
+        buf = self._buffer
+        out = buf[0]
+        out[...] = values
         if self.rusanov:
             out -= self.dt * _rusanov_divergence(values, self.model.flux, self.dx)
         if coeffs is not None:
@@ -286,13 +300,15 @@ class _StepContext:
         if dbeta is not None:
             out += self.noise_scale * self.pair(values, dbeta)
         if not self.terms and self.implicit is None:
-            return out
-        spec = np.fft.rfft(out)
-        for mult, nodal, _ in self.terms:
-            spec -= mult * np.fft.rfft(np.asarray(nodal(values), dtype=float))
+            return out.copy()
+        for j, (_, nodal, _) in enumerate(self.terms, 1):
+            buf[j] = nodal(values)
+        spec = np.fft.rfft(buf)
+        for (mult, _, _), z in zip(self.terms, spec[1:]):
+            spec[0] -= mult * z
         if self.implicit is not None:
-            spec /= self.implicit
-        return np.fft.irfft(spec, n=self.n)
+            spec[0] /= self.implicit
+        return np.fft.irfft(spec[0], n=self.n)
 
     @cached_property
     def _transposed_symbols(self):
@@ -346,37 +362,43 @@ def _interval_index(times, t):
 
 
 def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
-          rows=None, observe=None):
+          rows=None, observe=None, eps=None):
     """Iterate the IMEX step to t_end.
 
     u0 is an (..., M, N) array of rows, or one path as a SpectralField,
     the batch of one.  path, a WienerBatch, drives row m by stream m
     (leading axes share their row's increments); one path takes a scalar
-    stream index.  observe(step, values, dbeta) sees the rows after every
-    step: step 0 is u0 with dbeta None.  For one path the Trajectory of its
-    states at the steps of plan_steps is returned.  control, when present,
+    stream index.  eps, when given, replaces config.eps by one noise
+    intensity per slice along u0's first axis: slice e is bit for bit the
+    run of replace(config, eps=eps[e]).  observe(step, values, dbeta) sees
+    the rows after every step: step 0 is u0 with dbeta None.  For one path
+    the Trajectory of its states at the steps of plan_steps is returned.  control, when present,
     is one Control for every row, or with rows a sequence of Controls on
     the same breakpoints, rows[m] the index of batch row m's control.  Each
     step pairs h(u) with the coefficients of the interval holding its
     midpoint, so breakpoints at multiples of dt never flip an interval by
     roundoff.  Raises DivergenceError with the first step at which any row
-    loses finiteness.
+    loses finiteness, and the leading indices of the rows that lost it.
     """
     single = isinstance(u0, SpectralField)
     values = np.array(u0.values if single else u0, dtype=float, order="C")
     grid = GridSpec(values.shape[-1])
-    ctx = _StepContext(grid, model, config)
+    eps = np.reshape(np.asarray(config.eps if eps is None else eps, dtype=float),
+                     (-1,) + (1,) * (values.ndim - 1))
+    if not np.all(np.isfinite(eps) & (eps >= 0.0)):
+        raise ConfigurationError("eps: must be finite and nonnegative")
+    ctx = _StepContext(grid, model, config, eps)
     limit = stable_dt(model, grid, config)
     if config.dt > limit * (1.0 + 1e-12):
         raise ConfigurationError(
             f"dt = {config.dt:g} exceeds the stable step {limit:g}"
         )
-    if config.eps > 0.0 and path is None:
+    if eps.max() > 0.0 and path is None:
         raise ConfigurationError("eps > 0 requires a Wiener path")
 
     n_steps, record = plan_steps(config)
     dt = config.dt
-    noise = path.steps(n_steps, dt) if config.eps > 0.0 else None
+    noise = path.steps(n_steps, dt) if eps.max() > 0.0 else None
     if control is not None:
         controls = (control,) if rows is None else tuple(control)
         for c in controls:
@@ -400,7 +422,8 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
         coeffs = None if control is None else stack[lead, interval[i]]
         values = ctx.advance(values, dbeta, coeffs)
         if not np.all(np.isfinite(values)):
-            raise DivergenceError(i, (i + 1) * dt)
+            lost = np.argwhere(~np.all(np.isfinite(values), axis=-1)).tolist()
+            raise DivergenceError(i, (i + 1) * dt, slices=[tuple(j) for j in lost])
         observe(i + 1, values, dbeta)
     if single:
         return Trajectory(times=np.array(record) * dt, values=recorded)

@@ -356,6 +356,16 @@ class TestExperimentCommand:
         assert report["passed"] is True
         assert report["cells"]
 
+    def test_divergence_in_a_worker_exits_3_naming_eps(self, tmp_path, capsys):
+        # the error crosses the pool back to the driver, which names the slice
+        cfg = write(tmp_path, BASE + "experiment.eps_grid = 1e300, 1e-2\n"
+                    "experiment.samples = 100\n")
+        with np.errstate(all="ignore"):
+            code = main(["experiment", "clt", "--config", cfg, "--workers", "2",
+                         "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "at eps = 1e+300 lost finiteness" in capsys.readouterr().err
+
     def test_failing_verdict_exits_1(self, tmp_path, capsys):
         cfg = write(tmp_path, base_with(drop=("model.flux.clamp",),
                                         **{"model.flux.kind": "advection",

@@ -8,7 +8,7 @@ import pytest
 from fraclab.fields import GridSpec, SpectralField, constant_field, path_l1_integral
 from fraclab.models import ConfigurationError
 from fraclab.skeleton import random_control
-from fraclab.solver import SolverConfig, WienerPath
+from fraclab.solver import DivergenceError, SolverConfig, WienerBatch, WienerPath
 from fraclab.experiments import (
     CellResult,
     ExperimentReport,
@@ -131,6 +131,31 @@ class TestClt:
         oracle = dict(cell.extra)["oracle"]
         assert abs(cell.statistic - oracle) <= 3.0 * cell.stderr
 
+    def test_grid_draws_each_stream_once(self, monkeypatch):
+        # the eps grid is one batch axis: M stream rows for every cell, not
+        # one set of M per cell
+        rows = []
+        steps = WienerBatch.steps
+
+        def counted(self, n_steps, dt):
+            rows.append(self.streams.size)
+            return steps(self, n_steps, dt)
+
+        monkeypatch.setattr(WienerBatch, "steps", counted)
+        clt_experiment(BURGERS, [1e-2, 1e-3, 1e-4], 1e-3, 100, grid=GRID,
+                       config=CONFIG, modes=(1,), seed=5)
+        assert rows == [100]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_divergence_names_the_eps_of_its_slice(self, workers):
+        # multiplicative noise at eps = 1e300 overflows in a few steps, and
+        # aborts the grid, whose first cell it is
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError,
+                               match=r"sample \d+ at eps = 1e\+300 lost finiteness"):
+                clt_experiment(BURGERS, [1e300, 1e-2], 1e-3, 100, grid=GRID,
+                               config=CONFIG, modes=(1,), seed=5, workers=workers)
+
     def test_coupling_digests_logged(self):
         rep = clt_experiment(BURGERS, [1e-2, 1e-3], 1e-3, 100, grid=GRID,
                              config=CONFIG, modes=(1,), seed=5)
@@ -223,8 +248,8 @@ class TestRegularization:
         for cell, (ea, eb) in zip(rep.cells, zip(ladder, ladder[1:])):
             mua = base + ea * four_pi_sq
             mub = base + eb * four_pi_sq
-            profiles = [0.3 * abs(np.exp(-mua * t) - np.exp(-mub * t))
-                        * np.abs(np.sin(2.0 * np.pi * X)) for t in times]
+            profiles = np.array([0.3 * abs(np.exp(-mua * t) - np.exp(-mub * t))
+                                 * np.abs(np.sin(2.0 * np.pi * X)) for t in times])
             expected = path_l1_integral(times, profiles)
             assert cell.statistic == pytest.approx(expected, rel=1e-3)
         # first-order perturbation: increments scale with the rung gaps

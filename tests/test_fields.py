@@ -169,9 +169,9 @@ class TestFractionalLaplacian:
 class TestNorms:
     def test_path_integral_rectangle_rule(self):
         grid = GridSpec(points_per_axis=8)
-        fields = [constant_field(grid, c) for c in (1.0, 2.0, 4.0)]
+        values = np.array([constant_field(grid, c).values for c in (1.0, 2.0, 4.0)])
         # left rule over [0, 0.5, 1.0]: 0.5*1 + 0.5*2 = 1.5
-        assert abs(path_l1_integral([0.0, 0.5, 1.0], fields) - 1.5) < 1e-14
+        assert abs(path_l1_integral([0.0, 0.5, 1.0], values) - 1.5) < 1e-14
 
 
 class TestSerialization:

@@ -2,6 +2,7 @@
 batches, conservation and dissipation properties."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,6 +243,53 @@ class TestBatch:
                 traj = solve(alone, model, config, stream)
             assert np.array_equal(batch[index], traj.values_matrix())
 
+    @pytest.mark.parametrize("control", [False, True])
+    @pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
+    def test_eps_slices_equal_single_paths(self, scheme, control):
+        # slice e of an eps axis is the run of replace(config, eps=eps[e]):
+        # each (eps, row) path is bit for bit that row alone on its own stream
+        grid = GridSpec(points_per_axis=32)
+        model = make_model()
+        config = SolverConfig(dt=1e-3, t_end=0.05, eta=1e-3, flux_scheme=scheme,
+                              snapshot_count=6)
+        eps = np.array([1e-1, 1e-2, 1e-4])
+        u0 = self.rows(grid)
+        controls = [random_control(i, 4, 0.05, intervals=3) for i in range(2)]
+        which = np.arange(len(self.STREAMS)) % len(controls)
+        kwargs = {"control": controls, "rows": which} if control else {}
+        batch = batch_snapshots(lambda observe: solve(
+            np.broadcast_to(u0, (len(eps),) + u0.shape), model, config,
+            WienerBatch(9, self.STREAMS, 4), observe=observe, eps=eps, **kwargs),
+            config)
+        for e, m in np.ndindex(batch.shape[:2]):
+            alone = solve(SpectralField(grid, u0[m]), model,
+                          replace(config, eps=float(eps[e])),
+                          WienerBatch(9, self.STREAMS[m], 4),
+                          control=controls[which[m]] if control else None)
+            assert np.array_equal(batch[e, m], alone.values)
+
+    def test_eps_axis_rejects_negative_or_nan(self):
+        grid = GridSpec(points_per_axis=32)
+        u0 = np.stack([self.rows(grid)] * 2)
+        for bad in ([1e-2, -1e-3], [np.nan, 1e-2]):
+            with pytest.raises(ConfigurationError, match="eps"):
+                solve(u0, make_model(), SolverConfig(dt=1e-3, t_end=0.01),
+                      WienerBatch(9, self.STREAMS, 4), eps=np.array(bad),
+                      observe=lambda step, values, dbeta: None)
+
+    def test_divergence_names_the_slices_that_lost_finiteness(self):
+        # multiplicative noise at eps = 1e300 overflows within a few steps;
+        # the eps = 1e-2 slice stays finite
+        grid = GridSpec(points_per_axis=32)
+        u0 = np.stack([self.rows(grid)] * 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                solve(u0, make_model(), SolverConfig(dt=1e-3, t_end=0.05),
+                      WienerBatch(9, self.STREAMS, 4), eps=np.array([1e300, 1e-2]),
+                      observe=lambda step, values, dbeta: None)
+        assert err.value.slices
+        assert all(len(index) == 2 and index[0] == 0 for index in err.value.slices)
+
     def test_controls_on_different_breakpoints_rejected(self):
         grid = GridSpec(points_per_axis=32)
         config = SolverConfig(dt=1e-3, t_end=0.05, eps=1e-2)
@@ -286,6 +334,8 @@ class TestBatch:
                       config, observe=lambda step, values, dbeta: None)
         assert batched.value.step_index == alone.value.step_index
         assert batched.value.time == alone.value.time
+        assert batched.value.slices == [(1,)]
+        assert alone.value.slices == [()]
 
 
 class TestStep:
@@ -384,8 +434,10 @@ class TestFusedStep:
         # Rusanov with no fractional and no implicit term has no spectral term
         steps = 0 if scheme == "rusanov" and not fractional and implicit == "none" \
             else 20
+        # the explicit update and every spectral term's nodal function share
+        # one rfft
         assert calls["irfft"] == steps
-        assert calls["rfft"] == steps * (1 + fractional + (scheme == "spectral"))
+        assert calls["rfft"] == steps
 
 
 class TestSolve:
