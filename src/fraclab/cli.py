@@ -33,6 +33,7 @@ import numpy as np
 
 from .experiments import (
     ExperimentReport,
+    _constant_initial,
     clt_experiment,
     condition2_coupling_experiment,
     contraction_experiment,
@@ -55,6 +56,7 @@ from .models import (
     NOISE_FAMILIES,
     ConfigurationError,
     build_model,
+    linearize_model,
     validate_model,
 )
 from .oracle import _driven_weight_sq, linearized_mode_arrays, ou_variance
@@ -393,10 +395,10 @@ def _build_grid(cfg: RunConfig) -> GridSpec:
 
 
 def _keyed(cfg: RunConfig, section: str, exc: ConfigurationError):
-    """exc, whose message leads with a parameter name, as an error naming
-    the key section.<name> and its line; exc itself if that is no key."""
+    """exc, whose message leads with a key or a parameter name, as an error
+    naming that key (or section.<name>) and its line; else exc itself."""
     name, _, message = str(exc).partition(": ")
-    key = f"{section}.{name}"
+    key = name if name in _SCHEMA else f"{section}.{name}"
     return ConfigurationError(cfg.where(key, message)) if key in _SCHEMA else exc
 
 
@@ -510,6 +512,13 @@ def _prepared(cfg: RunConfig):
     return model, grid, config
 
 
+def _frozen(cfg: RunConfig):
+    """_prepared with the model frozen at the constant initial state."""
+    model, grid, config = _prepared(cfg)
+    state = _constant_initial(_build_initial(cfg, grid))
+    return linearize_model(model, state), grid, config
+
+
 def _check_step(cfg: RunConfig, key: str, model, grid: GridSpec,
                 config: SolverConfig):
     """A config error naming key unless config.dt divides t_end stably."""
@@ -604,29 +613,23 @@ def _run_skeleton(cfg: RunConfig):
 
 
 def _run_oracle(cfg: RunConfig):
-    model, grid, config = _prepared(cfg)
-    mu, weights = linearized_mode_arrays(model, grid, config.eta)
+    model, grid, config = _frozen(cfg)
+    mu, weights = linearized_mode_arrays(model, grid, config.eta, config.flux_scheme)
     weight_sq = _driven_weight_sq(weights)
     variance = ou_variance(weight_sq, mu.real, config.t_end)
-    ks = grid.wavenumbers().astype(int)
-
-    def write_modes(path):
-        with open(path, "w") as fh:
-            fh.write("k,drift_re,drift_im,weight_sq,star_variance\n")
-            for i in range(len(ks)):
-                fh.write(f"{int(ks[i])},{float(mu[i].real)!r},{float(mu[i].imag)!r},"
-                         f"{float(weight_sq[i])!r},{float(variance[i])!r}\n")
-
-    artifacts = {"modes.csv": write_modes}
-    lines = [f"PASS oracle: {len(ks)} modes at t={config.t_end:g}, "
+    rows = [f"{int(k)},{float(m.real)!r},{float(m.imag)!r},{float(w)!r},{float(v)!r}\n"
+            for k, m, w, v in zip(grid.wavenumbers(), mu, weight_sq, variance)]
+    artifacts = {"modes.csv": _text_artifact(
+        "".join(["k,drift_re,drift_im,weight_sq,star_variance\n", *rows]))}
+    lines = [f"PASS oracle: {len(rows)} modes at t={config.t_end:g}, "
              f"max variance {float(np.max(variance)):.6g}"]
     return True, lines, artifacts, {"max_star_variance": float(np.max(variance))}
 
 
 def _run_rate(cfg: RunConfig):
-    model, grid, config = _prepared(cfg)
-    target = _build_target(cfg, grid)
     method = cfg.get("rate.method", "exact")
+    model, grid, config = _frozen(cfg) if method == "exact" else _prepared(cfg)
+    target = _build_target(cfg, grid)
     eta = cfg.get("rate.eta", config.eta)
     if method == "exact":
         report = mdp_rate_exact(target, model, config.t_end, eta=eta,
@@ -729,11 +732,7 @@ def _experiment_driver(cfg: RunConfig, name: str) -> ExperimentReport:
 
 
 def _run_experiment(cfg: RunConfig):
-    try:
-        report = _experiment_driver(cfg, cfg.experiment)
-    except ConfigurationError as exc:
-        # the experiments' messages lead with the parameter name
-        raise _keyed(cfg, "experiment", exc) from exc
+    report = _experiment_driver(cfg, cfg.experiment)
     lines = []
     for cell in report.cells:
         tag = "PASS" if cell.verdict else "FAIL"
@@ -760,7 +759,10 @@ _RUNNERS = {
 
 def run(cfg: RunConfig) -> tuple[bool, list, str]:
     """Execute a resolved run; returns (passed, summary lines, run dir)."""
-    passed, lines, artifacts, extra = _RUNNERS[cfg.command](cfg)
+    try:
+        passed, lines, artifacts, extra = _RUNNERS[cfg.command](cfg)
+    except ConfigurationError as exc:
+        raise _keyed(cfg, cfg.command, exc) from exc
     run_dir = _write_run(cfg, artifacts, passed, extra)
     return passed, lines, run_dir
 

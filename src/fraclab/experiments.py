@@ -301,33 +301,13 @@ def _initial(u0, grid):
     return u0 if u0 is not None else constant_field(grid or GridSpec(128), 1.0)
 
 
-def _constant_initial(u0, grid):
-    """Resolve a constant initial state; reject anything else."""
-    u0 = _initial(u0, grid)
-    values = u0.values
-    base = float(np.mean(values))
-    if float(np.max(np.abs(values - base))) > 1e-13 * max(1.0, abs(base)):
+def _constant_initial(u0) -> float:
+    """The state of a constant u0; anything else is a config error."""
+    base = float(np.mean(u0.values))
+    if float(np.max(np.abs(u0.values - base))) > 1e-13 * max(1.0, abs(base)):
         raise ConfigurationError(
-            "fluctuation statistics need a constant initial state")
-    return u0, base
-
-
-def _scheme_modes(spec, grid, eta, flux_scheme, state):
-    """Drift rates and noise weights of the scheme's linearization about state.
-
-    The spectral flux keeps the continuum advection rate 2 pi i a k, with
-    a = F'(state).  Rusanov's upwinded difference has the symbol
-    i a N sin(2 pi k/N) + |a| N (1 - cos(2 pi k/N)) instead; its real part is
-    the scheme's numerical viscosity, which damps the mode variances.
-    """
-    frozen = linearize_model(spec, state)
-    mu, weights = linearized_mode_arrays(frozen, grid, eta)
-    if flux_scheme == "rusanov":
-        a = float(frozen.flux.deriv(state))
-        n = grid.points_per_axis
-        phase = 2.0 * np.pi * grid.wavenumbers() / n
-        mu = mu.real + n * (abs(a) * (1.0 - np.cos(phase)) + 1j * a * np.sin(phase))
-    return mu, weights
+            "initial.kind: linearizing needs a constant initial state")
+    return base
 
 
 def _mode_indices(grid, modes):
@@ -442,11 +422,13 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
     if M < 100:
         raise ConfigurationError(f"samples: must be at least 100, got {M}")
     eps_values = _check_grid(eps_grid, "eps_grid")
-    u0, base = _constant_initial(u0, grid)
+    u0 = _initial(u0, grid)
+    base = _constant_initial(u0)
     grid = u0.grid
     config = config if config is not None else _default_config()
 
-    mu, weights = _scheme_modes(spec, grid, float(eta), config.flux_scheme, base)
+    mu, weights = linearized_mode_arrays(linearize_model(spec, base), grid,
+                                         float(eta), config.flux_scheme)
     mode_index = _mode_indices(grid, modes)
 
     # the grid is one batch axis: sample j's stream drives every cell
@@ -689,7 +671,8 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
 
     The amplification eps^-a needs a in (0, 1/2) so it grows while
     sqrt(eps) * eps^-a still vanishes.  With linear_check the terminal mode
-    variance of z is held to the linear oracle about u0, scaled by eps^{2a}.
+    variance of z is held to the linear oracle about the constant u0, scaled
+    by eps^{2a}.
     """
     a = float(a_exponent)
     if not 0.0 < a < 0.5:
@@ -699,15 +682,17 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
     if M < 1:
         raise ConfigurationError(f"samples: must be at least 1, got {M}")
     eps_values = _check_grid(eps_grid, "eps_grid")
-    u0, base = _constant_initial(u0, grid)
+    u0 = _initial(u0, grid)
     grid = u0.grid
     config = config if config is not None else _default_config()
 
-    limit = solve(u0, spec, replace(config, eps=0.0)).values
     mode_index = {}
     if linear_check:
-        mu, weights = _scheme_modes(spec, grid, config.eta, config.flux_scheme, base)
+        mu, weights = linearized_mode_arrays(
+            linearize_model(spec, _constant_initial(u0)), grid, config.eta,
+            config.flux_scheme)
         mode_index = _mode_indices(grid, modes)
+    limit = solve(u0, spec, replace(config, eps=0.0)).values
 
     # the grid is one batch axis: quantile and raw-gap comparisons pair up
     run = _run_rows(_deviation_chunk, {

@@ -1,13 +1,14 @@
 """Exact Fourier-mode solutions for the constant-coefficient equations.
 
-Linearizing about the constant state 1 decouples the dynamics into scalar
+Linearizing about a constant state c decouples the dynamics into scalar
 complex modes with drift rate
 
-    mu_k = 2 pi i F'(1) k + Phi'(1) (2 pi |k|)^(2 theta) + eta 4 pi^2 k^2,
+    mu_k = 2 pi i F'(c) k + Phi'(c) (2 pi |k|)^(2 theta) + eta 4 pi^2 k^2,
 
-driven additively by the frozen noise coefficients h_n(., 1).  One closed
-form, the Duhamel kernel, gives the Ornstein-Uhlenbeck variance of the
-zero-start driven modes, the linear controlled skeleton and the exact rate.
+or Rusanov's advection symbol in place of 2 pi i F'(c) k, driven additively
+by the frozen noise coefficients h_n(., c).  One closed form, the Duhamel
+kernel, gives the Ornstein-Uhlenbeck variance of the zero-start driven
+modes, the linear controlled skeleton and the exact rate.
 """
 
 from __future__ import annotations
@@ -35,19 +36,27 @@ __all__ = [
 _GRAMIAN_FLOOR = 1e-14
 
 
-def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0):
-    """Drift rates (fft layout) and noise weight matrix of shape (modes, K).
+def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0,
+                           flux_scheme: str = "spectral"):
+    """Drift rates (fft layout) and noise weight matrix of shape (modes, K)
+    about the state 1, or c for linearize_model(model, c).
 
-    Column n holds the Fourier coefficients of h_n(., 1) = A_n + B_n in the
-    same layout, so comparisons with the discrete solver carry no truncation
-    mismatch.
+    Rusanov's symbol i a N sin(2 pi k/N) + |a| N (1 - cos(2 pi k/N)), a = F'(1),
+    replaces 2 pi i a k.  Column n holds the Fourier coefficients of
+    h_n(., 1) = A_n + B_n in the same layout, so comparisons with the solver
+    carry no truncation mismatch.
     """
     fslope = float(model.flux.deriv(1.0))
     pslope = float(model.diffusion.deriv(1.0))
     k = grid.wavenumbers()
-    mu = (2j * np.pi * fslope * k
-          + pslope * fractional_multiplier(grid, model.diffusion.theta)
+    mu = (pslope * fractional_multiplier(grid, model.diffusion.theta)
           + eta * FOUR_PI_SQ * k * k)
+    if flux_scheme == "rusanov":
+        phase = 2.0 * np.pi * k / grid.size
+        mu = mu + grid.size * (abs(fslope) * (1.0 - np.cos(phase))
+                               + 1j * fslope * np.sin(phase))
+    else:
+        mu = 2j * np.pi * fslope * k + mu
     a, b = noise_tables(model.noise, grid.nodes())
     weights = (np.fft.fft(a + b) / grid.size).T.copy()
     return mu, weights

@@ -17,12 +17,16 @@ from hypothesis import example, given, settings, strategies as st
 import fraclab.cli as cli_module
 import fraclab.rate as rate_module
 from fraclab.cli import config_hash, load_run_config, main, parse_config_text
+from fraclab.fields import GridSpec, field_from_spectrum
 from fraclab.models import (
     DIFFUSION_FAMILIES,
     FLUX_FAMILIES,
     NOISE_FAMILIES,
     ConfigurationError,
+    build_model,
+    linearize_model,
 )
+from fraclab.rate import mdp_rate_exact
 from fraclab.skeleton import control_to_csv, random_control
 
 BASE = """\
@@ -694,6 +698,71 @@ def test_unusable_input_file_exits_2_naming_key(tmp_path, monkeypatch, case):
     assert f"{key}: " in err
 
 
+# commands that linearize about the run's constant initial state, with the
+# settings under which they do
+LINEARIZING = (
+    (("experiment", "clt"), ()),
+    (("experiment", "mdp"), ("experiment.linear_check=true",)),
+    (("oracle",), ()),
+    (("rate",), ()),
+)
+
+
+@pytest.mark.parametrize("case", LINEARIZING, ids=lambda case: "-".join(case[0]))
+def test_nonconstant_initial_state_exits_2_naming_initial_kind(tmp_path, case):
+    command, extra = case
+    code, err = _exit_and_error(tmp_path, command, (*extra, "initial.kind=harmonic"))
+    assert code == 2
+    assert "initial.kind: " in err
+
+
+def _run_artifacts(tmp_path, command, overrides):
+    """The run directory of a passing command on the BASE config."""
+    out = tmp_path / "out"
+    before = set(os.listdir(out)) if out.exists() else set()
+    code, err = _exit_and_error(tmp_path, command, overrides)
+    assert code == 0, err
+    (run_name,) = set(os.listdir(out)) - before
+    return out / run_name
+
+
+@pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
+@pytest.mark.parametrize("value", ["1.0", "2.0"])
+def test_oracle_prints_the_variances_clt_checks(tmp_path, scheme, value):
+    overrides = (f"solver.flux_scheme={scheme}", f"initial.value={value}")
+    rows = (_run_artifacts(tmp_path, ("oracle",), overrides) / "modes.csv"
+            ).read_text().splitlines()[1:]
+    star = {int(row.split(",")[0]): float(row.split(",")[4]) for row in rows}
+    report = json.loads((_run_artifacts(
+        tmp_path, ("experiment", "clt"),
+        (*overrides, "experiment.eps_grid=1e-2,1e-4", "experiment.samples=100"))
+        / "report.json").read_text())
+    oracles = {cell["params"]["mode"]: cell["extra"]["oracle"]
+               for cell in report["cells"]
+               if cell["params"]["kind"] == "mode-variance"}
+    assert sorted(oracles) == [1, 2]
+    for k, oracle in oracles.items():
+        assert star[k] == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+def test_exact_rate_linearizes_about_the_initial_state(tmp_path):
+    # Burgers' slope and the frozen noise both follow the state
+    values = {}
+    for value in ("1.0", "2.0"):
+        report = json.loads((_run_artifacts(
+            tmp_path, ("rate",), (f"initial.value={value}",)) / "report.json"
+            ).read_text())
+        values[value] = report["value"]
+    grid = GridSpec(32)
+    spectrum = np.zeros(32, dtype=complex)
+    spectrum[1] = spectrum[-1] = 0.1
+    model = build_model(json.loads(BASE_JSON)["model"])
+    expected = mdp_rate_exact(field_from_spectrum(grid, spectrum),
+                              linearize_model(model, 2.0), 0.05).value
+    assert values["2.0"] == expected
+    assert values["1.0"] != values["2.0"]
+
+
 # one control row over the run's horizon and six noise modes, with one
 # non-finite breakpoint or coefficient
 NON_FINITE_CONTROLS = {
@@ -714,9 +783,10 @@ def test_non_finite_control_csv_exits_2_naming_key(tmp_path, row):
     assert "control.path: " in err
 
 
-# list values that only an experiment driver can check, with the driver
+# values that only a command's driver can check, with the command
 DRIVER_CASES = (
     (("experiment", "clt"), "experiment.eps_grid = 1e-3,1e-2"),
+    (("experiment", "clt"), "initial.kind = harmonic"),
     (("experiment", "regularization"), "experiment.ladder = 1e-2,1e-3"),
     (("experiment", "clt"), "experiment.modes = 1,40"),
     (("experiment", "condition2"), "experiment.level_bound = 1e-9"),

@@ -354,6 +354,19 @@ class TestMdpConcentration:
         assert raw[0] > raw[1]
         assert rep.passed
 
+    def test_nonconstant_state_runs_without_the_linear_check(self):
+        # the reference is the noise-free solve from u0, so nothing
+        # linearizes unless linear_check asks for the mode oracle
+        bumpy = field(1.0 + 0.1 * np.sin(2.0 * np.pi * X))
+        rep = mdp_concentration_experiment(BURGERS, 0.25, [1e-2, 1e-3], 40,
+                                           u0=bumpy, config=CONFIG, seed=13)
+        assert len(cells_of_kind(rep, "raw-gap")) == 2
+        assert rep.passed
+        with pytest.raises(ConfigurationError, match="initial.kind"):
+            mdp_concentration_experiment(BURGERS, 0.25, [1e-2, 1e-3], 40,
+                                         u0=bumpy, config=CONFIG,
+                                         linear_check=True)
+
 
 @pytest.mark.parametrize("name", ["clt", "mdp"])
 def test_mode_oracle_linearizes_about_the_constant_state(name):
