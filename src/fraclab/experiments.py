@@ -14,8 +14,9 @@ so reruns reproduce every statistic bit for bit regardless of worker count.
 Paired comparisons drive both legs of each sample with the same increments
 and log the digest of the increments the first sample per cell consumed.
 
-Path norms are the rectangle-rule time integral of the spatial L1 norm over
-the recorded snapshot times; tolerances elsewhere refer to that convention.
+Path norms are fields.PathL1, the rectangle-rule time integral of the
+spatial L1 norm over the recorded snapshot times; tolerances elsewhere refer
+to that convention.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import GridSpec, constant_field, path_l1_integral
+from .fields import GridSpec, PathL1, constant_field, dft, idft
 from .models import ConfigurationError, build_model, linearize_model, noise_tables
 from .oracle import linearized_mode_arrays, ou_variance
 from .skeleton import solve_skeleton
@@ -133,14 +134,17 @@ def report_to_csv(report: ExperimentReport, path) -> None:
 # shared machinery
 
 
-def _default_config() -> SolverConfig:
-    return SolverConfig(dt=2e-4, t_end=0.5)
-
-
-def _model_payload(model):
-    """Built spec for in-process math plus the recipe embedded in tasks,
-    which crosses process boundaries where the callables of a spec cannot."""
-    return build_model(model), dict(model)
+def _prepare(model, config, u0=None, grid=None, samples=None, least=1):
+    """The built spec for in-process math, the recipe embedded in tasks
+    (which crosses process boundaries where the callables of a spec cannot),
+    u0 or the state 1 on grid (128 nodes by default), and config or the
+    default; given samples, first checks there are at least least."""
+    spec, payload = build_model(model), dict(model)
+    if samples is not None and samples < least:
+        raise ConfigurationError(f"samples: must be at least {least}, got {samples}")
+    if u0 is None:
+        u0 = constant_field(grid or GridSpec(128), 1.0)
+    return spec, payload, u0, config or SolverConfig(dt=2e-4, t_end=0.5)
 
 
 def _map_samples(worker, tasks, workers: int):
@@ -196,28 +200,6 @@ def _solve_chunk(task, u0, observe, digest_samples=(0,)):
     return {start + r: path.digest(r) for r in rows} if np.max(eps) > 0.0 else {}
 
 
-class _PathL1:
-    """path_l1_integral for every row of a batch, fed the recorded fields in
-    time order: the same left-endpoint terms, summed in the same order."""
-
-    def __init__(self):
-        self.total = 0.0
-        self._last = None
-
-    def add(self, t, field):
-        if self._last is not None:
-            t0, norm = self._last
-            self.total = self.total + (t - t0) * norm
-        self._last = (t, np.mean(np.abs(field), axis=-1))
-
-
-def _recorder(config):
-    """Map from recorded step to its snapshot index, and the record times."""
-    _, record = plan_steps(config)
-    return ({step: r for r, step in enumerate(record)},
-            np.array([step * config.dt for step in record]))
-
-
 def _deviation_chunk(task):
     """Per row and eps slice e, "e1" (rows, E), the L1 path integral of
     z - oracle with z = (u - reference) / scale[e], reference j mod
@@ -227,25 +209,22 @@ def _deviation_chunk(task):
     the row consumed (left-point, as in the solver); else it is zero."""
     config, references, scale = task["config"], task["references"], task["scale"]
     which = np.arange(task["start"], task["stop"]) % len(references)
-    n = references.shape[-1]
-    index, _ = _recorder(config)
-    last = max(index)
+    n_steps, record = plan_steps(config)
     weights = task.get("weights")
     decay = None if weights is None else np.exp(-task["mu"] * config.dt)
-    oracle = np.zeros((len(which), n), dtype=complex)
-    gap = _PathL1()
+    oracle = np.zeros((len(which), references.shape[-1]), dtype=complex)
+    gap = PathL1()
     out = {}
 
     def observe(step, values, dbeta):
         nonlocal oracle
         if weights is not None and dbeta is not None:
             oracle = decay * oracle + np.matmul(weights, dbeta[:, :, None])[:, :, 0]
-        if step in index:
-            z = (values - references[which, index[step]]) / scale
-            gap.add(step * config.dt,
-                    z if weights is None else z - np.fft.ifft(oracle * n).real)
-            if step == last:
-                out["coeffs"] = (np.fft.fft(z) / n)[..., task["mode_columns"]]
+        if step in record:
+            z = (values - references[which, record[step]]) / scale
+            gap.add(step * config.dt, z if weights is None else z - idft(oracle))
+            if step == n_steps:
+                out["coeffs"] = dft(z)[..., task["mode_columns"]]
 
     digests = _solve_chunk(task, task["u0"], observe)
     return {"e1": gap.total.T, "coeffs": out["coeffs"].transpose(1, 0, 2),
@@ -275,11 +254,24 @@ def _mode_variance_cells(coeffs, mode_index, mu, weights, t_end, eps, lam=1.0):
 
 
 def _mean_stderr(samples):
+    """Mean and standard error over the first axis (0 for one sample)."""
     xs = np.asarray(samples, dtype=float)
-    mean = float(np.mean(xs))
+    mean = np.mean(xs, axis=0)
     if len(xs) < 2:
-        return mean, 0.0
-    return mean, float(np.std(xs, ddof=1) / np.sqrt(len(xs)))
+        return mean, np.zeros_like(mean)
+    return mean, np.std(xs, axis=0, ddof=1) / np.sqrt(len(xs))
+
+
+def _decreasing(stats, ties=False):
+    """Per cell down a grid: the first passes, every later one passes when
+    its statistic is below its predecessor's (or equal, with ties)."""
+    return [True] + [b <= a if ties else b < a for a, b in zip(stats, stats[1:])]
+
+
+def _eps_digests(eps_values, digests):
+    """eps<eps>:<digest of sample 0> for every noisy cell of a grid that
+    shares sample 0's stream."""
+    return tuple(f"eps{eps:g}:{digests[0]}" for eps in eps_values if eps > 0.0)
 
 
 def _check_grid(values, label, least=1, positive=True):
@@ -294,11 +286,6 @@ def _check_grid(values, label, least=1, positive=True):
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raise ConfigurationError(f"{label}: must be strictly decreasing")
     return vals
-
-
-def _initial(u0, grid):
-    """u0, or the state 1 on grid (128 nodes by default)."""
-    return u0 if u0 is not None else constant_field(grid or GridSpec(128), 1.0)
 
 
 def _constant_initial(u0) -> float:
@@ -340,11 +327,11 @@ def _contraction_chunk(task):
     pairs = task["pairs"]
     which = np.arange(task["start"], task["stop"]) % len(pairs)
     u0 = np.stack((pairs[which, 0], pairs[which, 1]))
-    index, _ = _recorder(task["config"])
+    _, record = plan_steps(task["config"])
     diffs = []
 
     def observe(step, values, dbeta):
-        if step in index:
+        if step in record:
             diffs.append(np.mean(np.abs(values[0] - values[1]), axis=-1))
 
     digests = _solve_chunk(task, u0, observe, digest_samples=range(len(pairs)))
@@ -360,16 +347,13 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
     Samples are spread round-robin over the pairs; with eps = 0 both legs
     are deterministic, so a single evaluation per pair is recorded.
     """
-    _, payload = _model_payload(model)
-    if M < 100:
-        raise ConfigurationError(f"samples: must be at least 100, got {M}")
+    _, payload, _, config = _prepare(model, config, samples=M, least=100)
     if not pairs:
         raise ConfigurationError("need at least one initial pair")
     grid = pairs[0][0].grid
     for u0, v0 in pairs:
         if u0.grid != grid or v0.grid != grid:
             raise ConfigurationError("all initial pairs must share one grid")
-    config = config if config is not None else _default_config()
     run_config = replace(config, eps=float(eps))
 
     n_pairs = len(pairs)
@@ -378,15 +362,13 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
     run = _run_rows(_contraction_chunk, {"model": payload, "config": run_config,
                                          "pairs": initial, "seed": seed},
                     count, workers)
-    _, times = _recorder(run_config)
+    steps = list(plan_steps(run_config)[1])
 
     cells = []
     digests = []
     for p in range(n_pairs):
         stack = np.ascontiguousarray(run["diff"][p::n_pairs])
-        mean = stack.mean(axis=0)
-        stderr = (stack.std(axis=0, ddof=1) / np.sqrt(len(stack))
-                  if len(stack) > 1 else np.zeros_like(mean))
+        mean, stderr = _mean_stderr(stack)
         init = float(np.mean(np.abs(pairs[p][0].values - pairs[p][1].values)))
         band = init * (1.0 + tol) + 3.0 * stderr
         verdict = bool(np.all(mean <= band))
@@ -395,7 +377,7 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
             params=(("pair", p), ("eps", run_config.eps)),
             statistic=mean[worst], stderr=stderr[worst], verdict=verdict,
             samples=len(stack),
-            extra=(("init_l1", init), ("worst_time", float(times[worst])))))
+            extra=(("init_l1", init), ("worst_time", steps[worst] * run_config.dt))))
         if p in run["digests"]:
             digests.append(f"pair{p}:{run['digests'][p]}")
     return ExperimentReport(
@@ -418,14 +400,10 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
     checked mode must match the zero-start linear variance within three
     standard errors.
     """
-    spec, payload = _model_payload(model)
-    if M < 100:
-        raise ConfigurationError(f"samples: must be at least 100, got {M}")
+    spec, payload, u0, config = _prepare(model, config, u0, grid, M, least=100)
     eps_values = _check_grid(eps_grid, "eps_grid")
-    u0 = _initial(u0, grid)
     base = _constant_initial(u0)
     grid = u0.grid
-    config = config if config is not None else _default_config()
 
     mu, weights = linearized_mode_arrays(linearize_model(spec, base), grid,
                                          float(eta), config.flux_scheme)
@@ -440,24 +418,18 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
         "config": replace(config, eta=float(eta)), "eps": eps_axis,
         "scale": np.sqrt(eps_axis)[:, None, None]}, M, workers)
 
-    cells = []
-    digests = []
-    prev = None
-    for c, eps in enumerate(eps_values):
-        stat, err = _mean_stderr(_column(run, "e1", c))
-        verdict = True if prev is None else stat < prev
-        cells.append(_cell(params=(("kind", "path-gap"), ("eps", eps)),
-                           statistic=stat, stderr=err, verdict=verdict,
-                           samples=M))
-        digests.append(f"eps{eps:g}:{run['digests'][0]}")
-        prev = stat
-        if c == len(eps_values) - 1:
-            cells += _mode_variance_cells(_column(run, "coeffs", c), mode_index,
-                                          mu, weights, config.t_end, eps)
+    gaps = [_mean_stderr(_column(run, "e1", c)) for c in range(len(eps_values))]
+    cells = [_cell(params=(("kind", "path-gap"), ("eps", eps)),
+                   statistic=stat, stderr=err, verdict=verdict, samples=M)
+             for eps, (stat, err), verdict
+             in zip(eps_values, gaps, _decreasing([stat for stat, _ in gaps]))]
+    cells += _mode_variance_cells(_column(run, "coeffs", -1), mode_index, mu,
+                                  weights, config.t_end, eps_values[-1])
     return ExperimentReport(
         name="clt",
         grid=(("eps", eps_values), ("eta", (float(eta),)), ("M", (M,))),
-        cells=tuple(cells), seed=seed, digests=tuple(digests))
+        cells=tuple(cells), seed=seed,
+        digests=_eps_digests(eps_values, run["digests"]))
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +460,8 @@ def mass_martingale_experiment(model, eps, M, *, u0=None, grid=None,
     1e-12 in one deterministic run; every cell allows that much rounding
     (squared for the variance), so noise that moves no mass passes.
     """
-    spec, payload = _model_payload(model)
-    if M < 500:
-        raise ConfigurationError(f"samples: must be at least 500, got {M}")
-    u0 = _initial(u0, grid)
+    spec, payload, u0, config = _prepare(model, config, u0, grid, M, least=500)
     grid = u0.grid
-    config = config if config is not None else _default_config()
     run_config = replace(config, eps=float(eps))
 
     count = M if run_config.eps > 0.0 else 1
@@ -518,9 +486,8 @@ def mass_martingale_experiment(model, eps, M, *, u0=None, grid=None,
         if float(np.max(np.abs(b_table))) == 0.0:
             closed = run_config.eps * config.t_end * float(
                 np.sum(np.mean(a_table, axis=1) ** 2))
-            centered = (drifts - drifts.mean()) ** 2
             sample_var = float(np.var(drifts, ddof=1))
-            err_var = float(np.std(centered, ddof=1) / np.sqrt(len(drifts)))
+            _, err_var = _mean_stderr((drifts - drifts.mean()) ** 2)
             cells.append(_cell(
                 params=(("kind", "mass-variance"),
                         ("eps", run_config.eps)),
@@ -547,12 +514,10 @@ def regularization_experiment(model, control, ladder, *, which="eta", u0=None,
     Deterministic: runs the skeleton of control, or the uncontrolled
     equation when control is None; no sampling.
     """
-    spec, _ = _model_payload(model)
+    spec, _, u0, config = _prepare(model, config, u0)
     rungs = _check_grid(ladder, "ladder", least=3, positive=False)
     if which not in ("eta", "gamma"):
         raise ConfigurationError("which: must be 'eta' or 'gamma'")
-    u0 = _initial(u0, None)
-    config = config if config is not None else _default_config()
 
     trajectories = [solve(u0, spec, replace(config, **{which: rung}), control=control)
                     for rung in rungs]
@@ -561,7 +526,10 @@ def regularization_experiment(model, control, ladder, *, which="eta", u0=None,
     prev = None
     for i in range(len(rungs) - 1):
         a, b = trajectories[i], trajectories[i + 1]
-        increment = path_l1_integral(a.times, np.abs(a.values - b.values))
+        gap = PathL1()
+        for t, row in zip(a.times, a.values - b.values):
+            gap.add(t, row)
+        increment = gap.total
         if prev is None:
             verdict = True
         else:
@@ -591,9 +559,7 @@ def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
     the smallest eps.  Controls must sit inside the declared energy level
     set; samples go round-robin over the family.
     """
-    spec, payload = _model_payload(model)
-    if M < 1:
-        raise ConfigurationError(f"samples: must be at least 1, got {M}")
+    spec, payload, u0, config = _prepare(model, config, u0, grid, M)
     eps_values = _check_grid(eps_grid, "eps_grid", positive=False)
     controls = list(control_family)
     if not controls:
@@ -607,8 +573,6 @@ def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
             raise ConfigurationError(
                 f"level_bound: control integral {2.0 * c.energy:g} exceeds "
                 f"the level bound {float(level_bound):g}")
-    u0 = _initial(u0, grid)
-    config = config if config is not None else _default_config()
     if delta is None:
         delta = 0.05 * max(1.0, float(np.mean(np.abs(u0.values))))
     delta = float(delta)
@@ -632,30 +596,21 @@ def condition2_coupling_experiment(model, control_family, eps_grid, M, *,
             columns += [_column(run, "e1", e) for e in range(len(axis))]
             noise_digests.update(run["digests"])
 
-    cells = []
-    digests = []
-    prev = None
-    for c, (eps, gaps) in enumerate(zip(eps_values, columns)):
-        hits = (gaps > delta).astype(float)
-        fraction = float(np.mean(hits))
-        err = float(np.std(hits, ddof=1) / np.sqrt(len(gaps))) if len(gaps) > 1 else 0.0
-        verdict = (prev is None or fraction <= prev)
-        if c == len(eps_values) - 1:
-            verdict = verdict and fraction <= 0.05
-        mean_gap, _ = _mean_stderr(gaps)
-        cells.append(_cell(
-            params=(("kind", "exceedance"), ("eps", eps)),
-            statistic=fraction, stderr=err, verdict=verdict,
-            samples=len(gaps),
-            extra=(("delta", delta), ("mean_gap", mean_gap))))
-        if eps > 0.0:
-            digests.append(f"eps{eps:g}:{noise_digests[0]}")
-        prev = fraction
+    fractions = [_mean_stderr(gaps > delta) for gaps in columns]
+    verdicts = _decreasing([fraction for fraction, _ in fractions], ties=True)
+    verdicts[-1] = verdicts[-1] and fractions[-1][0] <= 0.05
+    cells = [_cell(params=(("kind", "exceedance"), ("eps", eps)),
+                   statistic=fraction, stderr=err, verdict=verdict,
+                   samples=len(gaps),
+                   extra=(("delta", delta), ("mean_gap", float(np.mean(gaps)))))
+             for eps, gaps, (fraction, err), verdict
+             in zip(eps_values, columns, fractions, verdicts)]
     return ExperimentReport(
         name="condition2-coupling",
         grid=(("eps", eps_values), ("controls", (len(controls),)),
               ("M", (M,))),
-        cells=tuple(cells), seed=seed, digests=tuple(digests))
+        cells=tuple(cells), seed=seed,
+        digests=_eps_digests(eps_values, noise_digests))
 
 
 # ---------------------------------------------------------------------------
@@ -678,13 +633,9 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
     if not 0.0 < a < 0.5:
         raise ConfigurationError(
             "a: the amplification exponent must lie strictly between 0 and 1/2")
-    spec, payload = _model_payload(model)
-    if M < 1:
-        raise ConfigurationError(f"samples: must be at least 1, got {M}")
+    spec, payload, u0, config = _prepare(model, config, u0, grid, M)
     eps_values = _check_grid(eps_grid, "eps_grid")
-    u0 = _initial(u0, grid)
     grid = u0.grid
-    config = config if config is not None else _default_config()
 
     mode_index = {}
     if linear_check:
@@ -693,21 +644,21 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
             config.flux_scheme)
         mode_index = _mode_indices(grid, modes)
     limit = solve(u0, spec, replace(config, eps=0.0)).values
+    scales = [float(np.sqrt(eps) * eps ** (-a)) for eps in eps_values]
 
     # the grid is one batch axis: quantile and raw-gap comparisons pair up
     run = _run_rows(_deviation_chunk, {
         "model": payload, "u0": u0.values, "references": limit[None],
         "mode_columns": list(mode_index.values()), "seed": seed,
         "config": config, "eps": np.array(eps_values),
-        "scale": np.array([np.sqrt(eps) * eps ** (-a)
-                           for eps in eps_values])[:, None, None]}, M, workers)
+        "scale": np.array(scales)[:, None, None]}, M, workers)
 
+    # a cell's raw deviation is z times its scale
+    raw = [_mean_stderr(_column(run, "e1", c) * scale) for c, scale in enumerate(scales)]
+    raw_ok = _decreasing([raw_mean for raw_mean, _ in raw])
     cells = []
-    digests = []
     first_q90 = first_band = None
-    prev_raw = None
     for c, eps in enumerate(eps_values):
-        lam = eps ** (-a)
         z_samples = _column(run, "e1", c)
         q50, band50 = _quantile_band(z_samples, 0.5)
         q90, band90 = _quantile_band(z_samples, 0.9)
@@ -720,19 +671,15 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
             params=(("kind", "spread"), ("eps", eps)),
             statistic=q90, stderr=band90, verdict=spread_ok,
             samples=M, extra=(("q50", q50), ("q50_band", band50))))
-        raw_scale = float(np.sqrt(eps) * lam)
-        raw_mean, raw_err = _mean_stderr(z_samples * raw_scale)
-        raw_ok = prev_raw is None or raw_mean < prev_raw
         cells.append(_cell(
             params=(("kind", "raw-gap"), ("eps", eps)),
-            statistic=raw_mean, stderr=raw_err, verdict=raw_ok,
+            statistic=raw[c][0], stderr=raw[c][1], verdict=raw_ok[c],
             samples=M))
-        prev_raw = raw_mean
         if linear_check:
             cells += _mode_variance_cells(_column(run, "coeffs", c), mode_index,
-                                          mu, weights, config.t_end, eps, lam)
-        digests.append(f"eps{eps:g}:{run['digests'][0]}")
+                                          mu, weights, config.t_end, eps, eps ** (-a))
     return ExperimentReport(
         name="mdp-concentration",
         grid=(("eps", eps_values), ("a", (a,)), ("M", (M,))),
-        cells=tuple(cells), seed=seed, digests=tuple(digests))
+        cells=tuple(cells), seed=seed,
+        digests=_eps_digests(eps_values, run["digests"]))

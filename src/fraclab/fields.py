@@ -28,7 +28,9 @@ __all__ = [
     "apply_fractional_laplacian",
     "fractional_multiplier",
     "laplacian_multiplier",
-    "path_l1_integral",
+    "dft",
+    "idft",
+    "PathL1",
     "field_from_csv",
 ]
 
@@ -94,7 +96,7 @@ class SpectralField:
     @property
     def spectrum(self) -> np.ndarray:
         if self._spectrum is None:
-            spec = np.fft.fft(self.values) / self.grid.size
+            spec = dft(self.values)
             spec.setflags(write=False)
             self._spectrum = spec
         return self._spectrum
@@ -112,8 +114,7 @@ def field_from_spectrum(grid: GridSpec, spectrum) -> SpectralField:
     spectrum = np.asarray(spectrum, dtype=complex)
     if spectrum.shape != grid.shape:
         raise ValueError(f"spectrum shape {spectrum.shape} does not match grid {grid.shape}")
-    values = np.fft.ifft(spectrum * grid.size)
-    return SpectralField(grid, values.real)
+    return SpectralField(grid, idft(spectrum))
 
 
 def fractional_multiplier(grid: GridSpec, theta: float) -> np.ndarray:
@@ -130,25 +131,36 @@ def laplacian_multiplier(grid: GridSpec) -> np.ndarray:
 
 def apply_fractional_laplacian(field: SpectralField, theta: float) -> SpectralField:
     mult = fractional_multiplier(field.grid, theta)
-    out = np.fft.ifft(mult * field.spectrum * field.grid.size)
-    return SpectralField(field.grid, out.real)
+    return SpectralField(field.grid, idft(mult * field.spectrum))
 
 
-def path_l1_integral(times, values) -> float:
-    """Left-endpoint rectangle rule for the time integral of the spatial L1
-    norm of the (R, N) array values, row r the state at times[r].
+def dft(values) -> np.ndarray:
+    """Normalized DFT along the last axis: the spectrum of each row."""
+    return np.fft.fft(values) / np.shape(values)[-1]
 
-    This is the discrete realization of the L1([0,T]; L1) path norm used by all
-    experiment statistics; tolerances elsewhere refer to this convention.
+
+def idft(spectrum) -> np.ndarray:
+    """Real part of the inverse of dft along the last axis."""
+    return np.fft.ifft(spectrum * np.shape(spectrum)[-1]).real
+
+
+class PathL1:
+    """The L1([0,T]; L1) path norm of every experiment statistic, by the
+    left-endpoint rectangle rule: fed add(t, values) in time order, values
+    (..., N) the states at t, total (shape (...)) sums (t_{r+1} - t_r)
+    mean|values_r|.  A slice of a batch sums the terms of its rows fed
+    alone, in the same order.  Tolerances elsewhere refer to this rule.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if len(times) != len(values):
-        raise ValueError("times and values must have equal length")
-    total = 0.0
-    for i in range(len(times) - 1):
-        total += (times[i + 1] - times[i]) * float(np.mean(np.abs(values[i])))
-    return total
+
+    def __init__(self):
+        self.total = 0.0
+        self._last = None
+
+    def add(self, t, values):
+        if self._last is not None:
+            t0, norm = self._last
+            self.total = self.total + (t - t0) * norm
+        self._last = (t, np.mean(np.abs(values), axis=-1))
 
 
 def field_from_csv(path, grid: GridSpec | None = None) -> SpectralField:

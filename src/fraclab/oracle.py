@@ -19,6 +19,7 @@ from .fields import (
     FOUR_PI_SQ,
     GridSpec,
     SpectralField,
+    dft,
     field_from_spectrum,
     fractional_multiplier,
 )
@@ -58,7 +59,7 @@ def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0,
     else:
         mu = 2j * np.pi * fslope * k + mu
     a, b = noise_tables(model.noise, grid.nodes())
-    weights = (np.fft.fft(a + b) / grid.size).T.copy()
+    weights = dft(a + b).T.copy()
     return mu, weights
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import SpectralField
+from .fields import SpectralField, dft
 from .models import ModelSpec
 from .oracle import (
     _GRAMIAN_FLOOR,
@@ -218,8 +218,8 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
     terminal = states[-1]
     # rescale along the found direction so the dominant deviation mode is hit
     # with the exact amplitude; keeps the value an honest upper bound
-    tau_dev = np.fft.fft(target_values - base) / size
-    response = np.fft.fft(terminal - base) / size
+    tau_dev = dft(target_values - base)
+    response = dft(terminal - base)
     idx = int(np.argmax(np.abs(tau_dev)))
     if np.abs(tau_dev[idx]) > 1e-12 and np.abs(response[idx]) > 1e-12:
         factor = float(np.abs(tau_dev[idx]) / np.abs(response[idx]))

@@ -48,6 +48,9 @@ class Control:
             raise ConfigurationError(
                 f"{coeffs.shape[0]} coefficient rows for {len(times) - 1} intervals"
             )
+        for name, array in (("breakpoints", times), ("coefficients", coeffs)):
+            if not np.all(np.isfinite(array)):
+                raise ConfigurationError(f"{name} must be finite")
         times.flags.writeable = False
         coeffs.flags.writeable = False
         object.__setattr__(self, "times", times)

@@ -344,15 +344,16 @@ class _StepContext:
 
 
 def plan_steps(config: SolverConfig):
-    """Step count and the sorted steps recorded at a fixed stride."""
+    """Step count and the record plan: an ordered map from each recorded
+    step (a fixed stride, and the last step) to its row of the path."""
     n_steps = int(round(config.t_end / config.dt))
     if n_steps < 1 or abs(n_steps * config.dt - config.t_end) > 1e-9 * config.t_end:
         raise ConfigurationError(
             f"dt = {config.dt:g} does not divide t_end = {config.t_end:g}"
         )
     stride = max(1, -(-n_steps // (config.snapshot_count - 1)))
-    record = sorted(set(range(0, n_steps + 1, stride)) | {n_steps})
-    return n_steps, record
+    steps = sorted(set(range(0, n_steps + 1, stride)) | {n_steps})
+    return n_steps, {step: r for r, step in enumerate(steps)}
 
 
 def _interval_index(times, t):
@@ -372,13 +373,14 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
     intensity per slice along u0's first axis: slice e is bit for bit the
     run of replace(config, eps=eps[e]).  observe(step, values, dbeta) sees
     the rows after every step: step 0 is u0 with dbeta None.  For one path
-    the Trajectory of its states at the steps of plan_steps is returned.  control, when present,
-    is one Control for every row, or with rows a sequence of Controls on
-    the same breakpoints, rows[m] the index of batch row m's control.  Each
-    step pairs h(u) with the coefficients of the interval holding its
-    midpoint, so breakpoints at multiples of dt never flip an interval by
-    roundoff.  Raises DivergenceError with the first step at which any row
-    loses finiteness, and the leading indices of the rows that lost it.
+    the Trajectory of the rows that plan_steps's record plan names is
+    returned.  control, when present, is one Control for every row, or with
+    rows a sequence of Controls on the same breakpoints, rows[m] the index
+    of batch row m's control.  Each step pairs h(u) with the coefficients
+    of the interval holding its midpoint, so breakpoints at multiples of dt
+    never flip an interval by roundoff.  A non-finite u0 is a config error
+    naming u0; DivergenceError names the first step at which any row loses
+    finiteness, and the leading indices of the rows that lost it.
     """
     single = isinstance(u0, SpectralField)
     values = np.array(u0.values if single else u0, dtype=float, order="C")
@@ -409,13 +411,14 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
         interval = _interval_index(controls[0].times, np.arange(n_steps) * dt + 0.5 * dt)
         lead = 0 if rows is None else rows
     if single:
-        row_of = {step: r for r, step in enumerate(record)}
         recorded = np.empty((len(record), grid.size))
 
         def observe(step, state, dbeta):
-            if step in row_of:
-                recorded[row_of[step]] = state
+            if step in record:
+                recorded[record[step]] = state
 
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError("u0: must be finite")
     observe(0, values, None)
     for i in range(n_steps):
         dbeta = None if noise is None else next(noise)
@@ -426,7 +429,7 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
             raise DivergenceError(i, (i + 1) * dt, slices=[tuple(j) for j in lost])
         observe(i + 1, values, dbeta)
     if single:
-        return Trajectory(times=np.array(record) * dt, values=recorded)
+        return Trajectory(times=np.array(list(record)) * dt, values=recorded)
 
 
 def control_gradient(states, model: ModelSpec, config: SolverConfig, control,

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fraclab.fields import GridSpec, SpectralField, constant_field, path_l1_integral
+from fraclab.fields import GridSpec, PathL1, SpectralField, constant_field
 from fraclab.models import ConfigurationError
 from fraclab.skeleton import random_control
 from fraclab.solver import DivergenceError, SolverConfig, WienerBatch, WienerPath
@@ -250,7 +250,10 @@ class TestRegularization:
             mub = base + eb * four_pi_sq
             profiles = np.array([0.3 * abs(np.exp(-mua * t) - np.exp(-mub * t))
                                  * np.abs(np.sin(2.0 * np.pi * X)) for t in times])
-            expected = path_l1_integral(times, profiles)
+            path = PathL1()
+            for t, profile in zip(times, profiles):
+                path.add(t, profile)
+            expected = path.total
             assert cell.statistic == pytest.approx(expected, rel=1e-3)
         # first-order perturbation: increments scale with the rung gaps
         stats = [c.statistic for c in rep.cells]

@@ -14,7 +14,7 @@ from fraclab.fields import (
     field_from_spectrum,
     fractional_multiplier,
     laplacian_multiplier,
-    path_l1_integral,
+    PathL1,
 )
 
 from oracles import dense_fractional_matrix, direct_dft
@@ -170,8 +170,29 @@ class TestNorms:
     def test_path_integral_rectangle_rule(self):
         grid = GridSpec(points_per_axis=8)
         values = np.array([constant_field(grid, c).values for c in (1.0, 2.0, 4.0)])
+        path = PathL1()
+        for t, row in zip([0.0, 0.5, 1.0], values):
+            path.add(t, row)
         # left rule over [0, 0.5, 1.0]: 0.5*1 + 0.5*2 = 1.5
-        assert abs(path_l1_integral([0.0, 0.5, 1.0], values) - 1.5) < 1e-14
+        assert abs(path.total - 1.5) < 1e-14
+
+    def test_path_integral_is_batch_invariant(self):
+        # each (e, m) slice of a batch sums the terms of its rows fed alone,
+        # in the same order, so every total agrees bit for bit
+        rng = np.random.default_rng(5)
+        times = np.cumsum(rng.uniform(0.01, 0.1, 7))
+        for n in (8, 300):
+            values = rng.standard_normal((len(times), 3, 4, n))
+            batch = PathL1()
+            for t, rows in zip(times, values):
+                batch.add(t, rows)
+            assert batch.total.shape == (3, 4)
+            for e in range(3):
+                for m in range(4):
+                    alone = PathL1()
+                    for t, rows in zip(times, values):
+                        alone.add(t, rows[e, m])
+                    assert batch.total[e, m] == alone.total
 
 
 class TestSerialization:

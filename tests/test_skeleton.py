@@ -74,6 +74,17 @@ class TestControl:
         with pytest.raises(ConfigurationError):
             Control(times=np.array([0.0, 1.0]), coeffs=np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_breakpoints_or_coefficients_rejected(self, bad):
+        # NaN breakpoints, and an infinite last one, pass the ordering
+        # check; they would give a NaN or infinite energy, and solve would
+        # report a breakpoint mismatch
+        times = [0.0, 0.05, np.inf] if bad == np.inf else [0.0, np.nan, 0.1]
+        with pytest.raises(ConfigurationError, match="breakpoints must be finite"):
+            Control(times=times, coeffs=np.zeros((2, 3)))
+        with pytest.raises(ConfigurationError, match="coefficients must be finite"):
+            Control(times=[0.0, 0.05, 0.1], coeffs=[[0.0, bad], [1.0, 2.0]])
+
     def test_scaling_and_superposition(self):
         c = random_control(3, 4, 1.0)
         d = Control(times=c.times, coeffs=2.0 * c.coeffs)

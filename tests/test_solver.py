@@ -277,6 +277,20 @@ class TestBatch:
                       WienerBatch(9, self.STREAMS, 4), eps=np.array(bad),
                       observe=lambda step, values, dbeta: None)
 
+    def test_non_finite_rows_are_an_input_error(self):
+        # one NaN entry of a batch is a config error naming u0, raised
+        # before observe sees step 0, not a divergence at step 0
+        grid = GridSpec(points_per_axis=32)
+        seen = []
+        for bad in (np.nan, np.inf):
+            u0 = self.rows(grid)
+            u0[1, 3] = bad
+            with pytest.raises(ConfigurationError, match="u0"):
+                solve(u0, make_model(), SolverConfig(dt=1e-3, t_end=0.01, eps=1e-2),
+                      WienerBatch(9, self.STREAMS, 4),
+                      observe=lambda step, values, dbeta: seen.append(step))
+        assert seen == []
+
     def test_divergence_names_the_slices_that_lost_finiteness(self):
         # multiplicative noise at eps = 1e300 overflows within a few steps;
         # the eps = 1e-2 slice stays finite
