@@ -343,7 +343,7 @@ def noise_tables(noise: NoiseSpec, x):
 
 def _row_products(coeffs, table):
     """coeffs @ table row by row: one (M, K) @ (K, N) product would round
-    each row differently as M changes."""
+    each row differently as M changes, and from the row fed alone."""
     if coeffs.ndim == 1:
         return coeffs @ table
     return np.matmul(coeffs[:, None, :], table)[:, 0, :]
@@ -356,24 +356,39 @@ def noise_pairing(noise: NoiseSpec, grid: GridSpec):
     The solver pairs the Wiener increments and the skeleton pairs the control
     through this routine.  coeffs is one vector (K,) for every row of values,
     or a batch (M, K) with row m for row m of values (..., M, N).
+    pair.split(coeffs) pairs the coefficients with the tables once, giving
+    (A c, B c), and pair.at(values, split) = A c + values * B c is
+    pair(values, coeffs) bit for bit: a control constant over many steps is
+    split once.
 
     The adjoint gradient takes two derivatives from the same tables:
     pair.slope(coeffs) = sum_k c_k B_k, the derivative of the pairing in
     the state, and pair.transpose(values, cotangents) = the K sums
     sum_x h_k(x, u(x)) w(x), its transpose in the coefficients, row by row:
-    (N,) or (S, N) arrays give (K,) or (S, K).
+    (N,) or (S, N) arrays give (K,) or (S, K), each row the bits of that row
+    fed alone.
     """
     a, b = noise_tables(noise, grid.nodes())
 
+    def split(coeffs):
+        return _row_products(coeffs, a), _row_products(coeffs, b)
+
+    def at(values, paired):
+        ac, bc = paired
+        return ac + values * bc
+
     def pair(values, coeffs):
-        return _row_products(coeffs, a) + values * _row_products(coeffs, b)
+        return at(values, split(coeffs))
 
     def slope(coeffs):
         return _row_products(coeffs, b)
 
     def transpose(values, cotangents):
-        return cotangents @ a.T + (values * cotangents) @ b.T
+        return (_row_products(cotangents, a.T)
+                + _row_products(values * cotangents, b.T))
 
+    pair.split = split
+    pair.at = at
     pair.slope = slope
     pair.transpose = transpose
     return pair

@@ -16,7 +16,9 @@ of rows, one sample each, and a single path is the batch of one: every row
 of a batch is bit for bit the path its own stream gives alone, and an axis
 of noise intensities runs several eps on the same streams.  The
 transposed step, the same pieces in reverse order, gives control_gradient
-the exact gradient of a noise-free path's end state in its control.
+the exact gradient of a noise-free path's end state in its control; it
+sweeps the path backward a block of steps at a time, with each block's
+path-only factors evaluated on all its states at once.
 """
 
 from __future__ import annotations
@@ -222,9 +224,10 @@ def _rusanov_divergence(values, flux, dx):
     return (interface - _shift(interface, 1)) / dx
 
 
-def _rusanov_divergence_transpose(values, flux, dx, cotangent):
-    """The transpose of the derivative of _rusanov_divergence at values,
-    applied to cotangent.
+def _rusanov_transpose_factors(values, flux):
+    """The path-only factors of the transposed derivative of
+    _rusanov_divergence at values, one row per state: twice the derivatives
+    of interface j + 1/2 in nodes j and j + 1.
 
     The dissipation speed max(|F'(u_j)|, |F'(u_j+1)|) is differentiated
     through the left node on a tie, and |F'| through sign +1 where F' = 0.
@@ -235,13 +238,10 @@ def _rusanov_divergence_transpose(values, flux, dx, cotangent):
     right = _shift(speed, -1)
     left_wins = speed >= right
     jump = _shift(values, -1) - values
-    # the cotangent of interface j + 1/2, which depends on nodes j and j + 1
-    face = (cotangent - _shift(cotangent, -1)) / dx
     big = np.maximum(speed, right)
-    here = face * 0.5 * (fp + big - np.where(left_wins, dspeed, 0.0) * jump)
-    there = face * 0.5 * (_shift(fp, -1) - big
-                          - np.where(left_wins, 0.0, _shift(dspeed, -1)) * jump)
-    return here + _shift(there, 1)
+    here = fp + big - np.where(left_wins, dspeed, 0.0) * jump
+    there = _shift(fp, -1) - big - np.where(left_wins, 0.0, _shift(dspeed, -1)) * jump
+    return here, there
 
 
 class _StepContext:
@@ -253,7 +253,7 @@ class _StepContext:
     the implicit symbol divided out before one irfft, or no transform when
     no spectral term is on.  Transforms along the last axis keep each row's
     step independent of its batch.  transpose applies the same pieces in
-    reverse order.
+    reverse order, along a block of states.
     """
 
     def __init__(self, grid: GridSpec, model: ModelSpec, config: SolverConfig,
@@ -285,7 +285,10 @@ class _StepContext:
         self.pair = noise_pairing(model.noise, grid)
         self._buffer = None
 
-    def advance(self, values, dbeta=None, coeffs=None):
+    def advance(self, values, dbeta=None, control=None):
+        """One step from values.  control, when given, arrives paired:
+        pair.split of the coefficients of the step's control, which the
+        caller splits once per control interval."""
         # the explicit update and each spectral term's nodal function share
         # one buffer, so one rfft transforms them all
         if self._buffer is None or self._buffer.shape[1:] != values.shape:
@@ -295,8 +298,8 @@ class _StepContext:
         out[...] = values
         if self.rusanov:
             out -= self.dt * _rusanov_divergence(values, self.model.flux, self.dx)
-        if coeffs is not None:
-            out += self.dt * self.pair(values, coeffs)
+        if control is not None:
+            out += self.dt * self.pair.at(values, control)
         if dbeta is not None:
             out += self.noise_scale * self.pair(values, dbeta)
         if not self.terms and self.implicit is None:
@@ -320,27 +323,38 @@ class _StepContext:
         rows += [np.conj(mult) * inverse for mult, _, _ in self.terms]
         return np.stack(rows)
 
-    def transpose(self, values, cotangent, coeffs):
-        """The transposed noise-free step about the state values, one row.
+    def transpose(self, states, cotangent, slopes):
+        """The transposed noise-free steps about the rows of states, last
+        row first; slopes[s] is dt times pair.slope of step s's coefficients.
 
-        Returns (J^T cotangent, w): J is the derivative of advance(values,
-        None, coeffs) in values, and w = L0^T cotangent, where L0 is the
-        implicit solve, is the cotangent of the explicit update, which the
-        control coefficients pair with.
+        Returns (J_0^T ... J_S-1^T cotangent, w), J_s the derivative of
+        advance(states[s], None, control) in the state: w[s], the cotangent
+        after step s through L0^T (L0 the implicit solve), is the cotangent
+        of step s's explicit update, which the control coefficients pair
+        with.  The path-only factors take one call on all the states.
         """
-        w, nodal = cotangent, ()
-        if self.terms or self.implicit is not None:
-            stack = np.fft.irfft(self._transposed_symbols * np.fft.rfft(cotangent),
-                                 n=self.n)
-            w, nodal = stack[0], stack[1:]
-        out = w.copy()
-        for (_, _, deriv), z in zip(self.terms, nodal):
-            out -= np.asarray(deriv(values), dtype=float) * z
+        derivs = [np.asarray(deriv(states), dtype=float) for _, _, deriv in self.terms]
         if self.rusanov:
-            out -= self.dt * _rusanov_divergence_transpose(
-                values, self.model.flux, self.dx, w)
-        out += self.dt * self.pair.slope(coeffs) * w
-        return out, w
+            here, there = _rusanov_transpose_factors(states, self.model.flux)
+        ws = np.empty_like(states)
+        lam = cotangent
+        for s in reversed(range(len(states))):
+            w, nodal = lam, ()
+            if self.terms or self.implicit is not None:
+                stack = np.fft.irfft(self._transposed_symbols * np.fft.rfft(lam),
+                                     n=self.n)
+                w, nodal = stack[0], stack[1:]
+            lam = w.copy()
+            for deriv, z in zip(derivs, nodal):
+                lam -= deriv[s] * z
+            if self.rusanov:
+                # half the cotangent of interface j + 1/2, which depends on
+                # nodes j and j + 1
+                half = (w - _shift(w, -1)) / self.dx * 0.5
+                lam -= self.dt * (half * here[s] + _shift(half * there[s], 1))
+            lam += slopes[s] * w
+            ws[s] = w
+        return lam, ws
 
 
 def plan_steps(config: SolverConfig):
@@ -371,14 +385,16 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
     (leading axes share their row's increments); one path takes a scalar
     stream index.  eps, when given, replaces config.eps by one noise
     intensity per slice along u0's first axis: slice e is bit for bit the
-    run of replace(config, eps=eps[e]).  observe(step, values, dbeta) sees
-    the rows after every step: step 0 is u0 with dbeta None.  For one path
+    run of replace(config, eps=eps[e]), and one path takes one eps.
+    observe(step, values, dbeta) sees the rows after every step: step 0 is
+    u0 with dbeta None.  For one path
     the Trajectory of the rows that plan_steps's record plan names is
     returned.  control, when present, is one Control for every row, or with
     rows a sequence of Controls on the same breakpoints, rows[m] the index
     of batch row m's control.  Each step pairs h(u) with the coefficients
     of the interval holding its midpoint, so breakpoints at multiples of dt
-    never flip an interval by roundoff.  A non-finite u0 is a config error
+    never flip an interval by roundoff; the coefficients are paired with
+    the noise tables once per interval.  A non-finite u0 is a config error
     naming u0; DivergenceError names the first step at which any row loses
     finiteness, and the leading indices of the rows that lost it.
     """
@@ -389,6 +405,9 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
                      (-1,) + (1,) * (values.ndim - 1))
     if not np.all(np.isfinite(eps) & (eps >= 0.0)):
         raise ConfigurationError("eps: must be finite and nonnegative")
+    if values.ndim == 1 and eps.size > 1:
+        raise ConfigurationError(
+            f"eps: one path takes one noise intensity, got {eps.size}")
     ctx = _StepContext(grid, model, config, eps)
     limit = stable_dt(model, grid, config)
     if config.dt > limit * (1.0 + 1e-12):
@@ -420,16 +439,25 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
     if not np.all(np.isfinite(values)):
         raise ConfigurationError("u0: must be finite")
     observe(0, values, None)
+    # the control of the current interval, paired with the noise tables
+    current = paired = None
     for i in range(n_steps):
         dbeta = None if noise is None else next(noise)
-        coeffs = None if control is None else stack[lead, interval[i]]
-        values = ctx.advance(values, dbeta, coeffs)
+        if control is not None and interval[i] != current:
+            current = interval[i]
+            paired = ctx.pair.split(stack[lead, current])
+        values = ctx.advance(values, dbeta, paired)
         if not np.all(np.isfinite(values)):
             lost = np.argwhere(~np.all(np.isfinite(values), axis=-1)).tolist()
             raise DivergenceError(i, (i + 1) * dt, slices=[tuple(j) for j in lost])
         observe(i + 1, values, dbeta)
     if single:
         return Trajectory(times=np.array(list(record)) * dt, values=recorded)
+
+
+# steps per block of the backward sweep: the path-only factors of a block's
+# transposed steps and its K-sums take one call each
+_SWEEP_BLOCK = 32
 
 
 def control_gradient(states, model: ModelSpec, config: SolverConfig, control,
@@ -439,20 +467,30 @@ def control_gradient(states, model: ModelSpec, config: SolverConfig, control,
 
     states holds u_0 .. u_N of the noise-free row that solve gives with
     this control.  Step n adds dt (A w_n + B (u_n w_n)) to the gradient of
-    the interval holding its midpoint.  Raises DivergenceError naming the
-    adjoint cotangent and the last step at which it is not finite.
+    the interval holding its midpoint.  The sweep runs backward in blocks
+    of 32 steps: a block's path-only factors take one call on its states,
+    and its K-sums one row-stacked product whose rows are the bits of each
+    step alone.  Raises DivergenceError naming the adjoint cotangent and
+    the last step at which it is not finite.
     """
     ctx = _StepContext(GridSpec(states.shape[-1]), model, config)
     n_steps = len(states) - 1
     dt = config.dt
     interval = _interval_index(control.times, np.arange(n_steps) * dt + 0.5 * dt)
     lam = cotangent
-    # one K-vector per step: products of the whole (steps, N) sweep at once
-    # would hold several such arrays and reach for a matrix-matrix product
+    # one K-vector per step; no (steps, N) array beyond states
     rows = np.empty((n_steps, control.truncation))
-    for i in reversed(range(n_steps)):
-        lam, w = ctx.transpose(states[i], lam, control.coeffs[interval[i]])
-        rows[i] = ctx.pair.transpose(states[i], w)
+    current = slope = None
+    for stop in range(n_steps, 0, -_SWEEP_BLOCK):
+        start = max(stop - _SWEEP_BLOCK, 0)
+        slopes = []
+        for j in interval[start:stop][::-1]:
+            if j != current:
+                current, slope = j, dt * ctx.pair.slope(control.coeffs[j])
+            slopes.append(slope)
+        block = states[start:stop]
+        lam, w = ctx.transpose(block, lam, slopes[::-1])
+        rows[start:stop] = ctx.pair.transpose(block, w)
     lost = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
     if len(lost):
         raise DivergenceError(int(lost[-1]), (lost[-1] + 1) * dt, "the adjoint cotangent")

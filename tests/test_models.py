@@ -255,6 +255,20 @@ class TestNoiseEvaluation:
         rows = pair.transpose(np.stack([u, w]), np.stack([w, u]))
         assert np.allclose(rows[0], pair.transpose(u, w), rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("rows", [5, 32])
+    @pytest.mark.parametrize("n", [32, 64, 1024])
+    @pytest.mark.parametrize("family", [family for family, _ in FAMILIES],
+                             ids=lambda family: family.name)
+    def test_transpose_rows_are_each_row_alone(self, family, n, rows):
+        # the K sums of an (S, N) batch of steps, as the adjoint sweep takes
+        # them per block, are bit for bit those of each step fed alone
+        pair = noise_pairing(family, GridSpec(points_per_axis=n))
+        rng = np.random.default_rng(n + rows)
+        u, w = rng.standard_normal((2, rows, n))
+        batch = pair.transpose(u, w)
+        alone = np.array([pair.transpose(u_s, w_s) for u_s, w_s in zip(u, w)])
+        assert batch.tobytes() == alone.tobytes()
+
     @pytest.mark.parametrize("family", FAMILIES)
     def test_affine_tables(self, family):
         family, h = family

@@ -417,6 +417,17 @@ def test_a_non_finite_gradient_raises_divergence():
             control_gradient(states, model, config, control, cotangent)
     assert err.value.step_index == 9
     assert str(err.value).startswith("the adjoint cotangent lost finiteness at step 9")
+    # a blow-up inside the middle one of three 32-step blocks of a 75-step
+    # sweep: the steps after it stay finite, and it is the one named
+    config = SolverConfig(dt=1e-3, t_end=0.075)
+    control = Control(times=np.array([0.0, 0.03, 0.075]), coeffs=np.ones((2, 3)))
+    _, states = terminal_and_states(SINE, model, control, config)
+    states[40, 5] = np.inf
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            control_gradient(states, model, config, control, np.ones(GRID.size))
+    assert err.value.step_index == 40
+    assert err.value.time == pytest.approx(0.041)
 
 
 def test_undriven_modes_of_the_iterative_control_are_rounding():

@@ -13,10 +13,12 @@ from fraclab.models import (
     FluxSpec,
     ModelSpec,
     NoiseSpec,
+    additive_noise,
     burgers_clamped,
     diagonal_decay_noise,
     linear_advection,
     linear_diffusion,
+    paired_harmonic_noise,
 )
 from fraclab.skeleton import random_control
 from fraclab.solver import (
@@ -26,13 +28,18 @@ from fraclab.solver import (
     WienerBatch,
     WienerPath,
     _StepContext,
+    control_gradient,
     plan_steps,
     solve,
     stable_dt,
     trajectory_to_csv,
 )
 
-from oracles import three_transform_step
+from oracles import (
+    per_step_control_gradient,
+    per_step_controlled_path,
+    three_transform_step,
+)
 
 
 def make_model(flux=None, diffusion=None, noise=None):
@@ -277,6 +284,19 @@ class TestBatch:
                       WienerBatch(9, self.STREAMS, 4), eps=np.array(bad),
                       observe=lambda step, values, dbeta: None)
 
+    @pytest.mark.parametrize("size", [8, 2])
+    def test_one_path_takes_one_eps(self, size):
+        # an axis as long as the path's nodes would scale node j's noise by
+        # sqrt(eps[j]); any other length would not broadcast
+        grid = GridSpec(points_per_axis=8)
+        u0 = SpectralField(grid, np.ones(8))
+        config = SolverConfig(dt=1e-3, t_end=0.01)
+        for start in (u0, u0.values):
+            with pytest.raises(ConfigurationError, match="^eps: one path"):
+                solve(start, make_model(), config, WienerBatch(1, 0, 4),
+                      eps=np.linspace(1e-2, 1e-3, size),
+                      observe=lambda step, values, dbeta: None)
+
     def test_non_finite_rows_are_an_input_error(self):
         # one NaN entry of a batch is a config error naming u0, raised
         # before observe sees step 0, not a divergence at step 0
@@ -416,7 +436,7 @@ class TestFusedStep:
         values = 1.0 + 0.3 * rng.standard_normal((2, 5, 64))
         dbeta = np.sqrt(config.dt) * rng.standard_normal((5, 4))
         coeffs = rng.standard_normal((5, 4))
-        fused = ctx.advance(values, dbeta, coeffs)
+        fused = ctx.advance(values, dbeta, ctx.pair.split(coeffs))
         reference = three_transform_step(values, model, config, ctx.pair, dbeta, coeffs)
         assert np.max(np.abs(fused - reference)) <= 1e-12
 
@@ -452,6 +472,56 @@ class TestFusedStep:
         # one rfft
         assert calls["irfft"] == steps
         assert calls["rfft"] == steps
+
+
+class TestPerStepReference:
+    """solve pairs a control interval's coefficients once and control_gradient
+    sweeps in blocks of 32 steps; both agree bit for bit with a reference
+    that does all of it one step at a time.  The paths run 75 steps, over
+    three blocks, under 1, 3 (breakpoints at steps 25 and 50, off every
+    block edge) and 75 (per-step) control intervals."""
+
+    T = 0.075
+    NOISES = [pytest.param(noise, id=noise.name) for noise in (
+        diagonal_decay_noise(4), additive_noise(4, offset=0.3), paired_harmonic_noise(2))]
+
+    def case(self, scheme, fractional, implicit, noise):
+        model = make_model(diffusion=branch_model(fractional).diffusion, noise=noise)
+        config = SolverConfig(dt=1e-3, t_end=self.T, flux_scheme=scheme,
+                              snapshot_count=76, **IMPLICIT[implicit])
+        return model, config, TestBatch().rows(GridSpec(points_per_axis=32))
+
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("scheme, fractional, implicit", BRANCHES)
+    def test_controlled_paths(self, scheme, fractional, implicit, noise):
+        model, config, u0 = self.case(scheme, fractional, implicit, noise)
+        which = np.array([0, 2, 1, 2, 0])
+        for m in (1, 3, 75):
+            controls = [random_control(i, 4, self.T, intervals=m) for i in range(3)]
+            alone = solve(SpectralField(GridSpec(32), u0[1]), model, config,
+                          control=controls[0])
+            reference = per_step_controlled_path(u0[1], model, config, controls)
+            assert alone.values.tobytes() == reference.tobytes()
+            batch = []
+            solve(u0, model, config, control=controls, rows=which,
+                  observe=lambda step, values, dbeta: batch.append(values))
+            reference = per_step_controlled_path(u0, model, config, controls, which)
+            assert np.array(batch).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("scheme, fractional, implicit", BRANCHES)
+    def test_control_gradient(self, scheme, fractional, implicit, noise):
+        model, config, u0 = self.case(scheme, fractional, implicit, noise)
+        cotangent = np.random.default_rng(5).standard_normal(32)
+        for m in (1, 3, 75):
+            control = random_control(7, 4, self.T, intervals=m)
+            states = solve(SpectralField(GridSpec(32), u0[2]), model, config,
+                           control=control).values
+            grad = control_gradient(states, model, config, control, cotangent)
+            reference = per_step_control_gradient(states, model, config, control,
+                                                  cotangent)
+            assert grad.shape == (m, 4)
+            assert grad.tobytes() == reference.tobytes()
 
 
 class TestSolve:
