@@ -165,6 +165,10 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
     Each objective evaluation is one skeleton solve that records the path,
     and its gradient, exact for the discrete objective, is one backward
     sweep of the transposed step along that path (solver.control_gradient).
+    The sweep carries the cotangent 2 (u_N - target) / N of a unit penalty
+    and the penalty scales its result, so each distinct point costs one
+    solve and one sweep: a round starts at the point the round before
+    ended, under a larger penalty, at no cost.
     """
     opts = opts or RateOptions()
     K = model.noise.truncation
@@ -178,7 +182,9 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
 
     # every step recorded: the gradient sweeps the whole path
     every_step = replace(config, snapshot_count=plan_steps(config)[0] + 1)
-    last = [None, None]  # the last point solved and its (control, states)
+    # the last point solved, its (control, states), and the gradient of its
+    # penalty term at a unit penalty, swept when first asked for
+    last = [None, None, None]
 
     def forward(flat):
         """The control of flat and the states u_0 .. u_N of its path; the
@@ -188,16 +194,19 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
         flat = np.array(flat, dtype=float)
         control = Control(times=times, coeffs=flat.reshape(m, K))
         states = solve_controlled_spde(u0, model, control, every_step).values
-        last[:] = flat, (control, states)
+        last[:] = flat, (control, states), None
         return control, states
 
     def value_and_gradient(flat, penalty):
         control, states = forward(flat)
         gap = states[-1] - target_values
         value = control.energy + penalty * float(np.mean(gap ** 2))
-        grad = control_gradient(states, model, config, control,
-                                2.0 * penalty * gap / size)
-        return value, (grad + widths * control.coeffs).ravel()
+        # the sweep is linear in its cotangent: a point met again under
+        # another penalty, as a round's start is, costs no sweep
+        if last[2] is None:
+            last[2] = control_gradient(states, model, config, control,
+                                       2.0 * gap / size)
+        return value, (penalty * last[2] + widths * control.coeffs).ravel()
 
     x = np.zeros(m * K)
     # the first evaluation of the first round is at x = 0

@@ -283,7 +283,7 @@ class _StepContext:
         # one noise scale per leading slice of the rows, or one for all
         self.noise_scale = np.sqrt(config.eps if eps is None else eps)
         self.pair = noise_pairing(model.noise, grid)
-        self._buffer = None
+        self._buffer = self._spectrum = None
 
     def advance(self, values, dbeta=None, control=None):
         """One step from values.  control, when given, arrives paired:
@@ -293,6 +293,8 @@ class _StepContext:
         # one buffer, so one rfft transforms them all
         if self._buffer is None or self._buffer.shape[1:] != values.shape:
             self._buffer = np.empty((1 + len(self.terms),) + values.shape)
+            self._spectrum = np.empty(self._buffer.shape[:-1] + (self.n // 2 + 1,),
+                                      dtype=complex)
         buf = self._buffer
         out = buf[0]
         out[...] = values
@@ -306,12 +308,13 @@ class _StepContext:
             return out.copy()
         for j, (_, nodal, _) in enumerate(self.terms, 1):
             buf[j] = nodal(values)
-        spec = np.fft.rfft(buf)
+        spec = np.fft.rfft(buf, out=self._spectrum)
+        head = spec[0]
         for (mult, _, _), z in zip(self.terms, spec[1:]):
-            spec[0] -= mult * z
+            head -= mult * z
         if self.implicit is not None:
-            spec[0] /= self.implicit
-        return np.fft.irfft(spec[0], n=self.n)
+            head /= self.implicit
+        return np.fft.irfft(head, n=self.n)
 
     @cached_property
     def _transposed_symbols(self):
@@ -336,23 +339,33 @@ class _StepContext:
         derivs = [np.asarray(deriv(states), dtype=float) for _, _, deriv in self.terms]
         if self.rusanov:
             here, there = _rusanov_transpose_factors(states, self.model.flux)
+        spectral = bool(self.terms) or self.implicit is not None
+        if spectral:
+            # the transforms write into buffers of this call; w and nodal
+            # are views of the last, which the next step overwrites
+            symbols = self._transposed_symbols
+            spec = np.empty(symbols.shape[1], dtype=complex)
+            product = np.empty(symbols.shape, dtype=complex)
+            stack = np.empty((len(symbols), self.n))
         ws = np.empty_like(states)
         lam = cotangent
         for s in reversed(range(len(states))):
             w, nodal = lam, ()
-            if self.terms or self.implicit is not None:
-                stack = np.fft.irfft(self._transposed_symbols * np.fft.rfft(lam),
-                                     n=self.n)
+            if spectral:
+                np.multiply(symbols, np.fft.rfft(lam, out=spec), out=product)
+                np.fft.irfft(product, n=self.n, out=stack)
                 w, nodal = stack[0], stack[1:]
-            lam = w.copy()
+            # out of place, so lam shares no memory with the buffer of w or
+            # with the caller's cotangent
+            lam = w
             for deriv, z in zip(derivs, nodal):
-                lam -= deriv[s] * z
+                lam = lam - deriv[s] * z
             if self.rusanov:
                 # half the cotangent of interface j + 1/2, which depends on
                 # nodes j and j + 1
                 half = (w - _shift(w, -1)) / self.dx * 0.5
-                lam -= self.dt * (half * here[s] + _shift(half * there[s], 1))
-            lam += slopes[s] * w
+                lam = lam - self.dt * (half * here[s] + _shift(half * there[s], 1))
+            lam = lam + slopes[s] * w
             ws[s] = w
         return lam, ws
 
@@ -408,6 +421,10 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
     if values.ndim == 1 and eps.size > 1:
         raise ConfigurationError(
             f"eps: one path takes one noise intensity, got {eps.size}")
+    if eps.size not in (1, len(values)):
+        raise ConfigurationError(
+            f"eps: {eps.size} noise intensities for {len(values)} slices "
+            "along u0's first axis")
     ctx = _StepContext(grid, model, config, eps)
     limit = stable_dt(model, grid, config)
     if config.dt > limit * (1.0 + 1e-12):
@@ -427,7 +444,8 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
         if any(not np.array_equal(c.times, controls[0].times) for c in controls):
             raise ConfigurationError("the controls of one batch must share breakpoints")
         stack = np.stack([c.coeffs for c in controls])
-        interval = _interval_index(controls[0].times, np.arange(n_steps) * dt + 0.5 * dt)
+        interval = _interval_index(controls[0].times,
+                                   np.arange(n_steps) * dt + 0.5 * dt).tolist()
         lead = 0 if rows is None else rows
     if single:
         recorded = np.empty((len(record), grid.size))
@@ -447,7 +465,7 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
             current = interval[i]
             paired = ctx.pair.split(stack[lead, current])
         values = ctx.advance(values, dbeta, paired)
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             lost = np.argwhere(~np.all(np.isfinite(values), axis=-1)).tolist()
             raise DivergenceError(i, (i + 1) * dt, slices=[tuple(j) for j in lost])
         observe(i + 1, values, dbeta)
@@ -476,7 +494,7 @@ def control_gradient(states, model: ModelSpec, config: SolverConfig, control,
     ctx = _StepContext(GridSpec(states.shape[-1]), model, config)
     n_steps = len(states) - 1
     dt = config.dt
-    interval = _interval_index(control.times, np.arange(n_steps) * dt + 0.5 * dt)
+    interval = _interval_index(control.times, np.arange(n_steps) * dt + 0.5 * dt).tolist()
     lam = cotangent
     # one K-vector per step; no (steps, N) array beyond states
     rows = np.empty((n_steps, control.truncation))

@@ -377,31 +377,44 @@ def test_objective_is_energy_plus_penalty_with_its_exact_gradient(monkeypatch):
     target = field_from_spectrum(
         GRID, solve(SINE, model, config).terminal.spectrum
         + pair_target(GRID, {1: 0.01 - 0.02j}).spectrum)
-    opts = RateOptions(intervals=2, dt=1e-3, eta=1e-3, rounds=1, maxiter=3)
+    opts = RateOptions(intervals=2, dt=1e-3, eta=1e-3, rounds=2, maxiter=3)
     calls = []
+    swept = []
 
     def recorded(fun, x0, args, **kwargs):
         calls.append((fun, args))
         return minimize(fun, x0, args=args, **kwargs)
 
+    def sweep(states, *args):
+        swept.append(states[-1].tobytes())
+        return control_gradient(states, *args)
+
     monkeypatch.setattr(rate_module, "minimize", recorded)
+    monkeypatch.setattr(rate_module, "control_gradient", sweep)
     ldp_rate_iterative(target, SINE, model, T, opts)
-    fun, (penalty,) = calls[0]
+    # one objective under the two rounds' penalties
+    (fun, (first,)), (_, (second,)) = calls
+    assert second == first * opts.penalty_growth
 
     times = np.linspace(0.0, T, opts.intervals + 1)
     rng = np.random.default_rng(4)
     delta = 1e-6
     for _ in range(3):
         point = 0.5 * rng.standard_normal(opts.intervals * 4)
-        value, grad = fun(point, penalty)
         control = Control(times=times, coeffs=point.reshape(opts.intervals, 4))
         terminal = solve_skeleton(SINE, model, control, config).terminal.values
         gap = float(np.mean((terminal - target.values) ** 2))
-        assert value == control.energy + penalty * gap
-        differences = np.array([
-            (fun(point + delta * e, penalty)[0] - fun(point - delta * e, penalty)[0])
-            / (2.0 * delta) for e in np.eye(len(point))])
-        assert np.max(np.abs(grad - differences)) <= 1e-6 * np.max(np.abs(differences))
+        swept.clear()
+        # the second penalty's gradient comes from the first one's sweep
+        evaluated = [(penalty, fun(point, penalty)) for penalty in (first, second)]
+        assert swept == [terminal.tobytes()]
+        for penalty, (value, grad) in evaluated:
+            assert value == control.energy + penalty * gap
+            differences = np.array([
+                (fun(point + delta * e, penalty)[0] - fun(point - delta * e, penalty)[0])
+                / (2.0 * delta) for e in np.eye(len(point))])
+            assert (np.max(np.abs(grad - differences))
+                    <= 1e-6 * np.max(np.abs(differences)))
 
 
 def test_a_non_finite_gradient_raises_divergence():
@@ -461,6 +474,32 @@ def test_the_iterative_rate_solves_each_control_once(monkeypatch):
     assert report.converged
     assert report.optimal_control.coeffs.tobytes() == solved[-1]
     assert len(set(solved)) == len(solved)
+
+
+def test_the_iterative_rate_sweeps_each_point_once(monkeypatch):
+    solved, swept = [], []
+
+    def recorded(u0, model, control, config, **kwargs):
+        solved.append(control.coeffs.tobytes())
+        return solve_controlled_spde(u0, model, control, config, **kwargs)
+
+    def sweep(states, model, config, control, cotangent):
+        swept.append(control.coeffs.tobytes())
+        return control_gradient(states, model, config, control, cotangent)
+
+    monkeypatch.setattr(rate_module, "solve_controlled_spde", recorded)
+    monkeypatch.setattr(rate_module, "control_gradient", sweep)
+    # the rate-iterative benchmark case: each round after the first starts
+    # at the point the one before ended, under a larger penalty
+    model = ModelSpec(linear_advection(1.0), linear_diffusion(0.5, 0.5),
+                      paired_harmonic_noise(pairs=2))
+    opts = RateOptions(intervals=10, dt=1e-3, flux_scheme="spectral",
+                       rounds=3, maxiter=100)
+    ldp_rate_iterative(pair_target(GRID, {1: 0.08 - 0.05j}),
+                       constant_field(GRID, 0.0), model, 0.25, opts)
+    assert len(set(swept)) == len(swept) == 7
+    assert set(swept) <= set(solved)
+    assert len(solved) == 8
 
 
 def test_report_json_fields():

@@ -284,6 +284,15 @@ class TestBatch:
                       WienerBatch(9, self.STREAMS, 4), eps=np.array(bad),
                       observe=lambda step, values, dbeta: None)
 
+    @pytest.mark.parametrize("size", [3, 6])
+    def test_eps_axis_matches_the_first_axis(self, size):
+        # one intensity per slice along u0's first axis, or one for all
+        grid = GridSpec(points_per_axis=32)
+        with pytest.raises(ConfigurationError, match=f"^eps: {size} noise intensities"):
+            solve(self.rows(grid), make_model(), SolverConfig(dt=1e-3, t_end=0.01),
+                  WienerBatch(9, self.STREAMS, 4), eps=np.linspace(1e-2, 1e-4, size),
+                  observe=lambda step, values, dbeta: None)
+
     @pytest.mark.parametrize("size", [8, 2])
     def test_one_path_takes_one_eps(self, size):
         # an axis as long as the path's nodes would scale node j's noise by
@@ -440,9 +449,9 @@ class TestFusedStep:
         reference = three_transform_step(values, model, config, ctx.pair, dbeta, coeffs)
         assert np.max(np.abs(fused - reference)) <= 1e-12
 
-    @pytest.mark.parametrize("scheme, fractional, implicit", BRANCHES)
-    def test_one_inverse_transform_per_step(self, monkeypatch, scheme, fractional,
-                                            implicit):
+    @staticmethod
+    def count_transforms(monkeypatch):
+        """Counts of the real FFTs called from now on; a complex FFT fails."""
         calls = {"rfft": 0, "irfft": 0}
 
         def counted(name):
@@ -460,6 +469,12 @@ class TestFusedStep:
             monkeypatch.setattr(np.fft, name, counted(name))
         monkeypatch.setattr(np.fft, "fft", refuse)
         monkeypatch.setattr(np.fft, "ifft", refuse)
+        return calls
+
+    @pytest.mark.parametrize("scheme, fractional, implicit", BRANCHES)
+    def test_one_inverse_transform_per_step(self, monkeypatch, scheme, fractional,
+                                            implicit):
+        calls = self.count_transforms(monkeypatch)
         config = SolverConfig(dt=1e-3, t_end=0.02, eps=1e-2, flux_scheme=scheme,
                               **IMPLICIT[implicit])
         u0 = 1.0 + 0.1 * np.random.default_rng(4).standard_normal((5, 32))
@@ -472,6 +487,27 @@ class TestFusedStep:
         # one rfft
         assert calls["irfft"] == steps
         assert calls["rfft"] == steps
+
+    @pytest.mark.parametrize("scheme, fractional, implicit", BRANCHES)
+    def test_one_transform_pair_per_transposed_step(self, monkeypatch, scheme,
+                                                    fractional, implicit):
+        # 50 steps, over two blocks of the sweep
+        config = SolverConfig(dt=1e-3, t_end=0.05, flux_scheme=scheme,
+                              snapshot_count=51, **IMPLICIT[implicit])
+        model = branch_model(fractional)
+        control = random_control(3, 4, 0.05, intervals=3)
+        grid = GridSpec(points_per_axis=32)
+        states = solve(SpectralField(grid, TestBatch().rows(grid)[1]), model, config,
+                       control=control).values
+        calls = self.count_transforms(monkeypatch)
+        control_gradient(states, model, config, control,
+                         np.random.default_rng(5).standard_normal(32))
+        steps = 0 if scheme == "rusanov" and not fractional and implicit == "none" \
+            else 50
+        # the cotangent's rfft feeds the implicit solve and every spectral
+        # term at once, and one irfft returns them all
+        assert calls["rfft"] == steps
+        assert calls["irfft"] == steps
 
 
 class TestPerStepReference:
