@@ -290,7 +290,8 @@ class _StepContext:
         pair.split of the coefficients of the step's control, which the
         caller splits once per control interval."""
         # the explicit update and each spectral term's nodal function share
-        # one buffer, so one rfft transforms them all
+        # one buffer, so one rfft transforms them all (into a kept spectrum:
+        # numpy's FFTs take out= from 2.0 on, the floor in pyproject.toml)
         if self._buffer is None or self._buffer.shape[1:] != values.shape:
             self._buffer = np.empty((1 + len(self.terms),) + values.shape)
             self._spectrum = np.empty(self._buffer.shape[:-1] + (self.n // 2 + 1,),
