@@ -59,7 +59,7 @@ from .models import (
     linearize_model,
     validate_model,
 )
-from .oracle import _driven_weight_sq, linearized_mode_arrays, ou_variance
+from .oracle import linearized_mode_arrays, ou_variance
 from .rate import RateOptions, ldp_rate_iterative, mdp_rate_exact
 from .rate import report_to_json as rate_report_to_json
 from .skeleton import (
@@ -436,6 +436,16 @@ def _build_model(cfg: RunConfig):
         raise ConfigurationError(f"{cfg.source}: model: {exc}") from exc
 
 
+def _harmonic_mode(cfg: RunConfig, key: str, grid: GridSpec) -> int:
+    """The mode that key names, which must lie below the grid's Nyquist
+    mode: that sine vanishes on the nodes, and larger modes alias."""
+    mode = cfg.get(key, 1)
+    n = grid.points_per_axis
+    if mode >= n // 2:
+        raise ConfigurationError(cfg.where(key, f"mode must lie in 1..{n // 2 - 1}"))
+    return mode
+
+
 def _build_initial(cfg: RunConfig, grid: GridSpec):
     kind = cfg.get("initial.kind", "constant")
     if kind == "constant":
@@ -443,7 +453,7 @@ def _build_initial(cfg: RunConfig, grid: GridSpec):
     if kind == "harmonic":
         base = cfg.get("initial.base", 1.0)
         amplitude = cfg.get("initial.amplitude", 0.1)
-        mode = cfg.get("initial.mode", 1)
+        mode = _harmonic_mode(cfg, "initial.mode", grid)
         phase = cfg.get("initial.phase", 0.0)
         x = grid.nodes()
         values = base + amplitude * np.sin(2.0 * np.pi * mode * x + phase)
@@ -484,13 +494,10 @@ def _build_control(cfg: RunConfig, model, config: SolverConfig):
 def _build_target(cfg: RunConfig, grid: GridSpec):
     if cfg.get("rate.target.kind", "harmonic") == "csv":
         return _from_file(cfg, "rate.target.path", field_from_csv, grid)
-    mode = cfg.get("rate.target.mode", 1)
+    mode = _harmonic_mode(cfg, "rate.target.mode", grid)
     re = cfg.get("rate.target.re", 0.1)
     im = cfg.get("rate.target.im", 0.0)
     n = grid.points_per_axis
-    if mode >= n // 2:
-        raise ConfigurationError(cfg.where(
-            "rate.target.mode", f"mode must lie in 1..{n // 2 - 1}"))
     spectrum = np.zeros(n, dtype=complex)
     spectrum[mode] = re + 1j * im
     spectrum[-mode] = re - 1j * im
@@ -615,7 +622,7 @@ def _run_skeleton(cfg: RunConfig):
 def _run_oracle(cfg: RunConfig):
     model, grid, config = _frozen(cfg)
     mu, weights = linearized_mode_arrays(model, grid, config.eta, config.flux_scheme)
-    weight_sq = _driven_weight_sq(weights)
+    weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
     variance = ou_variance(weight_sq, mu.real, config.t_end)
     rows = [f"{int(k)},{float(m.real)!r},{float(m.imag)!r},{float(w)!r},{float(v)!r}\n"
             for k, m, w, v in zip(grid.wavenumbers(), mu, weight_sq, variance)]

@@ -297,11 +297,15 @@ def _constant_initial(u0) -> float:
     return base
 
 
-def _mode_indices(grid, modes):
+def _mode_indices(grid, modes, weights):
+    """Row of each checked mode in the fft layout; a mode off the grid, or
+    one whose noise weights are zero, is a config error."""
     wavenumbers = list(grid.wavenumbers().astype(int))
     for k in modes:
         if int(k) not in wavenumbers:
             raise ConfigurationError(f"modes: mode {k} is not resolvable on the grid")
+        if not np.any(weights[wavenumbers.index(int(k))]):
+            raise ConfigurationError(f"modes: the noise does not drive mode {k}")
     return {int(k): wavenumbers.index(int(k)) for k in modes}
 
 
@@ -407,7 +411,7 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
 
     mu, weights = linearized_mode_arrays(linearize_model(spec, base), grid,
                                          float(eta), config.flux_scheme)
-    mode_index = _mode_indices(grid, modes)
+    mode_index = _mode_indices(grid, modes, weights)
 
     # the grid is one batch axis: sample j's stream drives every cell
     eps_axis = np.array(eps_values)
@@ -642,7 +646,7 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
         mu, weights = linearized_mode_arrays(
             linearize_model(spec, _constant_initial(u0)), grid, config.eta,
             config.flux_scheme)
-        mode_index = _mode_indices(grid, modes)
+        mode_index = _mode_indices(grid, modes, weights)
     limit = solve(u0, spec, replace(config, eps=0.0)).values
     scales = [float(np.sqrt(eps) * eps ** (-a)) for eps in eps_values]
 

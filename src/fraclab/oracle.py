@@ -45,7 +45,9 @@ def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0,
     Rusanov's symbol i a N sin(2 pi k/N) + |a| N (1 - cos(2 pi k/N)), a = F'(1),
     replaces 2 pi i a k.  Column n holds the Fourier coefficients of
     h_n(., 1) = A_n + B_n in the same layout, so comparisons with the solver
-    carry no truncation mismatch.
+    carry no truncation mismatch.  The row of a mode the noise does not
+    drive, whose squared norm is at most _GRAMIAN_FLOOR times the largest
+    and holds only transform rounding, is exactly zero.
     """
     fslope = float(model.flux.deriv(1.0))
     pslope = float(model.diffusion.deriv(1.0))
@@ -60,14 +62,9 @@ def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0,
         mu = 2j * np.pi * fslope * k + mu
     a, b = noise_tables(model.noise, grid.nodes())
     weights = dft(a + b).T.copy()
-    return mu, weights
-
-
-def _driven_weight_sq(weights: np.ndarray) -> np.ndarray:
-    """Squared norm of each mode's noise weights, 0 on the modes the noise
-    does not drive, which hold only transform rounding."""
     weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
-    return np.where(weight_sq > _GRAMIAN_FLOOR * np.max(weight_sq), weight_sq, 0.0)
+    weights[weight_sq <= _GRAMIAN_FLOOR * np.max(weight_sq)] = 0.0
+    return mu, weights
 
 
 def ou_variance(total_sq, re_mu, t: float):

@@ -18,7 +18,6 @@ from .fields import SpectralField, dft
 from .models import ModelSpec
 from .oracle import (
     _GRAMIAN_FLOOR,
-    _driven_weight_sq,
     _interval_kernel,
     duhamel_mdp_skeleton,
     linearized_mode_arrays,
@@ -95,7 +94,7 @@ def _gramian_value(target: SpectralField, model: ModelSpec, T: float, eta: float
     n = target.grid.size
     mu, weights = linearized_mode_arrays(model, target.grid, eta)
     tau = target.spectrum[:n // 2 + 1]
-    driven = np.flatnonzero(_driven_weight_sq(weights)[:n // 2 + 1])
+    driven = np.flatnonzero(np.any(weights[:n // 2 + 1], axis=1))
     # row r reads Re(c_r u_k(T)): c = 1 for every driven mode, and c = -i for
     # the imaginary parts a real field leaves free (all but k = 0 and N/2)
     paired = driven[(driven > 0) & (2 * driven < n)]

@@ -507,6 +507,17 @@ def test_count_below_one_exits_2_naming_key(tmp_path, case, value):
     assert key in err.getvalue() and "at least 1" in err.getvalue()
 
 
+@pytest.mark.parametrize("mode", [16, 17, 40])
+def test_initial_mode_at_or_above_nyquist_exits_2_naming_key(tmp_path, mode):
+    # on grid.n = 32 the sine of mode 16 vanishes on the nodes and larger
+    # modes alias, so each would start silently from the constant or a
+    # lower mode
+    code, err = _exit_and_error(tmp_path, ("simulate",), (
+        "initial.kind=harmonic", f"initial.mode={mode}", "initial.amplitude=0.3"))
+    assert code == 2
+    assert "initial.mode: mode must lie in 1..15" in err
+
+
 def test_internal_error_exits_4_with_traceback(tmp_path, monkeypatch, capsys):
     def broken(cfg):
         raise RuntimeError("broken command")
@@ -743,6 +754,61 @@ def test_oracle_prints_the_variances_clt_checks(tmp_path, scheme, value):
     assert sorted(oracles) == [1, 2]
     for k, oracle in oracles.items():
         assert star[k] == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
+def test_clt_checks_every_driven_mode_at_the_oracle_variance(tmp_path, scheme):
+    # diagonal-decay (K = 6) drives |k| <= 6: each checked mode's oracle is
+    # its star_variance in modes.csv bit for bit
+    overrides = (f"solver.flux_scheme={scheme}",)
+    star = {}
+    for row in (_run_artifacts(tmp_path, ("oracle",), overrides) / "modes.csv"
+                ).read_text().splitlines()[1:]:
+        k, _, _, weight_sq, variance = row.split(",")
+        if float(weight_sq) > 0.0:
+            star[int(k)] = float(variance)
+    assert sorted(star) == list(range(-6, 7))
+    report = json.loads((_run_artifacts(
+        tmp_path, ("experiment", "clt"),
+        (*overrides, "experiment.eps_grid=1e-2,1e-4", "experiment.samples=100",
+         "experiment.modes=" + ",".join(str(k) for k in sorted(star))))
+        / "report.json").read_text())
+    oracles = {cell["params"]["mode"]: cell["extra"]["oracle"]
+               for cell in report["cells"]
+               if cell["params"]["kind"] == "mode-variance"}
+    assert oracles == star
+
+
+# a linear model whose two harmonic noise pairs drive |k| <= 2 only
+PAIRED = """\
+model.flux.kind = advection
+model.flux.speed = 1.0
+model.diffusion.kind = linear
+model.diffusion.slope = 0.5
+model.diffusion.theta = 0.5
+model.noise.kind = paired-harmonic
+model.noise.pairs = 2
+grid.n = 32
+solver.dt = 1e-3
+solver.t_end = 0.05
+initial.kind = constant
+initial.value = 0.0
+experiment.modes = 1,5
+experiment.samples = 100
+experiment.linear_check = true
+"""
+
+
+@pytest.mark.parametrize("command", [("experiment", "clt"), ("experiment", "mdp")])
+def test_undriven_checked_mode_exits_2_naming_key_and_line(tmp_path, command):
+    cfg = write(tmp_path, PAIRED, name="lin.cfg")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main([*command, "--config", cfg, "--out", str(tmp_path / "out"),
+                     "--workers", "1"])
+    assert code == 2
+    assert "lin.cfg line 13: experiment.modes: the noise does not drive mode 5" \
+        in err.getvalue()
 
 
 def test_exact_rate_linearizes_about_the_initial_state(tmp_path):

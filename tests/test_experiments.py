@@ -372,6 +372,25 @@ class TestMdpConcentration:
 
 
 @pytest.mark.parametrize("name", ["clt", "mdp"])
+def test_mode_checks_reject_a_mode_the_noise_does_not_drive(name):
+    # two harmonic pairs drive the frequencies |k| <= 2, so mode 5 has no
+    # fluctuation to compare
+    paired = {"flux": {"kind": "advection", "speed": 1.0},
+              "diffusion": {"kind": "linear", "slope": 0.5, "theta": 0.5},
+              "noise": {"kind": "paired-harmonic", "pairs": 2}}
+    u0 = constant_field(GRID, 0.0)
+    with pytest.raises(ConfigurationError,
+                       match="^modes: the noise does not drive mode 5$"):
+        if name == "clt":
+            clt_experiment(paired, [1e-2, 1e-3], 1e-3, 100, u0=u0,
+                           config=CONFIG, modes=(1, 5))
+        else:
+            mdp_concentration_experiment(paired, 0.25, [1e-2, 1e-3], 20, u0=u0,
+                                         config=CONFIG, linear_check=True,
+                                         modes=(1, 5))
+
+
+@pytest.mark.parametrize("name", ["clt", "mdp"])
 def test_mode_oracle_linearizes_about_the_constant_state(name):
     # about u0 = 2 Rusanov's numerical viscosity is |F'(2)| N (1 - cos(2 pi k/N))
     # with F'(2) = 2, and h_k(., 2) = k^-1 (sin(2 pi k x) + 2) drives mode k

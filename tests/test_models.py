@@ -14,6 +14,7 @@ from fraclab.models import (
     ModelSpec,
     NoiseSpec,
     additive_noise,
+    build_model,
     burgers_clamped,
     cubic_smoothed,
     diagonal_decay_noise,
@@ -93,6 +94,20 @@ class TestBuiltinFamilies:
         # equal-weight pairs sum to a state-free constant
         assert np.allclose(np.sum(a ** 2, axis=0), 1.0 + 0.25 + 1 / 9)
 
+    @pytest.mark.parametrize("make", [
+        lambda: diagonal_decay_noise(q=0.5),
+        lambda: additive_noise(q=0.4),
+        lambda: paired_harmonic_noise(q=0.5),
+        lambda: build_model({"flux": {"kind": "burgers"},
+                             "diffusion": {"kind": "linear"},
+                             "noise": {"kind": "diagonal-decay", "q": 0.5}}),
+    ], ids=["diagonal-decay", "additive", "paired-harmonic", "build_model"])
+    def test_decay_exponent_must_exceed_one_half(self, make):
+        # k^-q is square summable over every truncation only for q > 1/2
+        with pytest.raises(ConfigurationError,
+                           match=r"decay exponent must exceed 1/2, got 0\.[45]"):
+            make()
+
 
 class TestValidateModel:
     def test_standard_model_passes(self):
@@ -152,7 +167,7 @@ class TestValidateModel:
     def test_degenerate_specs_rejected(self):
         one_row = NoiseSpec(truncation=2,
                             tables=lambda x: (np.ones((1, len(x))),) * 2,
-                            decay_exponent=1.0, growth_const=1.0)
+                            growth_const=1.0)
         with pytest.raises(ConfigurationError):
             noise_tables(one_row, np.zeros(4))
         with pytest.raises(ConfigurationError):
@@ -166,7 +181,7 @@ class TestValidateModel:
             validate_model(basic_model(diffusion=border), sample_count=128)
         with pytest.raises(ConfigurationError):
             NoiseSpec(truncation=0, tables=lambda x: (np.zeros((0, len(x))),) * 2,
-                      decay_exponent=1.0, growth_const=1.0)
+                      growth_const=1.0)
 
     def test_sample_count_floor(self):
         with pytest.raises(ValueError):
@@ -196,7 +211,7 @@ def unit_additive_noise():
     """h_1(x, u) = 1."""
     return NoiseSpec(truncation=1,
                      tables=lambda x: (np.ones((1, len(x))), np.zeros((1, len(x)))),
-                     decay_exponent=1.0, growth_const=1.0)
+                     growth_const=1.0)
 
 
 class TestNoiseEvaluation:

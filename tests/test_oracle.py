@@ -4,7 +4,7 @@ the Duhamel solution of the linear skeleton."""
 import numpy as np
 import pytest
 
-from fraclab.fields import GridSpec
+from fraclab.fields import GridSpec, dft
 from fraclab.models import (
     ConfigurationError,
     ModelSpec,
@@ -12,6 +12,7 @@ from fraclab.models import (
     burgers_clamped,
     diagonal_decay_noise,
     linear_diffusion,
+    noise_tables,
 )
 from fraclab.oracle import (
     duhamel_mdp_skeleton,
@@ -73,6 +74,18 @@ class TestModeParams:
         assert abs(np.sum(np.abs(weights) ** 2) - 0.25) < 1e-14
         _, zero = mode(make_model(), 0)
         assert np.allclose(zero, [1, 0.5, 1 / 3, 0.25], atol=1e-14)
+
+    def test_undriven_rows_are_exact_zeros(self):
+        # diagonal-decay (K = 6) at state 1 drives the frequencies |k| <= 6;
+        # the other rows of the transform hold only rounding, and read 0
+        grid = GridSpec(32)
+        model = make_model(diagonal_decay_noise(6))
+        _, weights = linearized_mode_arrays(model, grid)
+        a, b = noise_tables(model.noise, grid.nodes())
+        driven = np.abs(grid.wavenumbers()) <= 6
+        assert np.array_equal(weights[driven], dft(a + b).T[driven])
+        assert np.all(np.any(weights[driven], axis=1))
+        assert not np.any(weights[~driven])
 
 
 class TestStarMoments:

@@ -55,7 +55,7 @@ def unit_additive_noise():
     return NoiseSpec(
         truncation=1,
         tables=lambda x: (np.ones((1, len(x))), np.zeros((1, len(x)))),
-        decay_exponent=1.0, growth_const=1.0,
+        growth_const=1.0,
     )
 
 
