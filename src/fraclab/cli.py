@@ -147,8 +147,7 @@ _SCHEMA = {
     "rate.target.path": _NAME,
     "rate.intervals": _COUNT, "rate.rounds": _COUNT, "rate.maxiter": _COUNT,
     "rate.dt": _POSITIVE, "rate.flux_scheme": _Key(str, ("rusanov", "spectral")),
-    "rate.eta": _NONNEG, "rate.penalty": _POSITIVE, "rate.penalty_growth": _POSITIVE,
-    "rate.gradient_tol": _NONNEG, "rate.residual_target": _NONNEG,
+    "rate.eta": _NONNEG,
 }
 _KIND_TEXT = {float: "a finite number", int: "an integer", str: "a name",
               bool: "true or false"}
@@ -568,9 +567,9 @@ def _write_run(cfg: RunConfig, artifacts: dict, passed: bool, extra: dict) -> st
         "created": datetime.now(timezone.utc).isoformat(),
     }
     manifest.update(extra)
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     with open(os.path.join(run_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
     return run_dir
 
 
@@ -645,11 +644,14 @@ def _run_rate(cfg: RunConfig):
         options = {name: cfg.get(f"rate.{name}", option.default)
                    for name, option in RateOptions.__dataclass_fields__.items()}
         options["eta"] = eta
-        _check_step(cfg, "rate.dt", model, grid, SolverConfig(
-            dt=options["dt"], t_end=config.t_end, eta=eta,
-            flux_scheme=options["flux_scheme"]))
-        report = ldp_rate_iterative(target, _build_initial(cfg, grid), model,
-                                    config.t_end, RateOptions(**options))
+        noise_free = SolverConfig(dt=options["dt"], t_end=config.t_end, eta=eta,
+                                  flux_scheme=options["flux_scheme"])
+        _check_step(cfg, "rate.dt", model, grid, noise_free)
+        u0 = _build_initial(cfg, grid)
+        # the target is a deviation from the noise-free end state, as under exact
+        end = solve(u0, model, noise_free).values[-1]
+        report = ldp_rate_iterative(SpectralField(grid, target.values + end),
+                                    u0, model, config.t_end, RateOptions(**options))
 
     control_name = "control.csv" if report.optimal_control is not None else None
     artifacts = {

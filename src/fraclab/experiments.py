@@ -116,7 +116,7 @@ def report_to_json(report: ExperimentReport) -> str:
         "digests": list(report.digests),
         "passed": report.passed,
     }
-    return json.dumps(obj, indent=2, sort_keys=True)
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 def report_to_csv(report: ExperimentReport, path) -> None:
@@ -348,8 +348,9 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
     noise and check it never exceeds the initial distance beyond the scheme
     allowance plus three standard errors.
 
-    Samples are spread round-robin over the pairs; with eps = 0 both legs
-    are deterministic, so a single evaluation per pair is recorded.
+    Samples are spread round-robin over the pairs, at least one each; with
+    eps = 0 both legs are deterministic, so a single evaluation per pair is
+    recorded.
     """
     _, payload, _, config = _prepare(model, config, samples=M, least=100)
     if not pairs:
@@ -361,6 +362,9 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
     run_config = replace(config, eps=float(eps))
 
     n_pairs = len(pairs)
+    if run_config.eps > 0.0 and M < n_pairs:
+        raise ConfigurationError(
+            f"samples: need at least one per pair, got {M} for {n_pairs} pairs")
     count = M if run_config.eps > 0.0 else n_pairs
     initial = np.array([[u0.values, v0.values] for u0, v0 in pairs])
     run = _run_rows(_contraction_chunk, {"model": payload, "config": run_config,

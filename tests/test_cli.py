@@ -17,7 +17,9 @@ from hypothesis import example, given, settings, strategies as st
 import fraclab.cli as cli_module
 import fraclab.rate as rate_module
 from fraclab.cli import config_hash, load_run_config, main, parse_config_text
-from fraclab.fields import GridSpec, field_from_spectrum
+from fraclab.experiments import CellResult, ExperimentReport
+from fraclab.experiments import report_to_json as experiment_report_to_json
+from fraclab.fields import GridSpec, SpectralField, field_from_spectrum
 from fraclab.models import (
     DIFFUSION_FAMILIES,
     FLUX_FAMILIES,
@@ -27,7 +29,8 @@ from fraclab.models import (
     linearize_model,
 )
 from fraclab.rate import mdp_rate_exact
-from fraclab.skeleton import control_to_csv, random_control
+from fraclab.skeleton import control_from_csv, control_to_csv, random_control
+from fraclab.solver import SolverConfig, solve
 
 BASE = """\
 # minimal noise-off run
@@ -422,8 +425,7 @@ NUMERIC_KEYS = tuple(
         "rate.target.mode", "rate.target.re", "rate.target.im", "rate.eta",
         "rate.intervals")]
     + [(("rate",), ("rate.method=iterative",), key) for key in (
-        "rate.dt", "rate.penalty", "rate.penalty_growth", "rate.rounds",
-        "rate.maxiter", "rate.gradient_tol", "rate.residual_target")]
+        "rate.dt", "rate.rounds", "rate.maxiter")]
     + [(("experiment", "contraction"), (), key) for key in (
         "experiment.pairs", "experiment.samples", "experiment.eps",
         "experiment.tol")]
@@ -544,6 +546,11 @@ UNKNOWN_KEYS = (
     (("simulate",), "solver.lambda_eps = 1.0"),
     # a parameter the chosen family does not take
     (("simulate",), "model.flux.clampp = 3"),
+    # removed knobs of the iterative rate, constants in fraclab.rate
+    (("rate",), "rate.penalty = 5"),
+    (("rate",), "rate.penalty_growth = 5"),
+    (("rate",), "rate.gradient_tol = 1e-6"),
+    (("rate",), "rate.residual_target = 0.1"),
 )
 
 
@@ -579,7 +586,7 @@ def test_keys_of_other_commands_and_kinds_still_run(tmp_path):
                                  "initial.amplitude = 0.3\n"
                                  "experiment.samples = 10\n"
                                  "rate.method = iterative\n"
-                                 "rate.penalty = 5\n")
+                                 "rate.rounds = 5\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
@@ -918,6 +925,107 @@ def test_mass_martingale_passes_when_the_noise_moves_no_mass(tmp_path, workers):
         code = main(["experiment", "mass-martingale", "--config", cfg,
                      "--out", str(tmp_path / "out"), "--workers", workers])
     assert code == 0, out.getvalue()
+
+
+# BASE with paired-harmonic noise, which moves no mass: read as an absolute
+# end state, this harmonic target about zero is out of every control's reach
+PAIRED_RATE = BASE.replace("model.noise.kind = diagonal-decay\n"
+                           "model.noise.truncation = 6",
+                           "model.noise.kind = paired-harmonic\n"
+                           "model.noise.pairs = 3") + """\
+rate.target.mode = 1
+rate.target.re = 0.02
+rate.intervals = 2
+rate.maxiter = 20
+"""
+
+
+def _rate_run(tmp_path, text, method):
+    """Exit code, report and run directory of a rate run of text."""
+    out = tmp_path / method
+    cfg = write(tmp_path, text, name=f"{method}.cfg")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["rate", "--config", cfg, "--out", str(out),
+                     "--override", f"rate.method={method}"])
+    (run_name,) = os.listdir(out)
+    return code, json.loads((out / run_name / "report.json").read_text()), out / run_name
+
+
+def test_both_rate_methods_read_the_target_as_a_deviation(tmp_path):
+    reports = {}
+    for method in ("exact", "iterative"):
+        code, reports[method], _ = _rate_run(tmp_path, PAIRED_RATE, method)
+        assert code == 0
+        assert reports[method]["converged"]
+    assert reports["iterative"]["upper_bound"]
+    # the nonlinear cost of a small deviation is near its quadratic part
+    assert reports["iterative"]["value"] == pytest.approx(
+        reports["exact"]["value"], rel=0.05)
+
+
+def test_a_nonconstant_start_steers_to_its_noise_free_end_plus_the_target(tmp_path):
+    text = PAIRED_RATE + "initial.kind = harmonic\ninitial.amplitude = 0.05\n"
+    code, report, run_dir = _rate_run(tmp_path, text, "iterative")
+    assert code == 0 and report["converged"]
+    grid = GridSpec(32)
+    model = build_model({**json.loads(BASE_JSON)["model"],
+                         "noise": {"kind": "paired-harmonic", "pairs": 3}})
+    u0 = SpectralField(grid, 1.0 + 0.05 * np.sin(2.0 * np.pi * grid.nodes()))
+    # rate.dt and rate.flux_scheme at their defaults
+    config = SolverConfig(dt=1e-3, t_end=0.05, flux_scheme="rusanov")
+    end = solve(u0, model, config).values[-1]
+    spectrum = np.zeros(32, dtype=complex)
+    spectrum[1] = spectrum[-1] = 0.02
+    tau = field_from_spectrum(grid, spectrum).values
+    control = control_from_csv(run_dir / "control.csv")
+    reached = solve(u0, model, config, control=control).values[-1]
+    miss = float(np.sqrt(np.mean((reached - end - tau) ** 2)))
+    assert miss == pytest.approx(report["residual"], rel=1e-6)
+    assert miss <= 1e-2 * float(np.sqrt(np.mean(tau ** 2)))
+
+
+def test_contraction_with_fewer_samples_than_pairs_exits_2_naming_key_and_line(
+        tmp_path):
+    cfg = write(tmp_path, BASE + "experiment.samples = 100\n"
+                                 "experiment.pairs = 150\n")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["experiment", "contraction", "--config", cfg,
+                     "--out", str(tmp_path / "out"), "--workers", "1"])
+    assert code == 2
+    lineno = len(BASE.splitlines()) + 1
+    assert (f"line {lineno}: experiment.samples: need at least one per pair, "
+            "got 100 for 150 pairs") in err.getvalue()
+    assert not (tmp_path / "out").exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_every_json_artifact_is_strict_json(tmp_path):
+    cfg = write(tmp_path, STARTUP_CONFIG)
+    out = tmp_path / "out"
+    commands = (["simulate"], ["skeleton", "--override", "solver.eps=0"],
+                ["oracle"], ["rate"],
+                ["rate", "--override", "rate.method=iterative"],
+                ["experiment", "clt"])
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in commands:
+            assert main([*command, "--config", cfg, "--out", str(out),
+                         "--workers", "1"]) == 0, command
+    artifacts = sorted(out.rglob("*.json"))
+    assert len({path.parent for path in artifacts}) == len(commands)
+    for path in artifacts:
+        json.loads(path.read_text(), parse_constant=_reject_constant)
+    # a NaN fails at the writer instead of reaching a file
+    cell = CellResult(params=(("k", 1),), statistic=float("nan"), stderr=0.0,
+                      verdict=False, samples=1)
+    with pytest.raises(ValueError):
+        experiment_report_to_json(ExperimentReport(
+            name="x", grid=(("eps", (1.0,)),), cells=(cell,), seed=0))
+    with pytest.raises(ValueError):
+        rate_module.report_to_json(rate_module.RateReport(value=float("nan")))
 
 
 def test_readme_key_table_lists_the_schema_keys():

@@ -87,6 +87,17 @@ class TestContraction:
             contraction_experiment(BURGERS, [(pair[0], other)], 1e-2, 100,
                                    config=CONFIG)
 
+    def test_fewer_samples_than_pairs_is_a_config_error(self):
+        # a pair with no sample has no mean: its cell would read NaN
+        pairs = [smooth_pair()] * 101
+        with pytest.raises(ConfigurationError,
+                           match="samples: need at least one per pair, got 100 "
+                                 "for 101 pairs"):
+            contraction_experiment(BURGERS, pairs, 1e-2, 100, config=CONFIG)
+        # noise free, each pair takes one evaluation whatever the count
+        rep = contraction_experiment(BURGERS, pairs, 0.0, 100, config=CONFIG)
+        assert [cell.samples for cell in rep.cells] == [1] * 101
+
 
 class TestClt:
     def test_linear_model_gap_is_eps_independent(self):

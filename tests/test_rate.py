@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 import fraclab.rate as rate_module
-from fraclab.fields import GridSpec, constant_field, field_from_spectrum
+from fraclab.fields import GridSpec, SpectralField, constant_field, field_from_spectrum
 from fraclab.models import (
     ModelSpec,
     additive_noise,
@@ -259,6 +259,7 @@ def test_iterative_trivial_target_is_free():
     report = ldp_rate_iterative(uncontrolled, u0, model, 0.25, opts)
     assert report.value <= 1e-6
     assert report.converged
+    assert report.upper_bound is True
 
 
 def test_iterative_never_undercuts_exact_on_flat_model():
@@ -270,7 +271,7 @@ def test_iterative_never_undercuts_exact_on_flat_model():
     opts = RateOptions(intervals=10, dt=1e-3, rounds=3, maxiter=100,
                        flux_scheme="spectral")
     report = ldp_rate_iterative(target, constant_field(GRID, 0.0), flat, T, opts)
-    assert report.upper_bound
+    assert report.upper_bound is True
     assert report.value >= exact.value * (1.0 - 1e-6)
     assert report.value == pytest.approx(exact.value, rel=1e-3)
 
@@ -316,6 +317,70 @@ def test_a_failed_round_clears_converged(monkeypatch):
     monkeypatch.setattr(rate_module, "minimize", second_round_fails)
     report = ldp_rate_iterative(target, start, model, T, opts)
     assert len(results) == 3 and results[2].success
+    assert report.converged is False
+
+
+# a nonlinear case at a reduced size: clamped Burgers about
+# a nonconstant state, steered to u^0(T) + s * delta, where the penalty
+# rounds and the rescale miss about a third of the deviation
+NONLINEAR = ModelSpec(burgers_clamped(4.0), linear_diffusion(0.5, 0.5),
+                      diagonal_decay_noise(4))
+SMALL = GridSpec(16)
+SMALL_X = SMALL.nodes()
+WAVY = SpectralField(SMALL, 1.0 + 0.3 * np.sin(2.0 * np.pi * SMALL_X)
+                     + 0.2 * np.cos(4.0 * np.pi * SMALL_X))
+DELTA = (np.cos(2.0 * np.pi * SMALL_X) + 0.5 * np.sin(4.0 * np.pi * SMALL_X)
+         + 0.3 * np.cos(6.0 * np.pi * SMALL_X))
+WAVY_OPTS = RateOptions(intervals=4, dt=1e-3, flux_scheme="spectral",
+                        rounds=3, maxiter=100)
+WAVY_T = 0.1
+
+
+def wavy_end():
+    return solve(WAVY, NONLINEAR, SolverConfig(dt=1e-3, t_end=WAVY_T,
+                                               flux_scheme="spectral")).values[-1]
+
+
+def deviation_norm(target, end):
+    return float(np.sqrt(np.mean((target.values - end) ** 2)))
+
+
+@pytest.mark.parametrize("s", [0.03, 0.01])
+def test_a_control_that_misses_the_deviation_sets_no_flag(s):
+    end = wavy_end()
+    target = SpectralField(SMALL, end + s * DELTA)
+    report = ldp_rate_iterative(target, WAVY, NONLINEAR, WAVY_T, WAVY_OPTS)
+    # the miss is far above 1e-2 of the deviation, though below 1e-2 of
+    # the state, a bound that would pass it
+    assert report.residual > 0.1 * deviation_norm(target, end)
+    assert report.residual < 1e-2
+    assert report.upper_bound is False
+    assert report.converged is False
+
+
+def capped_case():
+    # one round of two iterations stops short of a two-mode target
+    model = ModelSpec(linear_advection(1.0), linear_diffusion(0.5, 0.5),
+                      paired_harmonic_noise(pairs=2))
+    target = pair_target(GRID, {1: 0.08 - 0.05j, 2: 0.05 + 0.02j})
+    return target, constant_field(GRID, 0.0), model, 0.25, RateOptions(
+        intervals=10, dt=1e-3, rounds=1, maxiter=2, flux_scheme="spectral")
+
+
+def wavy_case():
+    target = SpectralField(SMALL, wavy_end() + 0.1 * DELTA)
+    return target, WAVY, NONLINEAR, WAVY_T, WAVY_OPTS
+
+
+@pytest.mark.parametrize("case", [capped_case, wavy_case],
+                         ids=lambda case: case.__name__)
+def test_upper_bound_is_never_set_on_an_infeasible_control(case):
+    target, u0, model, T, opts = case()
+    end = solve(u0, model, SolverConfig(dt=opts.dt, t_end=T,
+                                        flux_scheme=opts.flux_scheme)).values[-1]
+    report = ldp_rate_iterative(target, u0, model, T, opts)
+    assert report.residual > 1e-2 * deviation_norm(target, end)
+    assert report.upper_bound is False
     assert report.converged is False
 
 
@@ -394,7 +459,7 @@ def test_objective_is_energy_plus_penalty_with_its_exact_gradient(monkeypatch):
     ldp_rate_iterative(target, SINE, model, T, opts)
     # one objective under the two rounds' penalties
     (fun, (first,)), (_, (second,)) = calls
-    assert second == first * opts.penalty_growth
+    assert second == first * rate_module._GROWTH
 
     times = np.linspace(0.0, T, opts.intervals + 1)
     rng = np.random.default_rng(4)
