@@ -147,7 +147,6 @@ _SCHEMA = {
     "rate.target.path": _NAME,
     "rate.intervals": _COUNT, "rate.rounds": _COUNT, "rate.maxiter": _COUNT,
     "rate.dt": _POSITIVE, "rate.flux_scheme": _Key(str, ("rusanov", "spectral")),
-    "rate.eta": _NONNEG,
 }
 _KIND_TEXT = {float: "a finite number", int: "an integer", str: "a name",
               bool: "true or false"}
@@ -620,7 +619,8 @@ def _run_skeleton(cfg: RunConfig):
 
 def _run_oracle(cfg: RunConfig):
     model, grid, config = _frozen(cfg)
-    mu, weights = linearized_mode_arrays(model, grid, config.eta, config.flux_scheme)
+    mu, weights = linearized_mode_arrays(model, grid, config.eta, config.flux_scheme,
+                                         config.gamma)
     weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
     variance = ou_variance(weight_sq, mu.real, config.t_end)
     rows = [f"{int(k)},{float(m.real)!r},{float(m.imag)!r},{float(w)!r},{float(v)!r}\n"
@@ -635,23 +635,25 @@ def _run_oracle(cfg: RunConfig):
 def _run_rate(cfg: RunConfig):
     method = cfg.get("rate.method", "exact")
     model, grid, config = _frozen(cfg) if method == "exact" else _prepared(cfg)
+    if config.gamma > 0.0:
+        raise ConfigurationError(cfg.where(
+            "solver.gamma", "the rate has no biharmonic term; set solver.gamma = 0"))
     target = _build_target(cfg, grid)
-    eta = cfg.get("rate.eta", config.eta)
     if method == "exact":
-        report = mdp_rate_exact(target, model, config.t_end, eta=eta,
+        report = mdp_rate_exact(target, model, config.t_end, eta=config.eta,
                                 control_intervals=cfg.get("rate.intervals", 64))
     else:
         options = {name: cfg.get(f"rate.{name}", option.default)
                    for name, option in RateOptions.__dataclass_fields__.items()}
-        options["eta"] = eta
-        noise_free = SolverConfig(dt=options["dt"], t_end=config.t_end, eta=eta,
+        noise_free = SolverConfig(dt=options["dt"], t_end=config.t_end, eta=config.eta,
                                   flux_scheme=options["flux_scheme"])
         _check_step(cfg, "rate.dt", model, grid, noise_free)
         u0 = _build_initial(cfg, grid)
         # the target is a deviation from the noise-free end state, as under exact
         end = solve(u0, model, noise_free).values[-1]
         report = ldp_rate_iterative(SpectralField(grid, target.values + end),
-                                    u0, model, config.t_end, RateOptions(**options))
+                                    u0, model, config.t_end, RateOptions(**options),
+                                    eta=config.eta)
 
     control_name = "control.csv" if report.optimal_control is not None else None
     artifacts = {

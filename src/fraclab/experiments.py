@@ -31,7 +31,8 @@ from .fields import GridSpec, PathL1, constant_field, dft, idft
 from .models import ConfigurationError, build_model, linearize_model, noise_tables
 from .oracle import linearized_mode_arrays, ou_variance
 from .skeleton import solve_skeleton
-from .solver import DivergenceError, SolverConfig, WienerBatch, plan_steps, solve
+from .solver import (DivergenceError, SolverConfig, WienerBatch, _StepContext,
+                     plan_steps, solve)
 
 __all__ = [
     "CellResult",
@@ -204,14 +205,13 @@ def _deviation_chunk(task):
     """Per row and eps slice e, "e1" (rows, E), the L1 path integral of
     z - oracle with z = (u - reference) / scale[e], reference j mod
     len(references) for row j, and "coeffs" (rows, E, modes), the terminal
-    Fourier coefficients of z at task["mode_columns"].  Given linear-mode
-    weights, the oracle is the exact per-mode decay driven by the increments
-    the row consumed (left-point, as in the solver); else it is zero."""
+    Fourier coefficients of z at task["mode_columns"].  Given a linear
+    mode step, per-mode multipliers "decay" and noise "weights", the oracle
+    takes that step on the increments the row consumed; else it is zero."""
     config, references, scale = task["config"], task["references"], task["scale"]
     which = np.arange(task["start"], task["stop"]) % len(references)
     n_steps, record = plan_steps(config)
-    weights = task.get("weights")
-    decay = None if weights is None else np.exp(-task["mu"] * config.dt)
+    decay, weights = task.get("decay"), task.get("weights")
     oracle = np.zeros((len(which), references.shape[-1]), dtype=complex)
     gap = PathL1()
     out = {}
@@ -262,10 +262,13 @@ def _mean_stderr(samples):
     return mean, np.std(xs, axis=0, ddof=1) / np.sqrt(len(xs))
 
 
-def _decreasing(stats, ties=False):
-    """Per cell down a grid: the first passes, every later one passes when
-    its statistic is below its predecessor's (or equal, with ties)."""
-    return [True] + [b <= a if ties else b < a for a, b in zip(stats, stats[1:])]
+def _decreasing(stats, ties=False, floors=None):
+    """Per cell down a grid: the first passes, and so does every later one
+    whose statistic is below its predecessor's (or equal, with ties) or at
+    or below its floor, one per cell or one for all (none by default)."""
+    floors = np.broadcast_to(-np.inf if floors is None else floors, len(stats))
+    return [True] + [bool(b <= floor or (b <= a if ties else b < a))
+                     for a, b, floor in zip(stats, stats[1:], floors[1:])]
 
 
 def _eps_digests(eps_values, digests):
@@ -400,37 +403,54 @@ def contraction_experiment(model, pairs, eps, M, *, config=None, seed=0,
 
 def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
                    modes=(1, 2), seed=0, workers=1) -> ExperimentReport:
-    """Couple (u - c)/sqrt(eps), c the constant initial state, to the exact
-    linear mode dynamics about c driven by the same increments.
+    """Couple (u - c)/sqrt(eps), c the constant initial state, to the linear
+    mode dynamics about c, stepped as the scheme steps them and driven by
+    the same increments.
 
     Per eps cell: mean path gap in the L1 time integral, required to
-    decrease as eps does.  At the smallest eps the terminal variance of each
-    checked mode must match the zero-start linear variance within three
-    standard errors.
+    decrease as eps does or to sit at or below the rounding of z, its
+    floor n_steps * machine eps * max(1, |c|) * T / sqrt(eps).  At the
+    smallest eps the terminal variance of each checked mode must match the
+    zero-start linear variance within three standard errors.
     """
     spec, payload, u0, config = _prepare(model, config, u0, grid, M, least=100)
     eps_values = _check_grid(eps_grid, "eps_grid")
     base = _constant_initial(u0)
     grid = u0.grid
+    config = replace(config, eta=float(eta))
 
-    mu, weights = linearized_mode_arrays(linearize_model(spec, base), grid,
-                                         float(eta), config.flux_scheme)
+    frozen = linearize_model(spec, base)
+    mu, weights = linearized_mode_arrays(frozen, grid, config.eta,
+                                         config.flux_scheme, config.gamma)
     mode_index = _mode_indices(grid, modes, weights)
+    # the oracle leg's step is the solver's on the frozen model at eps = 1:
+    # it multiplies mode k by J_k, the fft of its image of e_0, and adds
+    # G dbeta, G the dft of its steps from 0 driven by each e_j
+    step = _StepContext(grid, frozen, replace(config, eps=1.0))
+    truncation = frozen.noise.truncation
+    decay = np.fft.fft(step.advance(np.eye(grid.size)[0]))
+    drive = dft(step.advance(np.zeros((truncation, grid.size)),
+                             np.eye(truncation))).T
 
     # the grid is one batch axis: sample j's stream drives every cell
     eps_axis = np.array(eps_values)
+    n_steps, record = plan_steps(config)
     run = _run_rows(_deviation_chunk, {
-        "model": payload, "u0": u0.values, "mu": mu, "weights": weights,
-        "references": np.full((1, len(plan_steps(config)[1]), grid.size), base),
+        "model": payload, "u0": u0.values, "decay": decay, "weights": drive,
+        "references": np.full((1, len(record), grid.size), base),
         "mode_columns": list(mode_index.values()), "seed": seed,
-        "config": replace(config, eta=float(eta)), "eps": eps_axis,
+        "config": config, "eps": eps_axis,
         "scale": np.sqrt(eps_axis)[:, None, None]}, M, workers)
 
     gaps = [_mean_stderr(_column(run, "e1", c)) for c in range(len(eps_values))]
+    floors = [n_steps * np.finfo(float).eps * max(1.0, abs(base)) * config.t_end
+              / np.sqrt(eps) for eps in eps_values]
+    verdicts = _decreasing([stat for stat, _ in gaps], floors=floors)
     cells = [_cell(params=(("kind", "path-gap"), ("eps", eps)),
-                   statistic=stat, stderr=err, verdict=verdict, samples=M)
-             for eps, (stat, err), verdict
-             in zip(eps_values, gaps, _decreasing([stat for stat, _ in gaps]))]
+                   statistic=stat, stderr=err, verdict=verdict, samples=M,
+                   extra=(("floor", floor),))
+             for eps, (stat, err), floor, verdict
+             in zip(eps_values, gaps, floors, verdicts)]
     cells += _mode_variance_cells(_column(run, "coeffs", -1), mode_index, mu,
                                   weights, config.t_end, eps_values[-1])
     return ExperimentReport(
@@ -530,22 +550,17 @@ def regularization_experiment(model, control, ladder, *, which="eta", u0=None,
     trajectories = [solve(u0, spec, replace(config, **{which: rung}), control=control)
                     for rung in rungs]
 
-    cells = []
-    prev = None
-    for i in range(len(rungs) - 1):
-        a, b = trajectories[i], trajectories[i + 1]
+    increments = []
+    for a, b in zip(trajectories, trajectories[1:]):
         gap = PathL1()
         for t, row in zip(a.times, a.values - b.values):
             gap.add(t, row)
-        increment = gap.total
-        if prev is None:
-            verdict = True
-        else:
-            verdict = increment < prev or (increment == 0.0 and prev == 0.0)
-        cells.append(_cell(
-            params=(("which", which), ("from", rungs[i]), ("to", rungs[i + 1])),
-            statistic=increment, stderr=0.0, verdict=verdict, samples=1))
-        prev = increment
+        increments.append(gap.total)
+    # an increment is a norm: the floor 0 passes exactly the zero ones
+    cells = [_cell(params=(("which", which), ("from", lo), ("to", hi)),
+                   statistic=increment, stderr=0.0, verdict=verdict, samples=1)
+             for lo, hi, increment, verdict
+             in zip(rungs, rungs[1:], increments, _decreasing(increments, floors=0.0))]
     return ExperimentReport(
         name=f"regularization-{which}",
         grid=((which, rungs),),
@@ -649,7 +664,7 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
     if linear_check:
         mu, weights = linearized_mode_arrays(
             linearize_model(spec, _constant_initial(u0)), grid, config.eta,
-            config.flux_scheme)
+            config.flux_scheme, config.gamma)
         mode_index = _mode_indices(grid, modes, weights)
     limit = solve(u0, spec, replace(config, eps=0.0)).values
     scales = [float(np.sqrt(eps) * eps ** (-a)) for eps in eps_values]

@@ -3,7 +3,8 @@
 Linearizing about a constant state c decouples the dynamics into scalar
 complex modes with drift rate
 
-    mu_k = 2 pi i F'(c) k + Phi'(c) (2 pi |k|)^(2 theta) + eta 4 pi^2 k^2,
+    mu_k = 2 pi i F'(c) k + Phi'(c) (2 pi |k|)^(2 theta) + eta 4 pi^2 k^2
+           + gamma (4 pi^2 k^2)^2,
 
 or Rusanov's advection symbol in place of 2 pi i F'(c) k, driven additively
 by the frozen noise coefficients h_n(., c).  One closed form, the Duhamel
@@ -38,7 +39,7 @@ _GRAMIAN_FLOOR = 1e-14
 
 
 def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0,
-                           flux_scheme: str = "spectral"):
+                           flux_scheme: str = "spectral", gamma: float = 0.0):
     """Drift rates (fft layout) and noise weight matrix of shape (modes, K)
     about the state 1, or c for linearize_model(model, c).
 
@@ -53,7 +54,7 @@ def linearized_mode_arrays(model: ModelSpec, grid: GridSpec, eta: float = 0.0,
     pslope = float(model.diffusion.deriv(1.0))
     k = grid.wavenumbers()
     mu = (pslope * fractional_multiplier(grid, model.diffusion.theta)
-          + eta * FOUR_PI_SQ * k * k)
+          + eta * FOUR_PI_SQ * k * k + gamma * (FOUR_PI_SQ * k * k) ** 2)
     if flux_scheme == "rusanov":
         phase = 2.0 * np.pi * k / grid.size
         mu = mu + grid.size * (abs(fslope) * (1.0 - np.cos(phase))

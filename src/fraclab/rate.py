@@ -64,7 +64,6 @@ class RateOptions:
     intervals: int = 8
     dt: float = 1e-3
     flux_scheme: str = "rusanov"
-    eta: float = 0.0
     rounds: int = 3
     maxiter: int = 30
 
@@ -152,7 +151,8 @@ def mdp_rate_exact(target: SpectralField, model: ModelSpec, T: float,
 
 
 def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpec,
-                       T: float, opts: RateOptions | None = None) -> RateReport:
+                       T: float, opts: RateOptions | None = None,
+                       eta: float = 0.0) -> RateReport:
     """Upper bound on the deviation cost under the nonlinear skeleton.
 
     Minimizes energy plus a quadratic terminal penalty over piecewise
@@ -174,7 +174,7 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
     m = opts.intervals
     times = np.linspace(0.0, T, m + 1)
     widths = np.diff(times)[:, None]
-    config = SolverConfig(dt=opts.dt, t_end=T, eta=opts.eta,
+    config = SolverConfig(dt=opts.dt, t_end=T, eta=eta,
                           flux_scheme=opts.flux_scheme)
     target_values = target.values
     size = target.grid.size

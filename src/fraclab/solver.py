@@ -394,16 +394,16 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
           rows=None, observe=None, eps=None):
     """Iterate the IMEX step to t_end.
 
-    u0 is an (..., M, N) array of rows, or one path as a SpectralField,
-    the batch of one.  path, a WienerBatch, drives row m by stream m
-    (leading axes share their row's increments); one path takes a scalar
-    stream index.  eps, when given, replaces config.eps by one noise
+    u0 is an (..., M, N) array of rows, or one path, the batch of one, as
+    a SpectralField or an (N,) array.  path, a WienerBatch, drives row m by
+    stream m (leading axes share their row's increments); one path takes a
+    scalar stream index.  eps, when given, replaces config.eps by one noise
     intensity per slice along u0's first axis: slice e is bit for bit the
     run of replace(config, eps=eps[e]), and one path takes one eps.
     observe(step, values, dbeta) sees the rows after every step: step 0 is
-    u0 with dbeta None.  For one path
-    the Trajectory of the rows that plan_steps's record plan names is
-    returned.  control, when present, is one Control for every row, or with
+    u0 with dbeta None.  For a SpectralField, or an (N,) array given no
+    observe, the Trajectory of the rows that plan_steps's record plan names
+    is returned.  control, when present, is one Control for every row, or with
     rows a sequence of Controls on the same breakpoints, rows[m] the index
     of batch row m's control.  Each step pairs h(u) with the coefficients
     of the interval holding its midpoint, so breakpoints at multiples of dt
@@ -412,8 +412,9 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
     naming u0; DivergenceError names the first step at which any row loses
     finiteness, and the leading indices of the rows that lost it.
     """
-    single = isinstance(u0, SpectralField)
-    values = np.array(u0.values if single else u0, dtype=float, order="C")
+    field = isinstance(u0, SpectralField)
+    values = np.array(u0.values if field else u0, dtype=float, order="C")
+    single = field or (observe is None and values.ndim == 1)
     grid = GridSpec(values.shape[-1])
     eps = np.reshape(np.asarray(config.eps if eps is None else eps, dtype=float),
                      (-1,) + (1,) * (values.ndim - 1))

@@ -422,7 +422,7 @@ NUMERIC_KEYS = tuple(
         "control.truncation", "control.intervals", "control.amplitude",
         "control.seed")]
     + [(("rate",), (), key) for key in (
-        "rate.target.mode", "rate.target.re", "rate.target.im", "rate.eta",
+        "rate.target.mode", "rate.target.re", "rate.target.im",
         "rate.intervals")]
     + [(("rate",), ("rate.method=iterative",), key) for key in (
         "rate.dt", "rate.rounds", "rate.maxiter")]
@@ -551,6 +551,8 @@ UNKNOWN_KEYS = (
     (("rate",), "rate.penalty_growth = 5"),
     (("rate",), "rate.gradient_tol = 1e-6"),
     (("rate",), "rate.residual_target = 0.1"),
+    # an alias of solver.eta, which the rate reads
+    (("rate",), "rate.eta = -1"),
 )
 
 
@@ -654,7 +656,6 @@ OUT_OF_SCHEMA = (
     (("experiment", "condition2"), (), "experiment.intervals=0"),
     (("skeleton",), ("control.kind=random",), "control.seed=-1"),
     (("skeleton",), ("control.kind=random",), "control.truncation=3"),
-    (("rate",), (), "rate.eta=-1"),
     (("experiment", "mdp"), (), "experiment.linear_check=yes"),
     (("simulate",), (), "model.diffusion.theta=1.5"),
     (("simulate",), (), "model.noise.q=-1"),
@@ -816,6 +817,58 @@ def test_undriven_checked_mode_exits_2_naming_key_and_line(tmp_path, command):
     assert code == 2
     assert "lin.cfg line 13: experiment.modes: the noise does not drive mode 5" \
         in err.getvalue()
+
+
+@pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
+@pytest.mark.parametrize("value", ["0.0", "1.0"])
+def test_linear_clt_gaps_sit_at_their_rounding_floor(tmp_path, scheme, value):
+    # on a linear model the oracle leg takes the solver's own step, so every
+    # path gap is rounding, which grows as eps shrinks: the floor passes it
+    text = (PAIRED.replace("experiment.modes = 1,5", "experiment.modes = 1,2")
+            .replace("initial.value = 0.0", f"initial.value = {value}")
+            + f"solver.flux_scheme = {scheme}\nexperiment.eta = 1e-3\n")
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["experiment", "clt", "--config", write(tmp_path, text),
+                     "--out", str(out), "--workers", "1"])
+    assert code == 0
+    (run_name,) = os.listdir(out)
+    report = json.loads((out / run_name / "report.json").read_text())
+    gaps = [cell for cell in report["cells"] if cell["params"]["kind"] == "path-gap"]
+    assert len(gaps) == 3
+    for cell in gaps:
+        assert cell["statistic"] <= cell["extra"]["floor"]
+
+
+@pytest.mark.parametrize("command", [("experiment", "clt"), ("experiment", "mdp")])
+def test_linear_checks_pass_with_gamma(tmp_path, command):
+    # the mode oracles damp mode k by gamma (4 pi^2 k^2)^2, as the solver does
+    text = (PAIRED.replace("experiment.modes = 1,5", "experiment.modes = 1,2")
+            + "solver.gamma = 1e-3\nexperiment.eps_grid = 1e-2,1e-3\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*command, "--config", write(tmp_path, text),
+                     "--out", str(tmp_path / "out"), "--workers", "1"])
+    assert code == 0
+
+
+def test_oracle_drift_carries_gamma(tmp_path):
+    drifts = []
+    for gamma in ("0.0", "1e-3"):
+        rows = (_run_artifacts(tmp_path, ("oracle",), (f"solver.gamma={gamma}",))
+                / "modes.csv").read_text().splitlines()[1:]
+        drifts.append({int(row.split(",")[0]): float(row.split(",")[1]) for row in rows})
+    for k in range(1, 5):
+        assert drifts[1][k] - drifts[0][k] == pytest.approx(
+            1e-3 * (4.0 * np.pi ** 2 * k * k) ** 2, rel=1e-9)
+
+
+def test_rate_with_gamma_exits_2_naming_solver_gamma(tmp_path):
+    # neither rate method carries the biharmonic term
+    for method in ("exact", "iterative"):
+        code, err = _exit_and_error(tmp_path, ("rate",),
+                                    (f"rate.method={method}", "solver.gamma=1e-3"))
+        assert code == 2
+        assert "solver.gamma: " in err
 
 
 def test_exact_rate_linearizes_about_the_initial_state(tmp_path):

@@ -442,7 +442,7 @@ def test_objective_is_energy_plus_penalty_with_its_exact_gradient(monkeypatch):
     target = field_from_spectrum(
         GRID, solve(SINE, model, config).terminal.spectrum
         + pair_target(GRID, {1: 0.01 - 0.02j}).spectrum)
-    opts = RateOptions(intervals=2, dt=1e-3, eta=1e-3, rounds=2, maxiter=3)
+    opts = RateOptions(intervals=2, dt=1e-3, rounds=2, maxiter=3)
     calls = []
     swept = []
 
@@ -456,7 +456,7 @@ def test_objective_is_energy_plus_penalty_with_its_exact_gradient(monkeypatch):
 
     monkeypatch.setattr(rate_module, "minimize", recorded)
     monkeypatch.setattr(rate_module, "control_gradient", sweep)
-    ldp_rate_iterative(target, SINE, model, T, opts)
+    ldp_rate_iterative(target, SINE, model, T, opts, eta=1e-3)
     # one objective under the two rounds' penalties
     (fun, (first,)), (_, (second,)) = calls
     assert second == first * rate_module._GROWTH

@@ -592,6 +592,18 @@ class TestSolve:
         assert 2 <= len(traj.times) <= 65
         assert np.all(np.diff(traj.times) > 0)
 
+    def test_an_array_with_no_observer_is_one_path(self):
+        # an (N,) array is taken as a SpectralField is: the batch of one,
+        # whose recorded path comes back
+        grid = GridSpec(points_per_axis=32)
+        u0 = SpectralField(grid, 1.0 + 0.05 * np.sin(2 * np.pi * grid.nodes()))
+        config = SolverConfig(dt=1e-3, t_end=0.05, eps=1e-2, snapshot_count=6)
+        alone = solve(u0, make_model(), config, WienerBatch(9, 0, 4))
+        traj = solve(u0.values, make_model(), config, WienerBatch(9, 0, 4))
+        assert isinstance(traj, Trajectory)
+        assert np.array_equal(traj.times, alone.times)
+        assert np.array_equal(traj.values, alone.values)
+
     def test_mass_martingale(self):
         # noise only moves the mass as a martingale: sample mean of the
         # terminal mass drift stays inside 3 standard errors
