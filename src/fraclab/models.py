@@ -361,8 +361,8 @@ def noise_pairing(noise: NoiseSpec, grid: GridSpec):
     pair.slope(coeffs) = sum_k c_k B_k, the derivative of the pairing in
     the state, and pair.transpose(values, cotangents) = the K sums
     sum_x h_k(x, u(x)) w(x), its transpose in the coefficients, row by row:
-    (N,) or (S, N) arrays give (K,) or (S, K), each row the bits of that row
-    fed alone.
+    cotangents (..., N), and values that broadcast to them, give (..., K),
+    each row the bits of that row fed alone.
     """
     a, b = noise_tables(noise, grid.nodes())
 
@@ -380,8 +380,10 @@ def noise_pairing(noise: NoiseSpec, grid: GridSpec):
         return _row_products(coeffs, b)
 
     def transpose(values, cotangents):
-        return (_row_products(cotangents, a.T)
-                + _row_products(values * cotangents, b.T))
+        rows = cotangents.reshape(-1, cotangents.shape[-1])
+        weighted = (values * cotangents).reshape(rows.shape)
+        return (_row_products(rows, a.T) + _row_products(weighted, b.T)).reshape(
+            cotangents.shape[:-1] + (-1,))
 
     pair.split = split
     pair.at = at

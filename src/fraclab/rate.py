@@ -3,18 +3,21 @@
 The exact cost is the least control energy that steers the linear skeleton
 from zero to a target: (1/2) t' G^+ t, with t the target's driven real
 Fourier parts and G their controllability Gramian in closed form, for every
-noise family.  A penalty-method optimizer bounds the nonlinear cost from
-above whenever its control reaches the target.
+noise family.  Under the nonlinear skeleton a Gauss-Newton loop solves for
+the least-energy control on the terminal constraint, with the Gramian of
+the scheme's own sensitivities, and bounds the cost from above whenever its
+control reaches the target.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
-from .fields import SpectralField, dft
+from .fields import SpectralField
 from .models import ModelSpec
 from .oracle import (
     _GRAMIAN_FLOOR,
@@ -34,8 +37,10 @@ __all__ = [
     "report_to_json",
 ]
 
-# first penalty, its growth per round, L-BFGS-B's gtol, and the feasible miss
-_PENALTY, _GROWTH, _GTOL, _MISS = 10.0, 10.0, 1e-9, 1e-2
+# the feasible miss, of the deviation; the Gauss-Newton step's pinv cutoff,
+# above _GRAMIAN_FLOOR as its Gramian is swept, not closed form; the step's
+# halvings; and the least fall of the miss a step makes for the loop to go on
+_MISS, _STEP_CUTOFF, _HALVINGS, _STALL = 1e-2, 1e-10, 3, 1e-2
 
 @dataclass(frozen=True, eq=False)
 class RateReport:
@@ -59,7 +64,8 @@ class RateReport:
 
 @dataclass(frozen=True)
 class RateOptions:
-    """Knobs for the iterative minimizer."""
+    """Knobs of the iterative rate: control intervals, the solves' step and
+    flux scheme, the cap on Gauss-Newton steps; rounds is read by nothing."""
 
     intervals: int = 8
     dt: float = 1e-3
@@ -68,16 +74,43 @@ class RateOptions:
     maxiter: int = 30
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on its first call.
+def minimize(path, sensitivity, target, widths, maxiter, floor):
+    """Gauss-Newton on min (1/2) c' W c subject to u_N(c) = target, from c = 0.
 
-    Only the iterative rate needs an optimizer; a module-level import would
-    make every command that loads this module pay for scipy.optimize at
-    start-up.  The name stays module-level so callers can wrap or replace it.
+    path(c) is the control of the flat coefficients c and its states u_0
+    .. u_N; sensitivity(control, states) is S = du_N/dc, (N, len(c)); widths
+    is W's diagonal.  A step aims at c* = W^-1 S' Gamma^+ (target - u_N + S c),
+    Gamma = S W^-1 S', the least-energy point of the constraint linearized
+    at c, so a fixed point is a KKT point.  It moves to the first of
+    c + (c* - c) / 2^j, j = 0 .. _HALVINGS, whose miss L2(u_N - target) is
+    lower.  The loop stops when no such point is lower, when the miss is at
+    most floor or fell by less than _STALL of itself, or after maxiter steps.
+    Returns the point of least miss (x, its control and terminal state), the
+    miss of c = 0 (deviation), the steps nit, the sweeps njev (one a step),
+    and success: the loop stopped by its own test.
     """
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(*args, **kwargs)
+    x = np.zeros(len(widths))
+    control, states = path(x)
+    miss = deviation = _l2(states[-1] - target)
+    nit = 0
+    stopped = miss <= floor
+    while not stopped and nit < maxiter:
+        s = sensitivity(control, states)
+        scaled = s / widths
+        gamma = np.linalg.pinv(scaled @ s.T, rcond=_STEP_CUTOFF, hermitian=True)
+        aim = scaled.T @ (gamma @ (target - states[-1] + s @ x)) - x
+        nit += 1
+        stopped = True
+        for j in range(_HALVINGS + 1):
+            trial = x + aim / 2 ** j
+            trial_control, trial_states = path(trial)
+            trial_miss = _l2(trial_states[-1] - target)
+            if trial_miss < miss:
+                stopped = trial_miss <= floor or trial_miss > (1.0 - _STALL) * miss
+                x, control, states, miss = trial, trial_control, trial_states, trial_miss
+                break
+    return SimpleNamespace(x=x, control=control, terminal=states[-1], deviation=deviation,
+                           nit=nit, njev=nit, success=stopped)
 
 
 def _l2(values: np.ndarray) -> float:
@@ -155,91 +188,41 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
                        eta: float = 0.0) -> RateReport:
     """Upper bound on the deviation cost under the nonlinear skeleton.
 
-    Minimizes energy plus a quadratic terminal penalty over piecewise
-    constant controls, escalating the penalty weight, then rescales the
-    control so the dominant target mode is hit exactly.  upper_bound: the
-    miss of target, absolute, is at most 1e-2 of L2(target - u^0(T)), u^0
-    uncontrolled (0 if that is); converged: that, and every round succeeded.
-
-    Each objective evaluation is one skeleton solve that records the path,
-    and its gradient, exact for the discrete objective, is one backward
-    sweep of the transposed step along that path (solver.control_gradient).
-    The sweep carries the cotangent 2 (u_N - target) / N of a unit penalty
-    and the penalty scales its result, so each distinct point costs one
-    solve and one sweep: a round starts at the point the round before
-    ended, under a larger penalty, at no cost.
+    The least-energy control, constant on opts.intervals equal intervals,
+    whose noise-free path from u0 ends at target, by minimize from the zero
+    control, with at most opts.maxiter steps and the rounding floor n_steps
+    * machine eps * max(1, max |target|) of the miss.  A step is one solve
+    that records every step and one sweep of the N unit cotangents
+    (solver.control_gradient), S = du_N/dc exact for the scheme; iterations
+    counts the steps.  upper_bound: the miss of target, absolute, is at most
+    1e-2 of L2(target - u^0(T)), u^0 uncontrolled (0 if that is); converged:
+    that, and the loop stopped by its own test, not by the cap.
     """
     opts = opts or RateOptions()
-    K = model.noise.truncation
-    m = opts.intervals
-    times = np.linspace(0.0, T, m + 1)
-    widths = np.diff(times)[:, None]
-    config = SolverConfig(dt=opts.dt, t_end=T, eta=eta,
-                          flux_scheme=opts.flux_scheme)
-    target_values = target.values
-    size = target.grid.size
+    times = np.linspace(0.0, T, opts.intervals + 1)
+    config = SolverConfig(dt=opts.dt, t_end=T, eta=eta, flux_scheme=opts.flux_scheme)
+    n_steps = plan_steps(config)[0]
+    # every step recorded: the sweep runs along the whole path
+    every_step = replace(config, snapshot_count=n_steps + 1)
+    shape = (opts.intervals, model.noise.truncation)
+    unit = np.eye(target.grid.size)
 
-    # every step recorded: the gradient sweeps the whole path
-    every_step = replace(config, snapshot_count=plan_steps(config)[0] + 1)
-    # the last point solved, its (control, states), and the gradient of its
-    # penalty term at a unit penalty, swept when first asked for
-    last = [None, None, None]
+    def path(x):
+        control = Control(times=times, coeffs=x.reshape(shape))
+        return control, solve_controlled_spde(u0, model, control, every_step).values
 
-    def forward(flat):
-        """The control of flat and the states u_0 .. u_N of its path; the
-        last point solved is kept, so a repeated point costs no solve."""
-        if np.array_equal(last[0], flat):
-            return last[1]
-        flat = np.array(flat, dtype=float)
-        control = Control(times=times, coeffs=flat.reshape(m, K))
-        states = solve_controlled_spde(u0, model, control, every_step).values
-        last[:] = flat, (control, states), None
-        return control, states
+    def sensitivity(control, states):
+        grad = control_gradient(states, model, config, control, unit)
+        return grad.transpose(1, 0, 2).reshape(len(unit), -1)
 
-    def value_and_gradient(flat, penalty):
-        control, states = forward(flat)
-        gap = states[-1] - target_values
-        value = control.energy + penalty * float(np.mean(gap ** 2))
-        # the sweep is linear in its cotangent: a point met again under
-        # another penalty, as a round's start is, costs no sweep
-        if last[2] is None:
-            last[2] = control_gradient(states, model, config, control,
-                                       2.0 * gap / size)
-        return value, (penalty * last[2] + widths * control.coeffs).ravel()
-
-    x = np.zeros(m * K)
-    # the first evaluation of the first round is at x = 0
-    base = forward(x)[1][-1]
-    penalty = _PENALTY
-    iterations = 0
-    success = True
-    for _ in range(opts.rounds):
-        result = minimize(value_and_gradient, x, args=(penalty,), method="L-BFGS-B",
-                          jac=True,
-                          options={"maxiter": opts.maxiter, "gtol": _GTOL})
-        x = result.x
-        iterations += int(result.nit)
-        success = bool(result.success) and success
-        penalty *= _GROWTH
-
-    control, states = forward(x)
-    terminal = states[-1]
-    # rescale so the dominant deviation mode is hit with the exact amplitude
-    tau_dev = dft(target_values - base)
-    response = dft(terminal - base)
-    idx = int(np.argmax(np.abs(tau_dev)))
-    if np.abs(tau_dev[idx]) > 1e-12 and np.abs(response[idx]) > 1e-12:
-        factor = float(np.abs(tau_dev[idx]) / np.abs(response[idx]))
-        factor = min(max(factor, 0.1), 10.0)
-        x = factor * x
-        control, states = forward(x)
-        terminal = states[-1]
-
-    residual = _l2(terminal - target_values)
-    feasible = residual <= _MISS * _l2(target_values - base)
-    return RateReport(value=control.energy, optimal_control=control,
-                      residual=residual, iterations=iterations,
-                      upper_bound=feasible, converged=success and feasible)
+    floor = n_steps * np.finfo(float).eps * max(1.0, float(np.max(np.abs(target.values))))
+    result = minimize(path, sensitivity, target.values,
+                      np.repeat(np.diff(times), shape[1]), opts.maxiter, floor)
+    residual = _l2(result.terminal - target.values)
+    feasible = residual <= _MISS * result.deviation
+    return RateReport(value=result.control.energy, optimal_control=result.control,
+                      residual=residual, iterations=result.nit,
+                      upper_bound=feasible, converged=result.success and feasible)
 
 
 def verify_rate_bound(control: Control, target: SpectralField, model: ModelSpec,

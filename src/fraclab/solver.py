@@ -329,13 +329,16 @@ class _StepContext:
 
     def transpose(self, states, cotangent, slopes):
         """The transposed noise-free steps about the rows of states, last
-        row first; slopes[s] is dt times pair.slope of step s's coefficients.
+        row first, applied to each row of an (R, N) block of cotangents;
+        slopes[s] is dt times pair.slope of step s's coefficients.
 
         Returns (J_0^T ... J_S-1^T cotangent, w), J_s the derivative of
-        advance(states[s], None, control) in the state: w[s], the cotangent
-        after step s through L0^T (L0 the implicit solve), is the cotangent
-        of step s's explicit update, which the control coefficients pair
-        with.  The path-only factors take one call on all the states.
+        advance(states[s], None, control) in the state: w[s], (R, N), the
+        cotangent after step s through L0^T (L0 the implicit solve), is the
+        cotangent of step s's explicit update, which the control
+        coefficients pair with.  The path-only factors take one call on all
+        the states, and broadcast over the cotangent rows; the transforms
+        run along the last axis, so each row is the bits of its own sweep.
         """
         derivs = [np.asarray(deriv(states), dtype=float) for _, _, deriv in self.terms]
         if self.rusanov:
@@ -344,11 +347,11 @@ class _StepContext:
         if spectral:
             # the transforms write into buffers of this call; w and nodal
             # are views of the last, which the next step overwrites
-            symbols = self._transposed_symbols
-            spec = np.empty(symbols.shape[1], dtype=complex)
-            product = np.empty(symbols.shape, dtype=complex)
-            stack = np.empty((len(symbols), self.n))
-        ws = np.empty_like(states)
+            symbols = self._transposed_symbols[:, None]
+            spec = np.empty(cotangent.shape[:-1] + symbols.shape[-1:], dtype=complex)
+            product = np.empty(symbols.shape[:1] + spec.shape, dtype=complex)
+            stack = np.empty(symbols.shape[:1] + cotangent.shape)
+        ws = np.empty((len(states),) + cotangent.shape)
         lam = cotangent
         for s in reversed(range(len(states))):
             w, nodal = lam, ()
@@ -403,9 +406,10 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
     observe(step, values, dbeta) sees the rows after every step: step 0 is
     u0 with dbeta None.  For a SpectralField, or an (N,) array given no
     observe, the Trajectory of the rows that plan_steps's record plan names
-    is returned.  control, when present, is one Control for every row, or with
-    rows a sequence of Controls on the same breakpoints, rows[m] the index
-    of batch row m's control.  Each step pairs h(u) with the coefficients
+    is returned; a SpectralField given an observe, or a batch given none, is
+    a config error naming observe.  control, when present, is one Control
+    for every row, or with rows a sequence of Controls on the same
+    breakpoints, rows[m] the index of batch row m's control.  Each step pairs h(u) with the coefficients
     of the interval holding its midpoint, so breakpoints at multiples of dt
     never flip an interval by roundoff; the coefficients are paired with
     the noise tables once per interval.  A non-finite u0 is a config error
@@ -414,7 +418,7 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
     """
     field = isinstance(u0, SpectralField)
     values = np.array(u0.values if field else u0, dtype=float, order="C")
-    single = field or (observe is None and values.ndim == 1)
+    single = observe is None
     grid = GridSpec(values.shape[-1])
     eps = np.reshape(np.asarray(config.eps if eps is None else eps, dtype=float),
                      (-1,) + (1,) * (values.ndim - 1))
@@ -427,6 +431,10 @@ def solve(u0, model: ModelSpec, config: SolverConfig, path=None, control=None,
         raise ConfigurationError(
             f"eps: {eps.size} noise intensities for {len(values)} slices "
             "along u0's first axis")
+    if field and observe is not None:
+        raise ConfigurationError("observe: a SpectralField's path is returned, not observed")
+    if observe is None and values.ndim > 1:
+        raise ConfigurationError("observe: a batch of rows needs an observer")
     ctx = _StepContext(grid, model, config, eps)
     limit = stable_dt(model, grid, config)
     if config.dt > limit * (1.0 + 1e-12):
@@ -483,23 +491,25 @@ _SWEEP_BLOCK = 32
 def control_gradient(states, model: ModelSpec, config: SolverConfig, control,
                      cotangent):
     """Gradient of <cotangent, u_N> in control.coeffs, shape (m, K), by one
-    backward sweep of the transposed step.
+    backward sweep of the transposed step; an (R, N) block of cotangents
+    gives one gradient per row, shape (m, R, K), in the same sweep.
 
     states holds u_0 .. u_N of the noise-free row that solve gives with
     this control.  Step n adds dt (A w_n + B (u_n w_n)) to the gradient of
     the interval holding its midpoint.  The sweep runs backward in blocks
     of 32 steps: a block's path-only factors take one call on its states,
-    and its K-sums one row-stacked product whose rows are the bits of each
-    step alone.  Raises DivergenceError naming the adjoint cotangent and
-    the last step at which it is not finite.
+    and its K-sums one row-stacked product over its steps and cotangent
+    rows.  Every row of a block is the bits of its cotangent swept alone.
+    Raises DivergenceError naming the adjoint cotangent and the last step
+    at which it is not finite, and for a block the rows not finite there.
     """
     ctx = _StepContext(GridSpec(states.shape[-1]), model, config)
     n_steps = len(states) - 1
     dt = config.dt
     interval = _interval_index(control.times, np.arange(n_steps) * dt + 0.5 * dt).tolist()
-    lam = cotangent
-    # one K-vector per step; no (steps, N) array beyond states
-    rows = np.empty((n_steps, control.truncation))
+    lam = np.atleast_2d(cotangent)
+    # one (R, K) block per step; no (steps, R, N) array
+    rows = np.empty((n_steps, len(lam), control.truncation))
     current = slope = None
     for stop in range(n_steps, 0, -_SWEEP_BLOCK):
         start = max(stop - _SWEEP_BLOCK, 0)
@@ -510,10 +520,14 @@ def control_gradient(states, model: ModelSpec, config: SolverConfig, control,
             slopes.append(slope)
         block = states[start:stop]
         lam, w = ctx.transpose(block, lam, slopes[::-1])
-        rows[start:stop] = ctx.pair.transpose(block, w)
-    lost = np.flatnonzero(~np.all(np.isfinite(rows), axis=1))
-    if len(lost):
-        raise DivergenceError(int(lost[-1]), (lost[-1] + 1) * dt, "the adjoint cotangent")
+        rows[start:stop] = ctx.pair.transpose(block[:, None], w)
+    lost = ~np.all(np.isfinite(rows), axis=-1)
+    if lost.any():
+        step = int(np.flatnonzero(lost.any(axis=1))[-1])
+        slices = () if cotangent.ndim == 1 else [(int(r),) for r in np.flatnonzero(lost[step])]
+        raise DivergenceError(step, (step + 1) * dt, "the adjoint cotangent", slices)
+    if cotangent.ndim == 1:
+        rows = rows[:, 0]
     # the steps of one interval are contiguous
     edges = np.searchsorted(interval, np.arange(len(control.coeffs) + 1))
     return dt * np.array([rows[a:b].sum(axis=0) for a, b in zip(edges[:-1], edges[1:])])

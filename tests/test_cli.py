@@ -632,12 +632,13 @@ def test_commands_without_the_optimizer_never_import_scipy(tmp_path):
 
 
 def test_iterative_rate_calls_the_module_level_minimize(tmp_path, monkeypatch):
+    # one Gauss-Newton loop per call, under the name the benchmark's tracer wraps
     calls = []
     minimize = rate_module.minimize
 
     def counting(*args, **kwargs):
-        calls.append(kwargs.get("method"))
-        return minimize(*args, **kwargs)
+        calls.append(minimize(*args, **kwargs))
+        return calls[-1]
 
     monkeypatch.setattr(rate_module, "minimize", counting)
     cfg = write(tmp_path, STARTUP_CONFIG.replace("rate.method = exact",
@@ -646,7 +647,27 @@ def test_iterative_rate_calls_the_module_level_minimize(tmp_path, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(["rate", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code in (0, 1)
-    assert calls == ["L-BFGS-B", "L-BFGS-B"]
+    (result,) = calls
+    assert result.njev == result.nit >= 1
+
+
+def test_the_iterative_rate_never_imports_scipy(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    cfg = write(tmp_path, STARTUP_CONFIG.replace("rate.method = exact",
+                                                 "rate.method = iterative"))
+    script = STARTUP_SCRIPT.replace(
+        'for command in (["simulate"], ["oracle"], ["experiment", "clt"], ["rate"])',
+        'for command in (["rate"],)')
+    done = subprocess.run(
+        [sys.executable, "-c", script, cfg, str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    codes, modules = done.stdout.splitlines()[-2:]
+    assert json.loads(codes) == [0], done.stdout
+    assert modules == "[]"
 
 
 # a value outside its key's kind or admitted values, with the command (and

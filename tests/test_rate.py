@@ -1,10 +1,11 @@
 """Deviation-cost checks: Gramian quadratic form against an independent
-least-norm solve, closed-form steering controls, and the penalty-method
+least-norm solve, closed-form steering controls, and the Gauss-Newton
 upper bound."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 import fraclab.rate as rate_module
 from fraclab.fields import GridSpec, SpectralField, constant_field, field_from_spectrum
@@ -293,36 +294,8 @@ def test_iterative_matches_exact_on_linearized_model():
     assert report.value == pytest.approx(exact.value, rel=1e-2)
 
 
-def test_a_failed_round_clears_converged(monkeypatch):
-    T = 0.25
-    base = ModelSpec(burgers_clamped(4.0), linear_diffusion(0.5, 0.5),
-                     paired_harmonic_noise(pairs=2))
-    model = linearize_model(base, 1.0)
-    target = field_from_spectrum(
-        GRID, pair_target(GRID, {1: 0.08 - 0.05j}).spectrum
-        + np.fft.fft(np.ones(GRID.size)) / GRID.size)
-    opts = RateOptions(intervals=10, dt=1e-3, rounds=3, maxiter=100,
-                       flux_scheme="spectral")
-    start = constant_field(GRID, 1.0)
-    assert ldp_rate_iterative(target, start, model, T, opts).converged
-
-    results = []
-
-    def second_round_fails(*args, **kwargs):
-        results.append(minimize(*args, **kwargs))
-        if len(results) == 2:
-            results[-1].success = False
-        return results[-1]
-
-    monkeypatch.setattr(rate_module, "minimize", second_round_fails)
-    report = ldp_rate_iterative(target, start, model, T, opts)
-    assert len(results) == 3 and results[2].success
-    assert report.converged is False
-
-
-# a nonlinear case at a reduced size: clamped Burgers about
-# a nonconstant state, steered to u^0(T) + s * delta, where the penalty
-# rounds and the rescale miss about a third of the deviation
+# a nonlinear case at a reduced size: clamped Burgers about a nonconstant
+# state, steered to u^0(T) + s * delta
 NONLINEAR = ModelSpec(burgers_clamped(4.0), linear_diffusion(0.5, 0.5),
                       diagonal_decay_noise(4))
 SMALL = GridSpec(16)
@@ -336,43 +309,59 @@ WAVY_OPTS = RateOptions(intervals=4, dt=1e-3, flux_scheme="spectral",
 WAVY_T = 0.1
 
 
-def wavy_end():
-    return solve(WAVY, NONLINEAR, SolverConfig(dt=1e-3, t_end=WAVY_T,
-                                               flux_scheme="spectral")).values[-1]
+def wavy_end(model=NONLINEAR):
+    return solve(WAVY, model, SolverConfig(dt=1e-3, t_end=WAVY_T,
+                                           flux_scheme="spectral")).values[-1]
 
 
 def deviation_norm(target, end):
     return float(np.sqrt(np.mean((target.values - end) ** 2)))
 
 
-@pytest.mark.parametrize("s", [0.03, 0.01])
-def test_a_control_that_misses_the_deviation_sets_no_flag(s):
+@pytest.mark.parametrize("s", [0.1, 0.03, 0.01])
+def test_the_wavy_deviations_are_reached_with_both_flags(s):
+    # the penalty rounds and the rescale that Gauss-Newton replaced missed
+    # about a third of these deviations
     end = wavy_end()
     target = SpectralField(SMALL, end + s * DELTA)
     report = ldp_rate_iterative(target, WAVY, NONLINEAR, WAVY_T, WAVY_OPTS)
-    # the miss is far above 1e-2 of the deviation, though below 1e-2 of
-    # the state, a bound that would pass it
-    assert report.residual > 0.1 * deviation_norm(target, end)
+    assert report.residual <= 1e-6 * deviation_norm(target, end)
     assert report.residual < 1e-2
-    assert report.upper_bound is False
+    assert report.upper_bound is True
+    assert report.converged is True
+    assert report.value == report.optimal_control.energy
+
+
+def test_reaching_the_cap_clears_converged():
+    target = SpectralField(SMALL, wavy_end() + 0.1 * DELTA)
+    assert ldp_rate_iterative(target, WAVY, NONLINEAR, WAVY_T, WAVY_OPTS).converged
+    capped = replace(WAVY_OPTS, maxiter=2)
+    report = ldp_rate_iterative(target, WAVY, NONLINEAR, WAVY_T, capped)
+    assert report.iterations == 2
     assert report.converged is False
 
 
-def capped_case():
-    # one round of two iterations stops short of a two-mode target
-    model = ModelSpec(linear_advection(1.0), linear_diffusion(0.5, 0.5),
-                      paired_harmonic_noise(pairs=2))
-    target = pair_target(GRID, {1: 0.08 - 0.05j, 2: 0.05 + 0.02j})
-    return target, constant_field(GRID, 0.0), model, 0.25, RateOptions(
-        intervals=10, dt=1e-3, rounds=1, maxiter=2, flux_scheme="spectral")
+# paired_harmonic_noise(2) drives only frequencies 1 and 2, and moves no mass
+PAIRED = ModelSpec(linear_advection(1.0), linear_diffusion(0.5, 0.5),
+                   paired_harmonic_noise(pairs=2))
+PAIRED_WAVY = ModelSpec(burgers_clamped(4.0), linear_diffusion(0.5, 0.5),
+                        paired_harmonic_noise(pairs=2))
 
 
-def wavy_case():
-    target = SpectralField(SMALL, wavy_end() + 0.1 * DELTA)
-    return target, WAVY, NONLINEAR, WAVY_T, WAVY_OPTS
+def undriven_mode_case():
+    # the linear skeleton cannot move frequency 3
+    target = pair_target(GRID, {1: 0.08 - 0.05j, 3: 0.05 + 0.02j})
+    return target, constant_field(GRID, 0.0), PAIRED, 0.25, RateOptions(
+        intervals=10, dt=1e-3, maxiter=100, flux_scheme="spectral")
 
 
-@pytest.mark.parametrize("case", [capped_case, wavy_case],
+def conserved_mass_case():
+    # Burgers and a zero-mean noise conserve the mass, which this target moves
+    target = SpectralField(SMALL, wavy_end(PAIRED_WAVY) + 0.1 * DELTA + 0.05)
+    return target, WAVY, PAIRED_WAVY, WAVY_T, WAVY_OPTS
+
+
+@pytest.mark.parametrize("case", [undriven_mode_case, conserved_mass_case],
                          ids=lambda case: case.__name__)
 def test_upper_bound_is_never_set_on_an_infeasible_control(case):
     target, u0, model, T, opts = case()
@@ -433,7 +422,7 @@ def test_adjoint_gradient_matches_central_differences(flux, noise, scheme, eta,
     assert np.max(np.abs(grad - differences)) <= 1e-6 * np.max(np.abs(differences))
 
 
-def test_objective_is_energy_plus_penalty_with_its_exact_gradient(monkeypatch):
+def test_the_sweep_gives_the_terminal_sensitivity_exactly(monkeypatch):
     # a nonlinear model: Rusanov fluxes of clamped Burgers about a sine
     model = ModelSpec(burgers_clamped(4.0), linear_diffusion(0.5, 0.5),
                       paired_harmonic_noise(pairs=2))
@@ -442,44 +431,41 @@ def test_objective_is_energy_plus_penalty_with_its_exact_gradient(monkeypatch):
     target = field_from_spectrum(
         GRID, solve(SINE, model, config).terminal.spectrum
         + pair_target(GRID, {1: 0.01 - 0.02j}).spectrum)
-    opts = RateOptions(intervals=2, dt=1e-3, rounds=2, maxiter=3)
-    calls = []
-    swept = []
+    opts = RateOptions(intervals=2, dt=1e-3, maxiter=3)
+    solved, swept = [], []
 
-    def recorded(fun, x0, args, **kwargs):
-        calls.append((fun, args))
-        return minimize(fun, x0, args=args, **kwargs)
+    def recorded(u0, model, control, config, **kwargs):
+        solved.append(control.coeffs.tobytes())
+        return solve_controlled_spde(u0, model, control, config, **kwargs)
 
-    def sweep(states, *args):
-        swept.append(states[-1].tobytes())
-        return control_gradient(states, *args)
+    def sweep(states, model, config, control, cotangents):
+        swept.append((control, cotangents,
+                      control_gradient(states, model, config, control, cotangents)))
+        return swept[-1][-1]
 
-    monkeypatch.setattr(rate_module, "minimize", recorded)
+    monkeypatch.setattr(rate_module, "solve_controlled_spde", recorded)
     monkeypatch.setattr(rate_module, "control_gradient", sweep)
-    ldp_rate_iterative(target, SINE, model, T, opts, eta=1e-3)
-    # one objective under the two rounds' penalties
-    (fun, (first,)), (_, (second,)) = calls
-    assert second == first * rate_module._GROWTH
-
-    times = np.linspace(0.0, T, opts.intervals + 1)
-    rng = np.random.default_rng(4)
+    report = ldp_rate_iterative(target, SINE, model, T, opts, eta=1e-3)
+    assert report.value == report.optimal_control.energy
+    # one sweep of the N unit cotangents per step, each at a point solved
+    assert len(swept) == report.iterations
     delta = 1e-6
-    for _ in range(3):
-        point = 0.5 * rng.standard_normal(opts.intervals * 4)
-        control = Control(times=times, coeffs=point.reshape(opts.intervals, 4))
-        terminal = solve_skeleton(SINE, model, control, config).terminal.values
-        gap = float(np.mean((terminal - target.values) ** 2))
-        swept.clear()
-        # the second penalty's gradient comes from the first one's sweep
-        evaluated = [(penalty, fun(point, penalty)) for penalty in (first, second)]
-        assert swept == [terminal.tobytes()]
-        for penalty, (value, grad) in evaluated:
-            assert value == control.energy + penalty * gap
-            differences = np.array([
-                (fun(point + delta * e, penalty)[0] - fun(point - delta * e, penalty)[0])
-                / (2.0 * delta) for e in np.eye(len(point))])
-            assert (np.max(np.abs(grad - differences))
-                    <= 1e-6 * np.max(np.abs(differences)))
+    for control, cotangents, grad in swept:
+        assert np.array_equal(cotangents, np.eye(GRID.size))
+        assert control.coeffs.tobytes() in solved
+        # S[i, (j, k)]: the sensitivity of node i of u_N to coefficient (j, k)
+        sensitivity = grad.transpose(1, 0, 2)
+        differences = np.zeros_like(sensitivity)
+        for idx in np.ndindex(control.coeffs.shape):
+            ends = []
+            for sign in (1.0, -1.0):
+                moved = control.coeffs.copy()
+                moved[idx] += sign * delta
+                ends.append(solve_skeleton(SINE, model, Control(
+                    times=control.times, coeffs=moved), config).terminal.values)
+            differences[:, idx[0], idx[1]] = (ends[0] - ends[1]) / (2.0 * delta)
+        assert (np.max(np.abs(sensitivity - differences))
+                <= 1e-6 * np.max(np.abs(differences)))
 
 
 def test_a_non_finite_gradient_raises_divergence():
@@ -529,16 +515,17 @@ def test_the_iterative_rate_solves_each_control_once(monkeypatch):
         return solve_controlled_spde(u0, model, control, config, **kwargs)
 
     monkeypatch.setattr(rate_module, "solve_controlled_spde", recorded)
-    # the rate-iterative benchmark case
-    model = ModelSpec(linear_advection(1.0), linear_diffusion(0.5, 0.5),
-                      paired_harmonic_noise(pairs=2))
+    # the rate-iterative benchmark case: one Gauss-Newton step from the zero
+    # control lands the target
     opts = RateOptions(intervals=10, dt=1e-3, flux_scheme="spectral",
                        rounds=3, maxiter=100)
     report = ldp_rate_iterative(pair_target(GRID, {1: 0.08 - 0.05j}),
-                                constant_field(GRID, 0.0), model, 0.25, opts)
-    assert report.converged
+                                constant_field(GRID, 0.0), PAIRED, 0.25, opts)
+    assert report.converged and report.iterations == 1
+    assert report.residual <= 1e-15
+    assert len(set(solved)) == len(solved) == 2
+    assert not np.any(np.frombuffer(solved[0]))
     assert report.optimal_control.coeffs.tobytes() == solved[-1]
-    assert len(set(solved)) == len(solved)
 
 
 def test_the_iterative_rate_sweeps_each_point_once(monkeypatch):
@@ -554,17 +541,16 @@ def test_the_iterative_rate_sweeps_each_point_once(monkeypatch):
 
     monkeypatch.setattr(rate_module, "solve_controlled_spde", recorded)
     monkeypatch.setattr(rate_module, "control_gradient", sweep)
-    # the rate-iterative benchmark case: each round after the first starts
-    # at the point the one before ended, under a larger penalty
-    model = ModelSpec(linear_advection(1.0), linear_diffusion(0.5, 0.5),
-                      paired_harmonic_noise(pairs=2))
+    # the rate-iterative benchmark case: the one sweep is at the zero control,
+    # a point already solved; the landed control needs no sweep
     opts = RateOptions(intervals=10, dt=1e-3, flux_scheme="spectral",
                        rounds=3, maxiter=100)
     ldp_rate_iterative(pair_target(GRID, {1: 0.08 - 0.05j}),
-                       constant_field(GRID, 0.0), model, 0.25, opts)
-    assert len(set(swept)) == len(swept) == 7
+                       constant_field(GRID, 0.0), PAIRED, 0.25, opts)
+    assert len(set(swept)) == len(swept) == 1
     assert set(swept) <= set(solved)
-    assert len(solved) == 8
+    assert swept == solved[:1]
+    assert len(solved) == 2
 
 
 def test_report_json_fields():

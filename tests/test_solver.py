@@ -559,6 +559,44 @@ class TestPerStepReference:
             assert grad.shape == (m, 4)
             assert grad.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("noise", NOISES)
+    @pytest.mark.parametrize("scheme, fractional, implicit", BRANCHES)
+    def test_control_gradient_rows(self, scheme, fractional, implicit, noise):
+        # one sweep of an (R, N) block of cotangents: row r is the sweep of
+        # cotangent r alone, and the per-step reference's, bit for bit
+        model, config, u0 = self.case(scheme, fractional, implicit, noise)
+        cotangents = np.random.default_rng(6).standard_normal((5, 32))
+        for m in (1, 3, 75):
+            control = random_control(7, 4, self.T, intervals=m)
+            states = solve(SpectralField(GridSpec(32), u0[2]), model, config,
+                           control=control).values
+            grads = control_gradient(states, model, config, control, cotangents)
+            assert grads.shape == (m, 5, 4)
+            for r, cotangent in enumerate(cotangents):
+                alone = control_gradient(states, model, config, control, cotangent)
+                reference = per_step_control_gradient(states, model, config,
+                                                      control, cotangent)
+                assert grads[:, r].tobytes() == alone.tobytes() == reference.tobytes()
+
+    def test_a_non_finite_cotangent_row_raises_divergence(self):
+        # the row's single sweep names step 74; the block names it too, and
+        # the row it lost
+        model, config, u0 = self.case("spectral", True, "eta", diagonal_decay_noise(4))
+        control = random_control(7, 4, self.T, intervals=3)
+        states = solve(SpectralField(GridSpec(32), u0[2]), model, config,
+                       control=control).values
+        cotangents = np.ones((4, 32))
+        cotangents[2, 5] = np.inf
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DivergenceError) as alone:
+                control_gradient(states, model, config, control, cotangents[2])
+            with pytest.raises(DivergenceError) as block:
+                control_gradient(states, model, config, control, cotangents)
+        assert alone.value.step_index == block.value.step_index == 74
+        assert str(block.value) == str(alone.value)
+        assert str(block.value).startswith("the adjoint cotangent lost finiteness")
+        assert block.value.slices == [(2,)]
+
 
 class TestSolve:
     def test_mass_conservation_deterministic(self):
@@ -603,6 +641,21 @@ class TestSolve:
         assert isinstance(traj, Trajectory)
         assert np.array_equal(traj.times, alone.times)
         assert np.array_equal(traj.values, alone.values)
+
+    def test_a_field_given_an_observer_is_a_config_error(self):
+        # its path is returned, so an observer would never be called
+        grid = GridSpec(points_per_axis=32)
+        seen = []
+        with pytest.raises(ConfigurationError, match="^observe: "):
+            solve(constant_field(grid, 1.0), make_model(),
+                  SolverConfig(dt=1e-3, t_end=0.01),
+                  observe=lambda step, values, dbeta: seen.append(step))
+        assert seen == []
+
+    def test_a_batch_without_an_observer_is_a_config_error(self):
+        u0 = np.ones((3, 32))
+        with pytest.raises(ConfigurationError, match="^observe: "):
+            solve(u0, make_model(), SolverConfig(dt=1e-3, t_end=0.01))
 
     def test_mass_martingale(self):
         # noise only moves the mass as a martingale: sample mean of the
