@@ -33,7 +33,6 @@ import numpy as np
 
 from .experiments import (
     ExperimentReport,
-    _constant_initial,
     clt_experiment,
     condition2_coupling_experiment,
     contraction_experiment,
@@ -56,10 +55,9 @@ from .models import (
     NOISE_FAMILIES,
     ConfigurationError,
     build_model,
-    linearize_model,
     validate_model,
 )
-from .oracle import linearized_mode_arrays, ou_variance
+from .oracle import linearize_run
 from .rate import RateOptions, ldp_rate_iterative, mdp_rate_exact
 from .rate import report_to_json as rate_report_to_json
 from .skeleton import (
@@ -127,8 +125,7 @@ _SCHEMA = {
     "initial.kind": _Key(str, ("constant", "harmonic", "csv")),
     "initial.value": _NUMBER, "initial.base": _NUMBER, "initial.amplitude": _NUMBER,
     "initial.mode": _COUNT, "initial.phase": _NUMBER, "initial.path": _NAME,
-    "control.kind": _Key(str, ("zero", "random", "csv")),
-    "control.truncation": _COUNT, "control.intervals": _COUNT,
+    "control.kind": _Key(str, ("zero", "random", "csv")), "control.intervals": _COUNT,
     "control.amplitude": _NUMBER, "control.seed": _SEED, "control.path": _NAME,
     "experiment.pairs": _COUNT, "experiment.samples": _COUNT,
     "experiment.eps": _NONNEG, "experiment.tol": _NONNEG, "experiment.eta": _NONNEG,
@@ -476,11 +473,7 @@ def _build_control(cfg: RunConfig, model, config: SolverConfig):
             return control
 
         return _from_file(cfg, "control.path", read)
-    truncation = cfg.get("control.truncation", model.noise.truncation)
-    if truncation != model.noise.truncation:
-        raise ConfigurationError(cfg.where(
-            "control.truncation", f"must equal the noise truncation "
-            f"{model.noise.truncation}, got {truncation}"))
+    truncation = model.noise.truncation
     if kind == "zero":
         times = np.array([0.0, config.t_end])
         return Control(times=times, coeffs=np.zeros((1, truncation)))
@@ -508,20 +501,14 @@ def _prepared(cfg: RunConfig):
     model = _build_model(cfg)
     grid = _build_grid(cfg)
     config = _build_solver_config(cfg)
-    report = validate_model(model)
-    if not report.passed:
-        failed = ", ".join(c.name for c in report.checks if not c.passed)
-        raise ConfigurationError(
-            f"{cfg.source}: model violates structural assumptions: {failed}")
+    failed = [c.name for c in validate_model(model).checks if not c.passed]
+    if failed:
+        # a check is named after its block: flux-, diffusion- or noise-
+        raise ConfigurationError(cfg.where(
+            f"model.{failed[0].split('-')[0]}.kind",
+            f"model violates structural assumptions: {', '.join(failed)}"))
     _check_step(cfg, "solver.dt", model, grid, config)
     return model, grid, config
-
-
-def _frozen(cfg: RunConfig):
-    """_prepared with the model frozen at the constant initial state."""
-    model, grid, config = _prepared(cfg)
-    state = _constant_initial(_build_initial(cfg, grid))
-    return linearize_model(model, state), grid, config
 
 
 def _check_step(cfg: RunConfig, key: str, model, grid: GridSpec,
@@ -618,11 +605,9 @@ def _run_skeleton(cfg: RunConfig):
 
 
 def _run_oracle(cfg: RunConfig):
-    model, grid, config = _frozen(cfg)
-    mu, weights = linearized_mode_arrays(model, grid, config.eta, config.flux_scheme,
-                                         config.gamma)
+    model, grid, config = _prepared(cfg)
+    _, _, mu, weights, variance = linearize_run(model, _build_initial(cfg, grid), config)
     weight_sq = np.sum(np.abs(weights) ** 2, axis=1)
-    variance = ou_variance(weight_sq, mu.real, config.t_end)
     rows = [f"{int(k)},{float(m.real)!r},{float(m.imag)!r},{float(w)!r},{float(v)!r}\n"
             for k, m, w, v in zip(grid.wavenumbers(), mu, weight_sq, variance)]
     artifacts = {"modes.csv": _text_artifact(
@@ -634,7 +619,10 @@ def _run_oracle(cfg: RunConfig):
 
 def _run_rate(cfg: RunConfig):
     method = cfg.get("rate.method", "exact")
-    model, grid, config = _frozen(cfg) if method == "exact" else _prepared(cfg)
+    model, grid, config = _prepared(cfg)
+    if method == "exact":
+        # the exact rate reads only the frozen model
+        _, model, *_ = linearize_run(model, _build_initial(cfg, grid), config)
     if config.gamma > 0.0:
         raise ConfigurationError(cfg.where(
             "solver.gamma", "the rate has no biharmonic term; set solver.gamma = 0"))

@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import GridSpec, PathL1, constant_field, dft, idft
-from .models import ConfigurationError, build_model, linearize_model, noise_tables
-from .oracle import linearized_mode_arrays, ou_variance
+from .models import ConfigurationError, build_model, noise_tables
+from .oracle import linearize_run
 from .skeleton import solve_skeleton
 from .solver import (DivergenceError, SolverConfig, WienerBatch, _StepContext,
                      plan_steps, solve)
@@ -236,15 +236,14 @@ def _column(run, key, e):
     return np.ascontiguousarray(run[key][:, e])
 
 
-def _mode_variance_cells(coeffs, mode_index, mu, weights, t_end, eps, lam=1.0):
+def _mode_variance_cells(coeffs, mode_index, variance, eps, lam=1.0):
     """Terminal variance of each checked mode (one column of coeffs per
-    mode) against the zero-start linear variance scaled by lam^-2."""
+    mode) against its zero-start linear variance scaled by lam^-2."""
     cells = []
     for column, (k, idx) in enumerate(mode_index.items()):
         mode = coeffs[:, column]
         measured, err_var = _mean_stderr(np.abs(mode - mode.mean()) ** 2)
-        oracle = float(ou_variance(np.sum(np.abs(weights[idx]) ** 2),
-                                   mu[idx].real, t_end)) / (lam * lam)
+        oracle = float(variance[idx]) / (lam * lam)
         cells.append(_cell(
             params=(("kind", "mode-variance"), ("eps", eps), ("mode", k)),
             statistic=measured, stderr=err_var,
@@ -289,15 +288,6 @@ def _check_grid(values, label, least=1, positive=True):
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raise ConfigurationError(f"{label}: must be strictly decreasing")
     return vals
-
-
-def _constant_initial(u0) -> float:
-    """The state of a constant u0; anything else is a config error."""
-    base = float(np.mean(u0.values))
-    if float(np.max(np.abs(u0.values - base))) > 1e-13 * max(1.0, abs(base)):
-        raise ConfigurationError(
-            "initial.kind: linearizing needs a constant initial state")
-    return base
 
 
 def _mode_indices(grid, modes, weights):
@@ -415,13 +405,9 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
     """
     spec, payload, u0, config = _prepare(model, config, u0, grid, M, least=100)
     eps_values = _check_grid(eps_grid, "eps_grid")
-    base = _constant_initial(u0)
     grid = u0.grid
     config = replace(config, eta=float(eta))
-
-    frozen = linearize_model(spec, base)
-    mu, weights = linearized_mode_arrays(frozen, grid, config.eta,
-                                         config.flux_scheme, config.gamma)
+    base, frozen, _, weights, variance = linearize_run(spec, u0, config)
     mode_index = _mode_indices(grid, modes, weights)
     # the oracle leg's step is the solver's on the frozen model at eps = 1:
     # it multiplies mode k by J_k, the fft of its image of e_0, and adds
@@ -451,8 +437,8 @@ def clt_experiment(model, eps_grid, eta, M, *, grid=None, u0=None, config=None,
                    extra=(("floor", floor),))
              for eps, (stat, err), floor, verdict
              in zip(eps_values, gaps, floors, verdicts)]
-    cells += _mode_variance_cells(_column(run, "coeffs", -1), mode_index, mu,
-                                  weights, config.t_end, eps_values[-1])
+    cells += _mode_variance_cells(_column(run, "coeffs", -1), mode_index, variance,
+                                  eps_values[-1])
     return ExperimentReport(
         name="clt",
         grid=(("eps", eps_values), ("eta", (float(eta),)), ("M", (M,))),
@@ -662,9 +648,7 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
 
     mode_index = {}
     if linear_check:
-        mu, weights = linearized_mode_arrays(
-            linearize_model(spec, _constant_initial(u0)), grid, config.eta,
-            config.flux_scheme, config.gamma)
+        *_, weights, variance = linearize_run(spec, u0, config)
         mode_index = _mode_indices(grid, modes, weights)
     limit = solve(u0, spec, replace(config, eps=0.0)).values
     scales = [float(np.sqrt(eps) * eps ** (-a)) for eps in eps_values]
@@ -700,7 +684,7 @@ def mdp_concentration_experiment(model, a_exponent, eps_grid, M, *, u0=None,
             samples=M))
         if linear_check:
             cells += _mode_variance_cells(_column(run, "coeffs", c), mode_index,
-                                          mu, weights, config.t_end, eps, eps ** (-a))
+                                          variance, eps, eps ** (-a))
     return ExperimentReport(
         name="mdp-concentration",
         grid=(("eps", eps_values), ("a", (a,)), ("M", (M,))),

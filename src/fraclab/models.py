@@ -441,14 +441,19 @@ def _halton(n: int) -> np.ndarray:
 
 
 def _derivative_check(name, f, fp, u, step=1e-5, tol=1e-6):
+    """Each central difference quotient of f against the range fp spans at
+    u - step, u and u + step, relative to max(1, |fp(u)|): the quotient
+    across a kink of fp lies between its one-sided values."""
     fd = (np.asarray(f(u + step), dtype=float)
           - np.asarray(f(u - step), dtype=float)) / (2.0 * step)
-    exact = np.asarray(fp(u), dtype=float)
-    rel = np.abs(fd - exact) / np.maximum(1.0, np.abs(exact))
+    slopes = np.stack([np.asarray(fp(v), dtype=float) for v in (u - step, u, u + step)])
+    outside = np.maximum(fd - np.max(slopes, axis=0), np.min(slopes, axis=0) - fd)
+    rel = np.maximum(outside, 0.0) / np.maximum(1.0, np.abs(slopes[1]))
     worst = float(np.max(rel))
     return AssumptionCheck(name, bool(worst <= tol), worst)
 
 
+@np.errstate(all="ignore")  # a non-finite value fails its check, silently
 def validate_model(model: ModelSpec, sample_count: int = 256) -> ValidationReport:
     """Sampled check of the structural assumptions behind a model triple.
 
@@ -456,7 +461,7 @@ def validate_model(model: ModelSpec, sample_count: int = 256) -> ValidationRepor
     continuity and the consistency of both flux derivatives, diffusion
     monotonicity and coercivity, and the quadratic growth of the noise,
     which also catches non-finite noise tables.  Violations beyond 1e-9
-    slack fail the report.
+    slack fail the report, coercivity's relative to its larger term.
     """
     if sample_count < 100:
         raise ValueError("sample_count must be at least 100")
@@ -492,9 +497,10 @@ def validate_model(model: ModelSpec, sample_count: int = 256) -> ValidationRepor
     mono = float(np.max((pa - pb) * np.sign(b - a)))
     checks.append(AssumptionCheck("diffusion-monotone", bool(mono <= slack), mono))
     if lip_p > 0:
-        coercive = float(np.max((pa - pb) ** 2 / lip_p - (pa - pb) * (a - b)))
+        lhs, rhs = (pa - pb) ** 2 / lip_p, (pa - pb) * (a - b)
     else:
-        coercive = float(np.max((pa - pb) ** 2))
+        lhs, rhs = (pa - pb) ** 2, np.zeros_like(pa)
+    coercive = float(np.max((lhs - rhs) / np.maximum(1.0, np.maximum(lhs, np.abs(rhs)))))
     checks.append(AssumptionCheck("diffusion-coercive", bool(coercive <= slack), coercive))
     checks.append(_derivative_check("diffusion-derivative", phi, phip, u))
 

@@ -9,7 +9,8 @@ complex modes with drift rate
 or Rusanov's advection symbol in place of 2 pi i F'(c) k, driven additively
 by the frozen noise coefficients h_n(., c).  One closed form, the Duhamel
 kernel, gives the Ornstein-Uhlenbeck variance of the zero-start driven
-modes, the linear controlled skeleton and the exact rate.
+modes, the linear controlled skeleton and the exact rate.  A run is
+linearized once, by linearize_run, about its constant initial state.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from .fields import (
     field_from_spectrum,
     fractional_multiplier,
 )
-from .models import ModelSpec, noise_tables
+from .models import ConfigurationError, ModelSpec, linearize_model, noise_tables
 from .skeleton import Control
 
 __all__ = [
+    "linearize_run",
     "linearized_mode_arrays",
     "ou_variance",
     "duhamel_mdp_skeleton",
@@ -75,6 +77,22 @@ def ou_variance(total_sq, re_mu, t: float):
     of the mode's noise weights; the real and imaginary parts carry half the
     variance each."""
     return total_sq * _interval_kernel(2.0 * re_mu, t, 0.0, t)
+
+
+def linearize_run(model: ModelSpec, u0: SpectralField, config):
+    """A run linearized about u0's constant state c: (c, the model frozen at
+    c, its modes' drift rates and noise weights under the SolverConfig's
+    eta, flux_scheme and gamma, and their zero-start variances at its
+    t_end).  A nonconstant u0 is a config error naming initial.kind."""
+    state = float(np.mean(u0.values))
+    if float(np.max(np.abs(u0.values - state))) > 1e-13 * max(1.0, abs(state)):
+        raise ConfigurationError(
+            "initial.kind: linearizing needs a constant initial state")
+    frozen = linearize_model(model, state)
+    mu, weights = linearized_mode_arrays(frozen, u0.grid, config.eta,
+                                         config.flux_scheme, config.gamma)
+    variance = ou_variance(np.sum(np.abs(weights) ** 2, axis=1), mu.real, config.t_end)
+    return state, frozen, mu, weights, variance
 
 
 def _interval_kernel(mu, t, a, b):

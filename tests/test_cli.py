@@ -419,8 +419,7 @@ NUMERIC_KEYS = tuple(
     + [(("simulate",), ("initial.kind=harmonic",), key) for key in (
         "initial.base", "initial.amplitude", "initial.mode", "initial.phase")]
     + [(("skeleton",), ("control.kind=random",), key) for key in (
-        "control.truncation", "control.intervals", "control.amplitude",
-        "control.seed")]
+        "control.intervals", "control.amplitude", "control.seed")]
     + [(("rate",), (), key) for key in (
         "rate.target.mode", "rate.target.re", "rate.target.im",
         "rate.intervals")]
@@ -553,6 +552,8 @@ UNKNOWN_KEYS = (
     (("rate",), "rate.residual_target = 0.1"),
     # an alias of solver.eta, which the rate reads
     (("rate",), "rate.eta = -1"),
+    # a control has one coefficient per noise mode, so it admitted only K
+    (("skeleton",), "control.truncation = 3"),
 )
 
 
@@ -676,7 +677,6 @@ OUT_OF_SCHEMA = (
     (("experiment", "condition2"), (), "experiment.intervals=-2"),
     (("experiment", "condition2"), (), "experiment.intervals=0"),
     (("skeleton",), ("control.kind=random",), "control.seed=-1"),
-    (("skeleton",), ("control.kind=random",), "control.truncation=3"),
     (("experiment", "mdp"), (), "experiment.linear_check=yes"),
     (("simulate",), (), "model.diffusion.theta=1.5"),
     (("simulate",), (), "model.noise.q=-1"),
@@ -808,6 +808,27 @@ def test_clt_checks_every_driven_mode_at_the_oracle_variance(tmp_path, scheme):
     assert oracles == star
 
 
+@pytest.mark.parametrize("scheme", ["rusanov", "spectral"])
+def test_mdp_checks_each_mode_at_the_oracle_variance_over_its_scale(tmp_path, scheme):
+    # mdp's linear check holds z = (u - limit)/(sqrt(eps) eps^-a) to the
+    # oracle's star_variance over (eps^-a)^2, computed as mdp computes it
+    overrides = (f"solver.flux_scheme={scheme}",)
+    star = {int(row.split(",")[0]): float(row.split(",")[4])
+            for row in (_run_artifacts(tmp_path, ("oracle",), overrides) / "modes.csv"
+                        ).read_text().splitlines()[1:]}
+    report = json.loads((_run_artifacts(
+        tmp_path, ("experiment", "mdp"),
+        (*overrides, "experiment.linear_check=true", "experiment.modes=1,3",
+         "experiment.eps_grid=1e-2,1e-4", "experiment.samples=100"))
+        / "report.json").read_text())
+    a = report["grid"]["a"][0]
+    cells = [cell for cell in report["cells"] if cell["params"]["kind"] == "mode-variance"]
+    assert len(cells) == 4
+    for cell in cells:
+        lam = cell["params"]["eps"] ** (-a)
+        assert cell["extra"]["oracle"] == star[cell["params"]["mode"]] / (lam * lam)
+
+
 # a linear model whose two harmonic noise pairs drive |k| <= 2 only
 PAIRED = """\
 model.flux.kind = advection
@@ -881,6 +902,34 @@ def test_oracle_drift_carries_gamma(tmp_path):
     for k in range(1, 5):
         assert drifts[1][k] - drifts[0][k] == pytest.approx(
             1e-3 * (4.0 * np.pi ** 2 * k * k) ** 2, rel=1e-9)
+
+
+# configs whose model the sampled checks once rejected on rounding: a flux
+# kink on a sampled node (u = -8 is always one), and a steep diffusion
+ADMITTED_MODELS = {
+    "burgers-kink": ("model.flux.clamp=8",),
+    "cubic-kink": ("model.flux.kind=cubic", "model.flux.clamp=64", "solver.dt=2e-4"),
+    "steep-diffusion": ("model.diffusion.slope=1e6", "solver.dt=2e-9",
+                        "solver.t_end=2e-8", "solver.snapshot_count=3"),
+}
+
+
+@pytest.mark.parametrize("overrides", ADMITTED_MODELS.values(), ids=ADMITTED_MODELS)
+def test_admitted_models_pass_the_precheck(tmp_path, overrides):
+    code, err = _exit_and_error(tmp_path, ("simulate",), overrides)
+    assert code == 0, err
+
+
+def test_a_failed_precheck_names_the_block_key_and_line(tmp_path):
+    # a = 1e300 overflows the noise growth: no numpy warning reaches stderr
+    cfg = write(tmp_path, BASE.replace("model.noise.truncation = 6",
+                                       "model.noise.truncation = 6\nmodel.noise.a = 1e300"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert err.getvalue() == (f"config error: {cfg} line 7: model.noise.kind: model "
+                              "violates structural assumptions: noise-growth\n")
 
 
 def test_rate_with_gamma_exits_2_naming_solver_gamma(tmp_path):

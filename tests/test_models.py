@@ -154,6 +154,27 @@ class TestValidateModel:
             rep = validate_model(basic_model(flux=flux), sample_count=256)
             assert rep.check("flux-second-derivative").passed
 
+    def test_a_kink_on_any_sampled_node_passes(self):
+        # the difference quotient across a kink of F' or F'' lies between
+        # its one-sided values; u = -8 is Halton index 0
+        u = 8.0 * (2.0 * _halton(256)[:, 1] - 1.0)
+        for node in np.abs(u[u != 0.0]):
+            for flux in (burgers_clamped(node), cubic_smoothed(node * node)):
+                rep = validate_model(basic_model(flux=flux), sample_count=256)
+                assert rep.passed, (flux.name, node)
+
+    @pytest.mark.parametrize("slope", [1e6, 1e12])
+    def test_steep_diffusion_passes_coercivity(self, slope):
+        # the compared terms reach slope * 16^2: rounding scales with them
+        rep = validate_model(basic_model(diffusion=linear_diffusion(slope, 0.5)))
+        assert rep.passed
+
+    def test_non_finite_noise_fails_without_a_warning(self):
+        # pytest turns warnings into errors here
+        rep = validate_model(basic_model(noise=diagonal_decay_noise(8, a=1e300)))
+        assert not rep.check("noise-growth").passed
+        assert rep.check("flux-lipschitz").passed
+
     def test_diagonal_growth_frozen_ratio(self):
         # independent direct supremum over the same Halton points gives
         # ratio 0.7561856630183167 against declared C = 2 sum k^-2 (K=8)
