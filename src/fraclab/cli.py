@@ -636,12 +636,8 @@ def _run_rate(cfg: RunConfig):
         noise_free = SolverConfig(dt=options["dt"], t_end=config.t_end, eta=config.eta,
                                   flux_scheme=options["flux_scheme"])
         _check_step(cfg, "rate.dt", model, grid, noise_free)
-        u0 = _build_initial(cfg, grid)
-        # the target is a deviation from the noise-free end state, as under exact
-        end = solve(u0, model, noise_free).values[-1]
-        report = ldp_rate_iterative(SpectralField(grid, target.values + end),
-                                    u0, model, config.t_end, RateOptions(**options),
-                                    eta=config.eta)
+        report = ldp_rate_iterative(target, _build_initial(cfg, grid), model,
+                                    config.t_end, RateOptions(**options), eta=config.eta)
 
     control_name = "control.csv" if report.optimal_control is not None else None
     artifacts = {

@@ -149,6 +149,9 @@ def _prepare(model, config, u0=None, grid=None, samples=None, least=1):
 
 
 def _map_samples(worker, tasks, workers: int):
+    """worker(task) for every task, in order, on one process per task up to
+    workers; none is started for a single task."""
+    workers = min(workers, len(tasks))
     if workers <= 1:
         return [worker(task) for task in tasks]
     # imported here, so a process that starts no pool never loads

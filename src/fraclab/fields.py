@@ -31,6 +31,7 @@ __all__ = [
     "dft",
     "idft",
     "PathL1",
+    "csv_rows",
     "field_from_csv",
 ]
 
@@ -163,11 +164,21 @@ class PathL1:
         self._last = (t, np.mean(np.abs(values), axis=-1))
 
 
+def csv_rows(path) -> list:
+    """The rows of a CSV file, blank rows skipped; a ValueError names the
+    first row, counted after the header, whose length is not the header's."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
+    for i, row in enumerate(rows[1:], start=1):
+        if len(row) != len(rows[0]):
+            raise ValueError(f"row {i} has {len(row)} columns, the header {len(rows[0])}")
+    return rows
+
+
 def field_from_csv(path, grid: GridSpec | None = None) -> SpectralField:
     """Field from a CSV with one header row and the nodal values in its last
-    column; without a grid, the row count sets N."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    column, blank rows skipped; without a grid, the row count sets N."""
+    rows = csv_rows(path)
     values = np.array([float(r[-1]) for r in rows[1:]])
     if grid is None:
         n = len(values)

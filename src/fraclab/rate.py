@@ -74,24 +74,28 @@ class RateOptions:
     maxiter: int = 30
 
 
-def minimize(path, sensitivity, target, widths, maxiter, floor):
+def minimize(path, sensitivity, deviation, widths, maxiter, rounding):
     """Gauss-Newton on min (1/2) c' W c subject to u_N(c) = target, from c = 0.
 
     path(c) is the control of the flat coefficients c and its states u_0
     .. u_N; sensitivity(control, states) is S = du_N/dc, (N, len(c)); widths
-    is W's diagonal.  A step aims at c* = W^-1 S' Gamma^+ (target - u_N + S c),
+    is W's diagonal.  The first solve, at c = 0, gives u^0(T), and the target
+    is deviation + u^0(T); its rounding floor is rounding * max(1, max
+    |target|).  A step aims at c* = W^-1 S' Gamma^+ (target - u_N + S c),
     Gamma = S W^-1 S', the least-energy point of the constraint linearized
     at c, so a fixed point is a KKT point.  It moves to the first of
     c + (c* - c) / 2^j, j = 0 .. _HALVINGS, whose miss L2(u_N - target) is
     lower.  The loop stops when no such point is lower, when the miss is at
-    most floor or fell by less than _STALL of itself, or after maxiter steps.
-    Returns the point of least miss (x, its control and terminal state), the
-    miss of c = 0 (deviation), the steps nit, the sweeps njev (one a step),
-    and success: the loop stopped by its own test.
+    most the floor or fell by less than _STALL of itself, or after maxiter
+    steps.  Returns the point of least miss (x, its control and terminal
+    state), the target, the miss of c = 0 (first_miss), the steps nit, the
+    sweeps njev (one a step), and success: the loop stopped by its own test.
     """
     x = np.zeros(len(widths))
     control, states = path(x)
-    miss = deviation = _l2(states[-1] - target)
+    target = deviation + states[-1]
+    floor = rounding * max(1.0, float(np.max(np.abs(target))))
+    miss = first_miss = _l2(states[-1] - target)
     nit = 0
     stopped = miss <= floor
     while not stopped and nit < maxiter:
@@ -109,8 +113,8 @@ def minimize(path, sensitivity, target, widths, maxiter, floor):
                 stopped = trial_miss <= floor or trial_miss > (1.0 - _STALL) * miss
                 x, control, states, miss = trial, trial_control, trial_states, trial_miss
                 break
-    return SimpleNamespace(x=x, control=control, terminal=states[-1], deviation=deviation,
-                           nit=nit, njev=nit, success=stopped)
+    return SimpleNamespace(x=x, control=control, terminal=states[-1], target=target,
+                           first_miss=first_miss, nit=nit, njev=nit, success=stopped)
 
 
 def _l2(values: np.ndarray) -> float:
@@ -188,15 +192,18 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
                        eta: float = 0.0) -> RateReport:
     """Upper bound on the deviation cost under the nonlinear skeleton.
 
-    The least-energy control, constant on opts.intervals equal intervals,
-    whose noise-free path from u0 ends at target, by minimize from the zero
-    control, with at most opts.maxiter steps and the rounding floor n_steps
-    * machine eps * max(1, max |target|) of the miss.  A step is one solve
-    that records every step and one sweep of the N unit cotangents
+    target is a deviation from u^0(T), the end of the uncontrolled noise-free
+    path from u0, as under mdp_rate_exact from the linear skeleton's zero
+    start.  The least-energy control, constant on opts.intervals equal
+    intervals, whose noise-free path from u0 ends at target + u^0(T), by
+    minimize from the zero control, whose first solve gives u^0(T), with at
+    most opts.maxiter steps and the rounding floor n_steps * machine eps *
+    max(1, max |target + u^0(T)|) of the miss.  A step is one solve that
+    records every step and one sweep of the N unit cotangents
     (solver.control_gradient), S = du_N/dc exact for the scheme; iterations
-    counts the steps.  upper_bound: the miss of target, absolute, is at most
-    1e-2 of L2(target - u^0(T)), u^0 uncontrolled (0 if that is); converged:
-    that, and the loop stopped by its own test, not by the cap.
+    counts the steps.  upper_bound: the miss of target + u^0(T) is at most
+    1e-2 of L2(target) (0 if that is); converged: that, and the loop stopped
+    by its own test, not by the cap.
     """
     opts = opts or RateOptions()
     times = np.linspace(0.0, T, opts.intervals + 1)
@@ -215,11 +222,11 @@ def ldp_rate_iterative(target: SpectralField, u0: SpectralField, model: ModelSpe
         grad = control_gradient(states, model, config, control, unit)
         return grad.transpose(1, 0, 2).reshape(len(unit), -1)
 
-    floor = n_steps * np.finfo(float).eps * max(1.0, float(np.max(np.abs(target.values))))
     result = minimize(path, sensitivity, target.values,
-                      np.repeat(np.diff(times), shape[1]), opts.maxiter, floor)
-    residual = _l2(result.terminal - target.values)
-    feasible = residual <= _MISS * result.deviation
+                      np.repeat(np.diff(times), shape[1]), opts.maxiter,
+                      n_steps * np.finfo(float).eps)
+    residual = _l2(result.terminal - result.target)
+    feasible = residual <= _MISS * result.first_miss
     return RateReport(value=result.control.energy, optimal_control=result.control,
                       residual=residual, iterations=result.nit,
                       upper_bound=feasible, converged=result.success and feasible)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import GridSpec, SpectralField, constant_field
+from .fields import GridSpec, SpectralField, constant_field, csv_rows
 from .models import ConfigurationError, ModelSpec, linearize_model
 from .solver import SolverConfig, Trajectory, solve
 
@@ -107,8 +107,9 @@ def control_to_csv(control: Control, path) -> None:
 
 
 def control_from_csv(path) -> Control:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    """Control from a CSV with one header row t_start, t_end, l_1 .. l_K and
+    one row per interval; blank rows are skipped."""
+    rows = csv_rows(path)
     if len(rows) < 2:
         raise ConfigurationError(f"no control rows in {path}")
     starts, ends, coeffs = [], [], []

@@ -652,6 +652,53 @@ def test_iterative_rate_calls_the_module_level_minimize(tmp_path, monkeypatch):
     assert result.njev == result.nit >= 1
 
 
+# the benchmark's rate-iterative case: a linear model, N = 32, 250 steps
+RATE_ITERATIVE = """\
+model.flux.kind = advection
+model.flux.speed = 1.0
+model.diffusion.kind = linear
+model.diffusion.slope = 0.5
+model.diffusion.theta = 0.5
+model.noise.kind = paired-harmonic
+model.noise.pairs = 2
+grid.n = 32
+solver.dt = 1e-3
+solver.t_end = 0.25
+initial.kind = constant
+initial.value = 0.0
+rate.method = iterative
+rate.target.mode = 1
+rate.target.re = 0.08
+rate.target.im = -0.05
+rate.intervals = 10
+rate.dt = 1e-3
+rate.flux_scheme = spectral
+rate.rounds = 3
+rate.maxiter = 100
+"""
+
+
+def test_the_iterative_rate_takes_u0_of_t_from_its_own_first_solve(tmp_path,
+                                                                   monkeypatch):
+    calls = {"controlled": 0, "sweeps": 0, "cli.solve": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rate_module, "solve_controlled_spde",
+                        counted("controlled", rate_module.solve_controlled_spde))
+    monkeypatch.setattr(rate_module, "control_gradient",
+                        counted("sweeps", rate_module.control_gradient))
+    monkeypatch.setattr(cli_module, "solve", counted("cli.solve", cli_module.solve))
+    cfg = write(tmp_path, RATE_ITERATIVE)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["rate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"controlled": 2, "sweeps": 1, "cli.solve": 0}
+
+
 def test_the_iterative_rate_never_imports_scipy(tmp_path):
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
@@ -736,6 +783,43 @@ def test_unusable_input_file_exits_2_naming_key(tmp_path, monkeypatch, case):
     key = overrides[1].split("=")[0]
     assert code == 2
     assert f"{key}: " in err
+
+
+# each input file with a trailing blank line, with the command that reads it
+# and the other keys of its run
+BLANK_LINE_CASES = {
+    "initial.path": (("simulate",), ("initial.kind=csv",)),
+    "control.path": (("skeleton",), ("control.kind=csv",)),
+    "rate.target.path": (("rate",), ("rate.target.kind=csv",)),
+}
+
+
+@pytest.mark.parametrize("key", BLANK_LINE_CASES)
+def test_input_files_skip_blank_rows_and_name_a_short_row(tmp_path, monkeypatch, key):
+    command, overrides = BLANK_LINE_CASES[key]
+    monkeypatch.chdir(tmp_path)
+    if key == "control.path":
+        control_to_csv(random_control(0, 6, 0.05, intervals=2), "input.csv")
+        text = (tmp_path / "input.csv").read_text()
+    else:
+        text = "x,u\n" + "".join(f"{j / 32!r},{0.01 * j!r}\n" for j in range(32))
+    # a blank line at the end changes no artifact
+    runs = []
+    for name, body in (("input.csv", text), ("blank.csv", text + "\n")):
+        (tmp_path / name).write_text(body)
+        runs.append(_run_artifacts(tmp_path, command, (*overrides, f"{key}={name}")))
+    names = set(os.listdir(runs[0])) - {"manifest.json", "config.txt"}
+    assert names
+    for name in names:
+        assert (runs[1] / name).read_bytes() == (runs[0] / name).read_bytes(), name
+    # a row without its last value
+    lines = text.splitlines()
+    lines[2] = lines[2].rsplit(",", 1)[0]
+    (tmp_path / "short.csv").write_text("\n".join(lines) + "\n")
+    code, err = _exit_and_error(tmp_path, command, (*overrides, f"{key}=short.csv"))
+    columns = len(lines[0].split(","))
+    assert code == 2
+    assert f"{key}: row 2 has {columns - 1} columns, the header {columns}" in err
 
 
 # commands that linearize about the run's constant initial state, with the

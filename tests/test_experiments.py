@@ -479,6 +479,36 @@ class TestReproducibility:
                    for workers in (1, 2, 3)]
         assert reports[0] == reports[1] == reports[2]
 
+    def test_a_pool_starts_no_more_processes_than_tasks(self, monkeypatch):
+        # one control makes the noise-free batch a single task: it runs in
+        # this process, and only the 31 noisy rows go to a pool of two
+        import concurrent.futures
+
+        pools = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, tasks):
+                return map(worker, tasks)
+
+        def run(workers):
+            return report_to_json(condition2_coupling_experiment(
+                BURGERS, [random_control(0, 8, 0.1, intervals=4, amplitude=0.5)],
+                (1e-2, 0.0), 31, grid=GRID, config=CONFIG, seed=9, workers=workers))
+
+        serial = run(1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert run(2) == serial
+        assert pools == [2]
+
     def test_clt_digests_are_the_consumed_increments(self):
         rep = clt_experiment(BURGERS, (1e-2, 1e-3), 1e-3, 100, grid=GRID,
                              config=CONFIG, seed=5, workers=2)

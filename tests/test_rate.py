@@ -2,6 +2,8 @@
 least-norm solve, closed-form steering controls, and the Gauss-Newton
 upper bound."""
 
+import contextlib
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +34,8 @@ from fraclab.rate import (
     report_to_json,
     verify_rate_bound,
 )
-from fraclab.skeleton import Control, solve_controlled_spde, solve_skeleton
+from fraclab.cli import main
+from fraclab.skeleton import Control, control_to_csv, solve_controlled_spde, solve_skeleton
 from fraclab.solver import DivergenceError, SolverConfig, control_gradient, solve
 
 from oracles import least_norm_mode_energy
@@ -254,10 +257,9 @@ def test_iterative_trivial_target_is_free():
     grid = GridSpec(32)
     u0 = field_from_spectrum(
         grid, np.fft.fft(1.0 + 0.05 * np.sin(2.0 * np.pi * grid.nodes())) / grid.size)
-    config = SolverConfig(dt=1e-3, t_end=0.25, flux_scheme="spectral")
-    uncontrolled = solve(u0, model, config).terminal
     opts = RateOptions(intervals=10, dt=1e-3, flux_scheme="spectral")
-    report = ldp_rate_iterative(uncontrolled, u0, model, 0.25, opts)
+    # the uncontrolled end state: a zero deviation from it
+    report = ldp_rate_iterative(constant_field(grid, 0.0), u0, model, 0.25, opts)
     assert report.value <= 1e-6
     assert report.converged
     assert report.upper_bound is True
@@ -284,11 +286,9 @@ def test_iterative_matches_exact_on_linearized_model():
     model = linearize_model(base, 1.0)
     deviation = pair_target(GRID, {1: 0.08 - 0.05j})
     exact = mdp_rate_exact(deviation, model, T)
-    target = field_from_spectrum(
-        GRID, deviation.spectrum + np.fft.fft(np.ones(GRID.size)) / GRID.size)
     opts = RateOptions(intervals=10, dt=1e-3, rounds=3, maxiter=100,
                        flux_scheme="spectral")
-    report = ldp_rate_iterative(target, constant_field(GRID, 1.0), model, T, opts)
+    report = ldp_rate_iterative(deviation, constant_field(GRID, 1.0), model, T, opts)
     assert report.converged
     assert report.residual <= 1e-6
     assert report.value == pytest.approx(exact.value, rel=1e-2)
@@ -324,7 +324,8 @@ def test_the_wavy_deviations_are_reached_with_both_flags(s):
     # about a third of these deviations
     end = wavy_end()
     target = SpectralField(SMALL, end + s * DELTA)
-    report = ldp_rate_iterative(target, WAVY, NONLINEAR, WAVY_T, WAVY_OPTS)
+    report = ldp_rate_iterative(SpectralField(SMALL, s * DELTA), WAVY, NONLINEAR,
+                                WAVY_T, WAVY_OPTS)
     assert report.residual <= 1e-6 * deviation_norm(target, end)
     assert report.residual < 1e-2
     assert report.upper_bound is True
@@ -332,11 +333,62 @@ def test_the_wavy_deviations_are_reached_with_both_flags(s):
     assert report.value == report.optimal_control.energy
 
 
+def test_the_iterative_target_is_a_deviation_from_the_uncontrolled_end():
+    # u^0(T) from a solve of its own: the control ends within its residual
+    # of u^0(T) + delta, and the CLI reports the Python call byte for byte
+    end = wavy_end()
+    deviation = SpectralField(SMALL, 0.03 * DELTA)
+    report = ldp_rate_iterative(deviation, WAVY, NONLINEAR, WAVY_T, WAVY_OPTS)
+    reached = solve(WAVY, NONLINEAR, SolverConfig(dt=1e-3, t_end=WAVY_T,
+                                                  flux_scheme="spectral"),
+                    control=report.optimal_control).values[-1]
+    miss = deviation_norm(SpectralField(SMALL, deviation.values + end), reached)
+    assert miss <= report.residual <= 1e-6 * deviation_norm(deviation, 0.0)
+
+
+def test_the_cli_reports_the_python_rate_of_a_wavy_start(tmp_path, monkeypatch):
+    for name, values in (("u0.csv", WAVY.values), ("delta.csv", 0.03 * DELTA)):
+        (tmp_path / name).write_text(
+            "x,u\n" + "".join(f"{float(x)!r},{float(v)!r}\n" for x, v in zip(SMALL_X, values)))
+    (tmp_path / "run.cfg").write_text("""\
+model.flux.kind = burgers
+model.flux.clamp = 4.0
+model.diffusion.kind = linear
+model.diffusion.slope = 0.5
+model.diffusion.theta = 0.5
+model.noise.kind = diagonal-decay
+model.noise.truncation = 4
+grid.n = 16
+solver.dt = 1e-3
+solver.t_end = 0.1
+initial.kind = csv
+initial.path = u0.csv
+rate.method = iterative
+rate.target.kind = csv
+rate.target.path = delta.csv
+rate.intervals = 4
+rate.dt = 1e-3
+rate.flux_scheme = spectral
+rate.rounds = 3
+rate.maxiter = 100
+""")
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["rate", "--config", "run.cfg", "--out", "out"]) == 0
+    (run_dir,) = (tmp_path / "out").iterdir()
+    report = ldp_rate_iterative(SpectralField(SMALL, 0.03 * DELTA), WAVY, NONLINEAR,
+                                WAVY_T, WAVY_OPTS)
+    assert ((run_dir / "report.json").read_text()
+            == report_to_json(report, "control.csv") + "\n")
+    control_to_csv(report.optimal_control, tmp_path / "control.csv")
+    assert (run_dir / "control.csv").read_bytes() == (tmp_path / "control.csv").read_bytes()
+
+
 def test_reaching_the_cap_clears_converged():
-    target = SpectralField(SMALL, wavy_end() + 0.1 * DELTA)
-    assert ldp_rate_iterative(target, WAVY, NONLINEAR, WAVY_T, WAVY_OPTS).converged
+    deviation = SpectralField(SMALL, 0.1 * DELTA)
+    assert ldp_rate_iterative(deviation, WAVY, NONLINEAR, WAVY_T, WAVY_OPTS).converged
     capped = replace(WAVY_OPTS, maxiter=2)
-    report = ldp_rate_iterative(target, WAVY, NONLINEAR, WAVY_T, capped)
+    report = ldp_rate_iterative(deviation, WAVY, NONLINEAR, WAVY_T, capped)
     assert report.iterations == 2
     assert report.converged is False
 
@@ -367,7 +419,8 @@ def test_upper_bound_is_never_set_on_an_infeasible_control(case):
     target, u0, model, T, opts = case()
     end = solve(u0, model, SolverConfig(dt=opts.dt, t_end=T,
                                         flux_scheme=opts.flux_scheme)).values[-1]
-    report = ldp_rate_iterative(target, u0, model, T, opts)
+    report = ldp_rate_iterative(SpectralField(target.grid, target.values - end), u0,
+                                model, T, opts)
     assert report.residual > 1e-2 * deviation_norm(target, end)
     assert report.upper_bound is False
     assert report.converged is False
@@ -428,9 +481,7 @@ def test_the_sweep_gives_the_terminal_sensitivity_exactly(monkeypatch):
                       paired_harmonic_noise(pairs=2))
     T = 0.05
     config = SolverConfig(dt=1e-3, t_end=T, eta=1e-3)
-    target = field_from_spectrum(
-        GRID, solve(SINE, model, config).terminal.spectrum
-        + pair_target(GRID, {1: 0.01 - 0.02j}).spectrum)
+    deviation = pair_target(GRID, {1: 0.01 - 0.02j})
     opts = RateOptions(intervals=2, dt=1e-3, maxiter=3)
     solved, swept = [], []
 
@@ -445,7 +496,7 @@ def test_the_sweep_gives_the_terminal_sensitivity_exactly(monkeypatch):
 
     monkeypatch.setattr(rate_module, "solve_controlled_spde", recorded)
     monkeypatch.setattr(rate_module, "control_gradient", sweep)
-    report = ldp_rate_iterative(target, SINE, model, T, opts, eta=1e-3)
+    report = ldp_rate_iterative(deviation, SINE, model, T, opts, eta=1e-3)
     assert report.value == report.optimal_control.energy
     # one sweep of the N unit cotangents per step, each at a point solved
     assert len(swept) == report.iterations
